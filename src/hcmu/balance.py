@@ -49,14 +49,15 @@ def connection_matrix(ma: MixedAngulation) -> ConnectionMatrix:
     return ConnectionMatrix(tuple(tuple(r) for r in rows), blacks, tuple(order))
 
 
-def matrix_rank(rows) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
+def _eliminate(m, ncols):
+    """Reduce the row list ``m`` in place on its first ``ncols`` columns.
+
+    Gauss-Jordan elimination over Fraction; returns the pivot columns in
+    order, so row i of the result has its leading one in column pivots[i].
+    """
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
@@ -67,10 +68,16 @@ def matrix_rank(rows) -> int:
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return pivots
+
+
+def matrix_rank(rows) -> int:
+    """Exact rank over the rationals by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    return len(_eliminate(m, len(m[0]))) if m else 0
 
 
 def _solve_affine(rows, rhs):
@@ -78,25 +85,13 @@ def _solve_affine(rows, rhs):
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = Fraction(1) / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(nrows):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = _eliminate(aug, ncols)
+    rank = len(pivots)
     for r in range(rank, nrows):
         if aug[r][ncols] != 0:
             return None, []
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     particular = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         particular[col] = aug[r][ncols]

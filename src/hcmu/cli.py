@@ -15,20 +15,15 @@ from . import balance, builders, constraints, deformations, geometry
 from . import serialization as ser
 from .dimension import dimension as moduli_dimension
 from .dimension import dimension_refined
-from .dataset import census, validate_dataset
+from .dataset import census
 from .errors import (
-    BadCircleIndex,
-    BadOrder,
     CutOnBoundary,
     CuspVertex,
     EmptySpace,
     HcmuError,
     Inadmissible,
     Infeasible,
-    NotCoprime,
     NotInteger,
-    ParseError,
-    ValidationError,
 )
 
 INFEASIBLE = (EmptySpace, Inadmissible, Infeasible, NotInteger, CuspVertex, CutOnBoundary)
@@ -52,11 +47,6 @@ def _write(path, text):
 
 def cmd_validate(args):
     ds = ser.load(args.file)
-    issues = validate_dataset(ds)
-    if issues:  # load() already rejects these, kept for belt and braces
-        for issue in issues:
-            print(issue)
-        return 2
     cs = census(ds)
     print(
         f"valid: genus {ds.angulation.genus}, {cs.p}+{cs.q} extremal points, "
@@ -250,9 +240,6 @@ def main(argv=None) -> int:
     except INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, BadOrder, NotCoprime, BadCircleIndex) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (HcmuError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

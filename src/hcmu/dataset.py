@@ -15,7 +15,7 @@ from typing import Optional
 
 from .angulation import BLACK, MixedAngulation
 from .constraints import AngleVector, TypePartition
-from .errors import CensusInconsistent, HcmuError
+from .errors import CensusInconsistent, ValidationError
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class DataSet:
         self.face_levels = tuple(Fraction(s) for s in levels)
         issues = validate_dataset(self)
         if issues:
-            raise HcmuError("; ".join(str(i) for i in issues))
+            raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")
 
     # -- angles ---------------------------------------------------------------
 

@@ -91,10 +91,6 @@ class BadRatio(HcmuError):
     """Ratio outside [0, 1) or otherwise unusable."""
 
 
-class QuadratureFailure(HcmuError):
-    """Adaptive quadrature failed to meet its tolerance."""
-
-
 # -- deformations -----------------------------------------------------------
 
 class CriticalLevel(HcmuError):

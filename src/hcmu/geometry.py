@@ -1,14 +1,16 @@
-"""Numerical realization of the character line element.
+"""Closed-form realization of the character line element.
 
 The curvature K(v) decreases from K0 to K1 along a meridian and obeys
-3 K'^2 = -(K - K0)(K - K1)(K + K0 + K1).  With the substitution
-K = K1 + (K0 - K1) sin^2(theta) both square-root endpoint singularities
-disappear and dv/dtheta = 2 sqrt(3) / sqrt(K0 + 2 K1 + (K0 - K1) sin^2
-theta), so distances come from smooth one-dimensional quadrature.  The
-normalized level is s = (K0 - K)/(K0 - K1) = cos^2(theta); the warped
-function is h = K'/cbar with cbar = -(K0 - K1)(2 K0 + K1)/6.
+3 K'^2 = -(K - K0)(K - K1)(K + K0 + K1).  With the normalized level
+s = (K0 - K)/(K0 - K1) = sin^2(phi) the ODE separates into
+dv/dphi = 2 sqrt(3) / sqrt(A + B cos^2 phi), A = K0 + 2 K1, B = K0 - K1,
+so the meridian distance down to level s is the incomplete elliptic integral
+of the first kind c F(phi | m) with m = B/(A + B), c = 2 sqrt(3)/sqrt(A + B)
+(DLMF 19.2), and the element length is c K(m).  The warped function is
+h = K'/cbar with cbar = -(K0 - K1)(2 K0 + K1)/6; the integral of h over the
+element is 2 (2 - R)/K0, so areas are rational in (K0, R).
 
-K1 = -K0/2 (ratio 0) is the cusp: the element length is infinite and
+K1 = -K0/2 (ratio 0) is the cusp, m = 1: the element length is infinite and
 profiles stop at a configurable level just below 1.
 """
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+import scipy.special
 
-from .errors import BadRatio, QuadratureFailure
+from .errors import BadRatio
 
-_QUAD_TOL = 1e-10  # absolute tolerance per quadrature call
 DEFAULT_CUSP_SMAX = 1 - 1e-6
 
 
@@ -62,12 +63,15 @@ def ratio_from_pair(k0: float, k1: float) -> float:
     return (k0 + 2 * k1) / (2 * k0 + k1)
 
 
-def _theta_of_s(s):
-    return np.arccos(np.sqrt(s))
+def _moduli(k0, k1):
+    """(c, m) such that the distance to level s is c F(asin(sqrt(s)) | m).
 
-
-def _dv_dtheta(theta, k0, k1):
-    return 2.0 * math.sqrt(3.0) / np.sqrt(k0 + 2 * k1 + (k0 - k1) * np.sin(theta) ** 2)
+    A cusp pair gets m = 1 exactly, so both integrals diverge at s = 1.
+    """
+    pair = CurvaturePair(k0, k1)
+    a = 0.0 if pair.is_cusp else k0 + 2 * k1
+    b = k0 - k1
+    return 2.0 * math.sqrt(3.0) / math.sqrt(a + b), b / (a + b)
 
 
 def _k_of_s(s, k0, k1):
@@ -83,34 +87,19 @@ def _h_of_s(s, k0, k1):
     return np.sqrt(np.maximum(prod, 0.0) / 3.0) / cbar
 
 
-def _quad(f, a, b):
-    val, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > max(_QUAD_TOL, 1e-9 * abs(val)):
-        raise QuadratureFailure(f"estimated error {err} for integral on [{a}, {b}]")
-    return val
-
-
 def level_to_distance(k0: float, k1: float, s) -> float:
     """Meridian distance from the maximum down to normalized level s."""
-    pair = CurvaturePair(k0, k1)
+    c, m = _moduli(k0, k1)
     s = float(s)
-    if not 0 <= s < 1 or (s == 1 and pair.is_cusp):
-        if not 0 <= s <= 1:
-            raise BadRatio(f"level {s} outside [0, 1]")
-    if s == 0:
-        return 0.0
-    if s == 1:
-        return element_length(k0, k1)
-    theta = math.acos(math.sqrt(s))
-    return _quad(lambda t: _dv_dtheta(t, k0, k1), theta, math.pi / 2)
+    if not 0 <= s <= 1:
+        raise BadRatio(f"level {s} outside [0, 1]")
+    return c * float(scipy.special.ellipkinc(math.asin(math.sqrt(s)), m))
 
 
 def element_length(k0: float, k1: float) -> float:
     """Total meridian length l(K0, K1); +inf exactly at the cusp pair."""
-    pair = CurvaturePair(k0, k1)
-    if pair.is_cusp:
-        return math.inf
-    return _quad(lambda t: _dv_dtheta(t, k0, k1), 0.0, math.pi / 2)
+    c, m = _moduli(k0, k1)
+    return c * float(scipy.special.ellipk(m))
 
 
 def cusp_profile_closed_form(k0: float, u) -> float:
@@ -165,41 +154,6 @@ def _odd_slope(v, h):
     return total
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _cumulative_v(thetas, k0, k1):
-    """v at each sample level by per-panel Gauss-Legendre in theta.
-
-    ``thetas`` decreases from pi/2.  Near theta = 0 the cusp integrand grows
-    like 1/theta, so panels whose endpoint ratio is large are subdivided
-    geometrically; 16 nodes per subpanel then reach near machine precision.
-    """
-    lows, highs, owner = [], [], []
-    rho = 1.25
-    for i in range(len(thetas) - 1):
-        b, a = thetas[i], thetas[i + 1]  # a < b
-        if a <= 0 or b / a <= rho:
-            cuts = [a, b]
-        else:
-            npan = int(math.ceil(math.log(b / a) / math.log(rho)))
-            cuts = [a * (b / a) ** (j / npan) for j in range(npan + 1)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            lows.append(lo)
-            highs.append(hi)
-            owner.append(i)
-    lows = np.asarray(lows)
-    highs = np.asarray(highs)
-    mid = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = _dv_dtheta(nodes, k0, k1)
-    sub = half * (vals @ _GL_WEIGHTS)
-    panels = np.zeros(len(thetas) - 1)
-    np.add.at(panels, np.asarray(owner), sub)
-    return np.concatenate([[0.0], np.cumsum(panels)])
-
-
 def solve_profile(k0: float, ratio, n_samples: int, s_max=None) -> LineElementProfile:
     """Sample the line element at uniform normalized levels.
 
@@ -218,22 +172,16 @@ def solve_profile(k0: float, ratio, n_samples: int, s_max=None) -> LineElementPr
         top = float(s_max) if s_max is not None else DEFAULT_CUSP_SMAX
         if not 0 < top < 1:
             raise BadRatio(f"s_max {top} outside (0, 1)")
-        length = math.inf
     else:
         top = 1.0
-        length = element_length(k0, k1)
     s = np.linspace(0.0, top, n_samples)
-    thetas = _theta_of_s(s)
-    v = _cumulative_v(thetas, k0, k1)
-    # cross-check the panel scheme against adaptive quadrature
-    ref = level_to_distance(k0, k1, float(s[-1])) if top < 1 else length
-    if abs(v[-1] - ref) > max(_QUAD_TOL, 1e-9 * abs(ref)):
-        raise QuadratureFailure(f"panel sum {v[-1]} vs adaptive {ref}")
+    c, m = _moduli(k0, k1)
+    v = c * scipy.special.ellipkinc(np.arcsin(np.sqrt(s)), m)
     return LineElementProfile(
         k0=k0,
         k1=k1,
         ratio=float(r),
-        length=length,
+        length=element_length(k0, k1),
         cbar=pair.cbar,
         v=v,
         s=s,
@@ -253,19 +201,6 @@ def football_area(k0: float, ratio, top_angle) -> float:
     return 4.0 * math.pi * float(top_angle) * (2 - float(r)) / k0
 
 
-def warped_integral(k0: float, k1: float) -> float:
-    """integral of h dv over the whole element, by quadrature in theta."""
-    CurvaturePair(k0, k1)
-
-    def f(theta):
-        s = math.cos(theta) ** 2
-        return float(_h_of_s(s, k0, k1)) * _dv_dtheta(theta, k0, k1)
-
-    return _quad(f, 0.0, math.pi / 2)
-
-
 def surface_area(ds) -> float:
-    """Total area: each arc contributes 2*pi*W(e) * integral(h dv)."""
-    k1 = k1_from_ratio(ds.k0, ds.ratio)
-    base = warped_integral(ds.k0, k1)
-    return 2.0 * math.pi * float(ds.total_weight()) * base
+    """Total area: the footballs of all arcs, one top angle W(e) each."""
+    return football_area(ds.k0, ds.ratio, ds.total_weight())

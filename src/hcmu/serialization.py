@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .angulation import BLACK, WHITE, MixedAngulation
-from .dataset import DataSet, validate_dataset
+from .dataset import DataSet
 from .errors import HcmuError, ParseError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -156,16 +156,6 @@ def load_document(doc: dict) -> DataSet:
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 
-    probe = DataSet.__new__(DataSet)
-    probe.angulation = ma
-    probe.k0 = k0
-    probe.ratio = ratio
-    probe.weights = tuple(weights)
-    probe.face_levels = tuple(levels)
-    issues = validate_dataset(probe)
-    if issues:
-        first = issues[0]
-        raise ValidationError("; ".join(str(i) for i in issues), f"/{first.code}")
     return DataSet(ma, k0, ratio, weights, levels)
 
 

@@ -36,9 +36,8 @@ from hcmu.geometry import (
     football_area,
     k1_from_ratio,
     solve_profile,
-    warped_integral,
 )
-from test_geometry import fd_derivative
+from test_geometry import fd_derivative, warped_integral
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)
 GRID_R = (F(0), F(1, 4), F(1, 3), F(2, 3), F(9, 10))
@@ -263,7 +262,7 @@ def test_criterion_6_numerics():
     assert worst_top < 1e-8
     assert worst_bot < 1e-6
     assert worst_res < 1e-8
-    # cusp closed form against the quadrature profile
+    # cusp closed form against the sampled profile
     prof = solve_profile(2.0, F(0), 3001)
     dev = np.abs(prof.K - cusp_profile_closed_form(2.0, prof.v)).max()
     assert dev < 1e-7

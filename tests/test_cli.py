@@ -156,10 +156,17 @@ def test_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_usage_error_exit_two(capsys):
+def test_usage_error_exit_two(capsys, tmp_path):
     assert main(["check", "--genus", "0"]) == 2  # missing --angles
     code, _, err = run(capsys, "validate", "/nonexistent/path.json")
     assert code == 2
+    doc = ser.save(ser.load(FIXTURES / "calabi.json"))
+    doc["arcs"][0]["weight"] = "0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(ser.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err.startswith("error: /BadWeight: ")
 
 
 def test_bad_angles_exit_two(capsys):

@@ -13,7 +13,7 @@ from hcmu.dataset import (
     realized_prescription,
     validate_dataset,
 )
-from hcmu.errors import HcmuError
+from hcmu.errors import HcmuError, ValidationError
 
 
 def test_calabi_is_valid(calabi):
@@ -30,8 +30,10 @@ def test_zero_weight_rejected(calabi):
     ma = calabi.angulation
     weights = list(calabi.weights)
     weights[0] = F(0)
-    with pytest.raises(HcmuError, match="BadWeight"):
+    with pytest.raises(HcmuError, match="BadWeight") as err:
         DataSet(ma, 2.0, F(2, 3), weights, calabi.face_levels)
+    assert isinstance(err.value, ValidationError)
+    assert err.value.pointer == "/BadWeight"
 
 
 def test_level_outside_interval_rejected(calabi):

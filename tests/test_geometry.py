@@ -1,12 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from hcmu.errors import BadRatio, QuadratureFailure
+import hcmu
+from hcmu.errors import BadRatio
 from hcmu.geometry import (
+    DEFAULT_CUSP_SMAX,
     CurvaturePair,
     cusp_profile_closed_form,
     element_length,
@@ -16,7 +23,6 @@ from hcmu.geometry import (
     ratio_from_pair,
     solve_profile,
     surface_area,
-    warped_integral,
 )
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)
@@ -28,7 +34,7 @@ GRID_R = (F(0), F(1, 4), F(1, 3), F(2, 3), F(9, 10))
 
 def rk_shoot_length(k0, k1, steps=60000):
     """Element length by RK4 on dK/dv away from the endpoints, with series
-    start and square-root tail; independent of the quadrature path."""
+    start and square-root tail; independent of the closed form."""
 
     def slope(k):
         prod = -(k - k0) * (k - k1) * (k + k0 + k1) / 3.0
@@ -53,6 +59,35 @@ def rk_shoot_length(k0, k1, steps=60000):
         v += h
     c_tail = math.sqrt((k0 - k1) * (k0 + 2 * k1) / 3.0)
     return v + 2.0 * math.sqrt(k - k1) / c_tail
+
+
+def dv_dtheta(theta, k0, k1):
+    """Meridian speed in theta, with K = K1 + (K0 - K1) sin^2(theta)."""
+    return 2.0 * math.sqrt(3.0) / math.sqrt(k0 + 2 * k1 + (k0 - k1) * math.sin(theta) ** 2)
+
+
+def quad(f, a, b):
+    """Adaptive quadrature that refuses a result above its error budget."""
+    val, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
+    assert err <= max(1e-10, 1e-9 * abs(val)), f"estimated error {err} on [{a}, {b}]"
+    return val
+
+
+def quad_distance(k0, k1, s):
+    """Meridian distance down to level s = cos^2(theta) by quadrature in theta."""
+    return quad(lambda t: dv_dtheta(t, k0, k1), math.acos(math.sqrt(s)), math.pi / 2)
+
+
+def warped_integral(k0, k1):
+    """integral of h dv over the whole element, by quadrature in theta."""
+    cbar = (k0 - k1) * (2 * k0 + k1) / 6.0
+
+    def f(theta):
+        k = k1 + (k0 - k1) * math.sin(theta) ** 2
+        prod = (k0 - k) * (k - k1) * (k + k0 + k1)
+        return math.sqrt(max(prod, 0.0) / 3.0) / cbar * dv_dtheta(theta, k0, k1)
+
+    return quad(f, 0.0, math.pi / 2)
 
 
 def fd_derivative(v, y, order=1):
@@ -257,9 +292,46 @@ def test_surface_area_of_calabi():
     assert surface_area(ds) == pytest.approx(total, rel=1e-9)
 
 
-def test_quadrature_failure_never_masks():
-    # sanity: any profile request either returns or raises QuadratureFailure
-    try:
-        solve_profile(1e-9, F(1, 3), 64)
-    except QuadratureFailure:
-        pass
+def test_tiny_curvature_profile_is_finite_and_reaches_the_length():
+    p = solve_profile(1e-9, F(1, 3), 64)
+    assert np.all(np.isfinite(p.v))
+    assert np.all(np.diff(p.v) > 0)
+    assert p.v[-1] == element_length(p.k0, p.k1)
+
+
+def test_closed_form_matches_quadrature_oracle():
+    worst = 0.0
+    for k0 in GRID_K0:
+        for r in GRID_R + (F(499, 500),):
+            k1 = k1_from_ratio(k0, r)
+            p = solve_profile(k0, r, 257)
+            top = DEFAULT_CUSP_SMAX if r == 0 else 1.0
+            assert p.s[-1] == top
+            want = [quad_distance(k0, k1, s) for s in p.s]
+            assert p.v[0] == want[0] == 0
+            rel = np.abs(p.v[1:] - want[1:]) / np.asarray(want[1:])
+            for s in (F(1, 10**6), F(1, 3), F(9, 10), top):
+                got = level_to_distance(k0, k1, s)
+                rel = np.append(rel, abs(got - quad_distance(k0, k1, float(s))) / got)
+            if r == 0:
+                assert element_length(k0, k1) == math.inf
+                assert level_to_distance(k0, k1, 1) == math.inf
+            else:
+                length = element_length(k0, k1)
+                rel = np.append(rel, abs(length - quad_distance(k0, k1, 1.0)) / length)
+            worst = max(worst, rel.max())
+    assert worst < 1e-12
+
+
+# -- imports ---------------------------------------------------------------------
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate adds about 0.3 s and tens of MiB to every start-up
+    src = str(Path(hcmu.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hcmu; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
