@@ -1,4 +1,4 @@
-"""Exact linear algebra for balance equations.
+"""Exact balance equations as graph algorithms on the bi-colored map.
 
 Everything here runs over ``Fraction``; no floating point enters this module.
 The connection matrix of a bi-colored angulation has one row per vertex
@@ -6,13 +6,41 @@ The connection matrix of a bi-colored angulation has one row per vertex
 Scaling the white rows by the ratio R gives the balance matrix whose affine
 solution set is the space of weight functions realizing prescribed cone
 angles.
+
+For R > 0 the system is the vertex/arc incidence system of a connected
+bipartite graph with demand t at black vertices and t / R at white ones, so
+:func:`solve_balance` never eliminates:
+
+* a particular solution comes from peeling a breadth-first spanning tree
+  from the leaves up, with the non-tree arcs at 0; the system is consistent
+  exactly when nothing is left at the root;
+* the kernel basis is one fundamental cycle per non-tree arc, with entries
+  alternating +1/-1 around the (even) cycle, so its dimension is
+  E - V + 1 = 2g + j0 - 1 by construction;
+* a strictly positive solution is a transportation problem.  A maximum flow
+  on the demands scaled to integers either saturates them or exposes a
+  violated Hall inequality.  An arc with zero flow can be made positive
+  exactly when its ends lie in one strongly connected component of the
+  residual graph, i.e. when the white end reaches the black end; pushing a
+  small exact amount around one such alternating cycle per zero arc gives a
+  positive witness, and an unreachable black end gives a cut that forces
+  the arc to zero.
+
+For R = 0 the white rows vanish and each black vertex owns a star of arcs.
+Either way the answer is a decision: a positive witness or a
+:class:`HallCut` proving that none exists.  Gaussian elimination remains
+only in :func:`matrix_rank`, the independent rank computation behind the
+dimension cross-checks.
 """
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
+
+import networkx as nx
 
 from .angulation import BLACK, WHITE, MixedAngulation
 from .errors import (
@@ -22,6 +50,8 @@ from .errors import (
     Infeasible,
     NotATree,
 )
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -80,29 +110,30 @@ def matrix_rank(rows) -> int:
     return len(_eliminate(m, len(m[0]))) if m else 0
 
 
-def _solve_affine(rows, rhs):
-    """Return (particular or None, kernel basis) of rows * x = rhs."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    pivots = _eliminate(aug, ncols)
-    rank = len(pivots)
-    for r in range(rank, nrows):
-        if aug[r][ncols] != 0:
-            return None, []
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    particular = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][ncols]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fcol]
-        basis.append(tuple(vec))
-    return tuple(particular), basis
+@dataclass(frozen=True)
+class HallCut:
+    """Proof that the balance system has no strictly positive solution.
+
+    Every arc at a white vertex of ``whites`` ends at a black vertex of
+    ``blacks``.  Adding the black rows of ``blacks`` and subtracting the
+    white rows of ``whites`` (each divided by R) therefore leaves the total
+    weight of the ``crossing`` arcs, those from ``blacks`` to the whites
+    outside ``whites``, equal to ``gap``.  The crossing set is nonempty and
+    ``gap <= 0``, which no strictly positive weights satisfy.  At R = 0
+    ``whites`` is empty.
+    """
+
+    blacks: frozenset
+    whites: frozenset
+    crossing: tuple
+    gap: Fraction
+
+    def __str__(self):
+        return (
+            f"arcs {' '.join(map(str, self.crossing))} must carry total weight "
+            f"{self.gap} (black vertices {' '.join(map(str, sorted(self.blacks)))}; "
+            f"white vertices {' '.join(map(str, sorted(self.whites))) or 'none'})"
+        )
 
 
 @dataclass
@@ -110,6 +141,7 @@ class SolutionSpace:
     particular: Optional[tuple]
     kernel_basis: list
     positive_witness: Optional[tuple] = None
+    obstruction: Optional[HallCut] = None
 
     @property
     def kernel_dimension(self) -> int:
@@ -149,67 +181,215 @@ def balance_rows(conn: ConnectionMatrix, ratio: Fraction):
 
 
 def solve_balance(ma: MixedAngulation, ratio, targets) -> SolutionSpace:
-    """Affine solution set of the balance equations.
+    """Affine solution set of the balance equations, and its positivity.
 
     ``targets`` maps vertex id -> prescribed angle (in weight units at black
     vertices, absolute cone angle at white ones).  For R = 0 the white targets
-    must vanish.
+    must vanish.  The result carries either a strictly positive witness or a
+    :class:`HallCut` obstruction.
     """
     ratio = Fraction(ratio)
     if not (0 <= ratio < 1):
         raise BadRatio(f"ratio {ratio} outside [0, 1)")
-    conn = connection_matrix(ma)
-    rhs = []
-    for r, v in enumerate(conn.row_vertices):
+    # demand per vertex in weight units; None for the vanished white rows
+    demand = []
+    for v in range(ma.num_vertices):
         t = Fraction(targets[v])
-        if ratio == 0 and r >= conn.black_rows and t != 0:
-            raise BadTargets(f"cusp system with nonzero white target at {v}")
-        rhs.append(t)
-    system = BalanceSystem(conn, ratio, tuple(rhs))
-    particular, basis = _solve_affine(system.rows, rhs)
-    if particular is None:
-        raise Infeasible("balance system is inconsistent")
-    witness = _positive_witness(particular, basis)
-    return SolutionSpace(particular, basis, witness)
-
-
-def _positive_witness(particular, basis, max_denominator=64):
-    """Best-effort strictly positive point of the affine set.
-
-    Scans kernel coefficients over a bounded rational grid; absence of a
-    witness is reported as None, not proven.
-    """
+        if ma.colors[v] == WHITE:
+            if ratio == 0:
+                if t != 0:
+                    raise BadTargets(f"cusp system with nonzero white target at {v}")
+                t = None
+            else:
+                t /= ratio
+        demand.append(t)
+    if ratio == 0:
+        particular, basis = _star_solution(ma, demand)
+    else:
+        particular, basis = _tree_solution(ma, demand)
     if all(x > 0 for x in particular):
-        return tuple(particular)
-    if not basis:
-        return None
-    grid = [Fraction(n, d) for d in (1, 2, 4, 8, 16, 32, 64) for n in range(-4 * d, 4 * d + 1)]
-    grid = sorted(set(grid), key=lambda f: (abs(f), f < 0))
-    if len(basis) == 1:
-        for c in grid:
-            cand = [p + c * k for p, k in zip(particular, basis[0])]
-            if all(x > 0 for x in cand):
-                return tuple(cand)
-        return None
-    if len(basis) == 2:
-        coarse = [c for c in grid if c.denominator <= 8]
-        for c1, c2 in product(coarse, repeat=2):
-            cand = [
-                p + c1 * k1 + c2 * k2
-                for p, k1, k2 in zip(particular, basis[0], basis[1])
-            ]
-            if all(x > 0 for x in cand):
-                return tuple(cand)
-        return None
-    # higher dimensions: deterministic coarse sweep on the first two directions
-    coarse = [c for c in grid if c.denominator <= 4]
-    for c1, c2 in product(coarse, repeat=2):
-        cand = list(particular)
-        for i in range(len(cand)):
-            cand[i] += c1 * basis[0][i] + c2 * basis[1][i]
-        if all(x > 0 for x in cand):
-            return tuple(cand)
-    return None
+        return SolutionSpace(particular, basis, particular)
+    witness, obstruction = _positive_solution(ma, demand)
+    return SolutionSpace(particular, basis, witness, obstruction)
+
+
+def _other_end(ma, a, v):
+    b, w = ma.arcs[a]
+    return w if b == v else b
+
+
+def _spanning_tree(ma):
+    """Breadth-first order from vertex 0 and each vertex's arc to its parent."""
+    incident = [[] for _ in range(ma.num_vertices)]
+    for a, (b, w) in enumerate(ma.arcs):
+        incident[b].append(a)
+        incident[w].append(a)
+    parent_arc = [None] * ma.num_vertices
+    seen = [False] * ma.num_vertices
+    seen[0] = True
+    order = [0]
+    for v in order:  # the list grows while it is walked
+        for a in incident[v]:
+            u = _other_end(ma, a, v)
+            if not seen[u]:
+                seen[u] = True
+                parent_arc[u] = a
+                order.append(u)
+    return order, parent_arc
+
+
+def _peel(ma, order, parent_arc, demand):
+    """Tree-arc weights meeting ``demand`` below the root, leaves first.
+
+    Returns the weights (arcs off the tree stay 0) and the residual left at
+    the root, which vanishes exactly when the system is consistent.
+    """
+    residual = list(demand)
+    weights = [_ZERO] * ma.num_arcs
+    for v in reversed(order[1:]):
+        a = parent_arc[v]
+        weights[a] = residual[v]
+        residual[_other_end(ma, a, v)] -= residual[v]
+    return weights, residual[order[0]]
+
+
+def _tree_solution(ma, demand):
+    """Particular solution by the tree peel, kernel by fundamental cycles."""
+    order, parent_arc = _spanning_tree(ma)
+    particular, residual = _peel(ma, order, parent_arc, demand)
+    if residual != 0:
+        raise Infeasible(f"balance system is inconsistent: residual {residual} at the root")
+    depth = [0] * ma.num_vertices
+    for v in order[1:]:
+        depth[v] = depth[_other_end(ma, parent_arc[v], v)] + 1
+    tree = set(parent_arc)
+    basis = []
+    for a in range(ma.num_arcs):
+        if a in tree:
+            continue
+        # climb from both ends to the common ancestor; the tree arcs
+        # alternate -1, +1, ... from each end, and the depths of the two
+        # ends differ in parity, so the signs cancel at the ancestor too
+        vec = [_ZERO] * ma.num_arcs
+        vec[a] = _ONE
+        ends = list(ma.arcs[a])
+        signs = [-_ONE, -_ONE]
+        while ends[0] != ends[1]:
+            i = 0 if depth[ends[0]] > depth[ends[1]] else 1
+            t = parent_arc[ends[i]]
+            vec[t] = signs[i]
+            signs[i] = -signs[i]
+            ends[i] = _other_end(ma, t, ends[i])
+        basis.append(tuple(vec))
+    return tuple(particular), basis
+
+
+def _star_solution(ma, demand):
+    """R = 0: each black target sits on the smallest arc of its star."""
+    particular = [_ZERO] * ma.num_arcs
+    first = {}
+    basis = []
+    for a, (b, _) in enumerate(ma.arcs):
+        if b not in first:
+            first[b] = a
+            particular[a] = demand[b]
+        else:
+            vec = [_ZERO] * ma.num_arcs
+            vec[a], vec[first[b]] = _ONE, -_ONE
+            basis.append(tuple(vec))
+    return tuple(particular), basis
+
+
+def _positive_solution(ma, demand):
+    """(strictly positive solution, None) or (None, HallCut)."""
+    nv = ma.num_vertices
+    for v, d in enumerate(demand):
+        if d is not None and d <= 0:
+            # a vertex with no positive share for its arcs
+            reach = {v} if ma.colors[v] == WHITE else set(range(nv)) - {v}
+            return None, _hall_cut(ma, demand, reach)
+    if any(d is None for d in demand):
+        degree = [0] * nv
+        for b, _ in ma.arcs:
+            degree[b] += 1
+        return tuple(demand[b] / degree[b] for b, _ in ma.arcs), None
+
+    scale = math.lcm(*(d.denominator for d in demand))
+    units = [int(d * scale) for d in demand]  # exact: scale clears every denominator
+    network = nx.DiGraph()
+    for v, u in enumerate(units):
+        if ma.colors[v] == BLACK:
+            network.add_edge("source", v, capacity=u)
+        else:
+            network.add_edge(v, "sink", capacity=u)
+    for b, w in ma.arcs:
+        network.add_edge(b, w)  # no capacity: unbounded
+    _, flow_of = nx.maximum_flow(network, "source", "sink")
+    flow = []
+    for b, w in ma.arcs:
+        # parallel arcs share one network edge; the first of them carries it
+        flow.append(Fraction(flow_of[b][w], scale))
+        flow_of[b][w] = 0
+
+    # residual graph on the vertices: black -> white along every arc,
+    # white -> black along the arcs that carry flow
+    out = [[] for _ in range(nv)]
+    for a, (b, w) in enumerate(ma.arcs):
+        out[b].append((a, w))
+        if flow[a] > 0:
+            out[w].append((a, b))
+    # an unsaturated black: the source side of a minimum cut violates Hall
+    short = [v for v in range(nv) if ma.colors[v] == BLACK and flow_of["source"][v] < units[v]]
+    if short:
+        return None, _hall_cut(ma, demand, _search(out, short))
+
+    zero = [a for a in range(ma.num_arcs) if flow[a] == 0]
+    if not zero:
+        return tuple(flow), None
+    delta = min(f for f in flow if f > 0) / (2 * len(zero))
+    witness = list(flow)
+    for a in zero:
+        b, w = ma.arcs[a]
+        via = _search(out, [w])
+        if b not in via:
+            return None, _hall_cut(ma, demand, via)
+        # raise a and the arcs walked black -> white, lower those walked back
+        witness[a] += delta
+        v = b
+        while v != w:
+            e = via[v]
+            witness[e] += delta if ma.colors[v] == WHITE else -delta
+            v = _other_end(ma, e, v)
+    return tuple(witness), None
+
+
+def _search(out, starts):
+    """Breadth-first reach in ``out``: vertex -> arc it was reached by."""
+    via = {v: None for v in starts}
+    queue = deque(starts)
+    while queue:
+        v = queue.popleft()
+        for a, u in out[v]:
+            if u not in via:
+                via[u] = a
+                queue.append(u)
+    return via
+
+
+def _hall_cut(ma, demand, reach):
+    """The cut made of the vertices outside ``reach``, a set closed under
+    black -> white arcs."""
+    blacks = frozenset(
+        v for v in range(ma.num_vertices) if ma.colors[v] == BLACK and v not in reach
+    )
+    whites = frozenset(
+        v for v in range(ma.num_vertices) if ma.colors[v] == WHITE and v not in reach
+    )
+    crossing = tuple(a for a, (b, w) in enumerate(ma.arcs) if b in blacks and w in reach)
+    gap = sum(demand[b] for b in blacks) - sum(demand[w] for w in whites)
+    if gap > 0 or not crossing:
+        raise AssertionFailure(f"cut with gap {gap} over arcs {crossing} proves nothing")
+    return HallCut(blacks, whites, crossing, gap)
 
 
 # -- trees --------------------------------------------------------------------
@@ -218,50 +398,23 @@ def _positive_witness(particular, basis, max_denominator=64):
 def solve_tree(ma: MixedAngulation, p: int, q: int):
     """Unique integer weights on a bi-colored tree with targets q/p.
 
-    Black vertices must sum to ``q``, white ones to ``p``.  Implements leaf
-    peeling: repeatedly force the weight at a degree-1 vertex and delete it.
-    Raises ``Infeasible`` if a forced weight is <= 0 or the last residual is
-    nonzero.
+    Black vertices must sum to ``q``, white ones to ``p``.  Peels the tree
+    from its leaves up (the breadth-first order reversed is the leaf queue).
+    Raises ``Infeasible`` if a forced weight is <= 0 or the residual left at
+    the root is nonzero.
     """
     nv, na = ma.num_vertices, ma.num_arcs
     if na != nv - 1:
         raise NotATree(f"{na} arcs on {nv} vertices")
-    target = [
-        Fraction(q) if ma.colors[v] == BLACK else Fraction(p)
-        for v in range(nv)
-    ]
-    incident = [[] for _ in range(nv)]
-    for a, (b, w) in enumerate(ma.arcs):
-        incident[b].append(a)
-        incident[w].append(a)
-    alive_arc = [True] * na
-    alive_vertex = [True] * nv
-    deg = [len(inc) for inc in incident]
-    residual = list(target)
-    weights: list[Optional[Fraction]] = [None] * na
-    remaining = nv
-    while remaining > 1:
-        v = next(
-            (u for u in range(nv) if alive_vertex[u] and deg[u] == 1), None
-        )
-        if v is None:
-            raise NotATree("no leaf found; graph is not a tree")
-        a = next(x for x in incident[v] if alive_arc[x])
-        w = residual[v]
+    demand = [Fraction(q) if ma.colors[v] == BLACK else Fraction(p) for v in range(nv)]
+    order, parent_arc = _spanning_tree(ma)
+    weights, residual = _peel(ma, order, parent_arc, demand)
+    for v in reversed(order[1:]):
+        w = weights[parent_arc[v]]
         if w <= 0:
             raise Infeasible(f"forced weight {w} <= 0 at vertex {v}")
-        weights[a] = w
-        b, wv = ma.arcs[a]
-        other = wv if b == v else b
-        residual[other] -= w
-        alive_arc[a] = False
-        alive_vertex[v] = False
-        deg[v] = 0
-        deg[other] -= 1
-        remaining -= 1
-    last = next(u for u in range(nv) if alive_vertex[u])
-    if residual[last] != 0:
-        raise Infeasible(f"residual {residual[last]} at final vertex {last}")
+    if residual != 0:
+        raise Infeasible(f"residual {residual} at final vertex {order[0]}")
     return tuple(weights)
 
 

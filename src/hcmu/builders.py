@@ -30,6 +30,7 @@ from .errors import (
     EmptySpace,
     Inadmissible,
     Incompatible,
+    Infeasible,
     NotCoprime,
     TooLarge,
 )
@@ -427,7 +428,7 @@ def brute_force_trees(p: int, q: int, max_nodes: int = 12):
             )
             try:
                 weights = solve_tree(tree_angulation(p, q, edges), p, q)
-            except Exception:
+            except Infeasible:  # no positive weights on this tree
                 continue
             out.append(WeightedTree(p, q, edges, tuple(weights)))
     return out

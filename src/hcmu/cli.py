@@ -3,7 +3,8 @@
 Thin shell over the library: every subcommand is one library call plus
 formatting.  Exit codes: 0 on success, 1 on domain infeasibility (empty
 moduli space, inadmissible parameters, non-generic twist), 2 on input or
-usage errors.  All output is deterministic.
+usage errors, 3 on an internal error (an exception outside the package's
+own error classes, i.e. a bug).  All output is deterministic.
 """
 from __future__ import annotations
 
@@ -118,6 +119,8 @@ def cmd_solve(args):
     print("kernel dimension:", space.kernel_dimension)
     if space.positive_witness is not None:
         print("positive witness:", " ".join(str(x) for x in space.positive_witness))
+    else:
+        print("no positive solution:", space.obstruction)
     return 0
 
 
@@ -243,6 +246,9 @@ def main(argv=None) -> int:
     except (HcmuError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,9 +6,14 @@ s = (K0 - K)/(K0 - K1) = sin^2(phi) the ODE separates into
 dv/dphi = 2 sqrt(3) / sqrt(A + B cos^2 phi), A = K0 + 2 K1, B = K0 - K1,
 so the meridian distance down to level s is the incomplete elliptic integral
 of the first kind c F(phi | m) with m = B/(A + B), c = 2 sqrt(3)/sqrt(A + B)
-(DLMF 19.2), and the element length is c K(m).  The warped function is
-h = K'/cbar with cbar = -(K0 - K1)(2 K0 + K1)/6; the integral of h over the
-element is 2 (2 - R)/K0, so areas are rational in (K0, R).
+(DLMF 19.2), and the element length is c K(m).  Both are evaluated in
+Carlson's form F(phi | m) = sqrt(s) R_F(1 - s, 1 - m s, 1) and
+K(m) = R_F(0, 1 - m, 1) (DLMF 19.25.1, 19.25.5), which take 1 - s and
+1 - m = A/(A + B) directly instead of an amplitude rounded near pi/2;
+at the cusp m = 1, F(phi | 1) = asinh(tan phi).
+The warped function is h = K'/cbar with cbar = -(K0 - K1)(2 K0 + K1)/6;
+the integral of h over the element is 2 (2 - R)/K0, so areas are rational
+in (K0, R).
 
 K1 = -K0/2 (ratio 0) is the cusp, m = 1: the element length is infinite and
 profiles stop at a configurable level just below 1.
@@ -64,14 +69,26 @@ def ratio_from_pair(k0: float, k1: float) -> float:
 
 
 def _moduli(k0, k1):
-    """(c, m) such that the distance to level s is c F(asin(sqrt(s)) | m).
+    """(c, 1 - m) such that the distance to level s is c F(asin(sqrt(s)) | m).
 
-    A cusp pair gets m = 1 exactly, so both integrals diverge at s = 1.
+    A cusp pair gets 1 - m = 0 exactly, so both integrals diverge at s = 1.
     """
     pair = CurvaturePair(k0, k1)
     a = 0.0 if pair.is_cusp else k0 + 2 * k1
     b = k0 - k1
-    return 2.0 * math.sqrt(3.0) / math.sqrt(a + b), b / (a + b)
+    return 2.0 * math.sqrt(3.0) / math.sqrt(a + b), a / (a + b)
+
+
+def _distance(c, m1, s, t):
+    """c F(asin(sqrt(s)) | 1 - m1) with t = 1 - s, in Carlson's form.
+
+    At the cusp (m1 = 0) the integral is elementary, F(phi | 1) =
+    asinh(tan phi) = asinh(sqrt(s / t)), and several times faster.
+    """
+    if m1 == 0:
+        with np.errstate(divide="ignore"):  # t = 0 at the bottom: +inf
+            return c * np.arcsinh(np.sqrt(s) / np.sqrt(t))
+    return c * np.sqrt(s) * scipy.special.elliprf(t, t + s * m1, 1.0)
 
 
 def _k_of_s(s, k0, k1):
@@ -89,17 +106,17 @@ def _h_of_s(s, k0, k1):
 
 def level_to_distance(k0: float, k1: float, s) -> float:
     """Meridian distance from the maximum down to normalized level s."""
-    c, m = _moduli(k0, k1)
-    s = float(s)
+    c, m1 = _moduli(k0, k1)
     if not 0 <= s <= 1:
         raise BadRatio(f"level {s} outside [0, 1]")
-    return c * float(scipy.special.ellipkinc(math.asin(math.sqrt(s)), m))
+    # 1 - s before rounding: a Fraction level keeps its distance to the bottom
+    return float(_distance(c, m1, float(s), float(1 - s)))
 
 
 def element_length(k0: float, k1: float) -> float:
     """Total meridian length l(K0, K1); +inf exactly at the cusp pair."""
-    c, m = _moduli(k0, k1)
-    return c * float(scipy.special.ellipk(m))
+    c, m1 = _moduli(k0, k1)
+    return float(_distance(c, m1, 1.0, 0.0))
 
 
 def cusp_profile_closed_form(k0: float, u) -> float:
@@ -175,8 +192,8 @@ def solve_profile(k0: float, ratio, n_samples: int, s_max=None) -> LineElementPr
     else:
         top = 1.0
     s = np.linspace(0.0, top, n_samples)
-    c, m = _moduli(k0, k1)
-    v = c * scipy.special.ellipkinc(np.arcsin(np.sqrt(s)), m)
+    c, m1 = _moduli(k0, k1)
+    v = _distance(c, m1, s, 1.0 - s)
     return LineElementProfile(
         k0=k0,
         k1=k1,

@@ -8,6 +8,8 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 from .angulation import BLACK, WHITE, MixedAngulation
@@ -16,16 +18,24 @@ from .errors import HcmuError, ParseError, ValidationError
 
 SCHEMA_VERSION = 1
 
+# The only rationals a document may hold: what format_fraction writes, up to
+# a length that keeps parsing cheap (Fraction would expand "1e-400000000").
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+MAX_RATIONAL_CHARS = 256
+
 
 def format_fraction(x) -> str:
     return str(Fraction(x))
 
 
 def parse_fraction(text, pointer="") -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r} ({exc})", pointer)
+    match = RATIONAL.fullmatch(text) if type(text) is str and len(text) <= MAX_RATIONAL_CHARS else None
+    if match is None:
+        raise ParseError(f"not a rational p or p/q: {text!r:.80}", pointer)
+    numerator, denominator = (int(part) for part in match.groups("1"))
+    if denominator == 0:
+        raise ParseError(f"zero denominator in {text!r:.80}", pointer)
+    return Fraction(numerator, denominator)
 
 
 def dart_token(dart) -> str:
@@ -33,13 +43,10 @@ def dart_token(dart) -> str:
 
 
 def parse_dart(token, pointer=""):
-    try:
-        arc, end = str(token).split(":")
-        if end not in ("b", "w"):
-            raise ValueError(end)
-        return (int(arc), end)
-    except ValueError:
-        raise ParseError(f"malformed arc-end token {token!r}", pointer)
+    arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
+    if end not in ("b", "w") or not (arc.isascii() and arc.isdigit()):
+        raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
+    return (int(arc), end)
 
 
 def face_key_token(ma: MixedAngulation, face_index: int) -> str:
@@ -80,10 +87,26 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _require(doc, key, pointer):
+_JSON_NAMES = {list: "array", dict: "object", str: "string"}
+
+
+def _require(doc, key, pointer, kind=None):
+    """``doc[key]``, which must be an instance of ``kind`` when it is given."""
+    if not isinstance(doc, dict):
+        raise ParseError("entry must be a JSON object", pointer)
     if key not in doc:
         raise ParseError(f"missing key {key!r}", pointer)
-    return doc[key]
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ParseError(f"{key!r} must be a JSON {_JSON_NAMES[kind]}", pointer)
+    return value
+
+
+def _index(value, size, what, pointer):
+    """A JSON integer (not a boolean) in 0..size-1."""
+    if type(value) is not int or not 0 <= value < size:
+        raise ParseError(f"{what} must be an integer in 0..{size - 1}, not {value!r:.80}", pointer)
+    return value
 
 
 def load_document(doc: dict) -> DataSet:
@@ -91,51 +114,53 @@ def load_document(doc: dict) -> DataSet:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
     version = _require(doc, "version", "/version")
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported version {version}", "/version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported version {version!r}", "/version")
     try:
-        k0 = float(_require(doc, "k0", "/k0"))
-    except (TypeError, ValueError):
-        raise ParseError("k0 must be a decimal string", "/k0")
+        k0 = float(_require(doc, "k0", "/k0", str))
+    except ValueError:
+        k0 = math.nan
+    if not math.isfinite(k0):
+        raise ParseError("k0 must be a finite decimal string", "/k0")
     ratio = parse_fraction(_require(doc, "ratio", "/ratio"), "/ratio")
 
-    vertices = _require(doc, "vertices", "/vertices")
+    vertices = _require(doc, "vertices", "/vertices", list)
     colors = [None] * len(vertices)
     for i, item in enumerate(vertices):
         ptr = f"/vertices/{i}"
-        vid = _require(item, "id", ptr)
+        vid = _index(_require(item, "id", ptr), len(vertices), "vertex id", ptr)
         color = _require(item, "color", ptr)
-        if not isinstance(vid, int) or not (0 <= vid < len(vertices)):
-            raise ParseError("vertex ids must be 0..n-1", ptr)
         if colors[vid] is not None:
             raise ParseError(f"duplicate vertex id {vid}", ptr)
         if color not in (BLACK, WHITE):
             raise ParseError(f"unknown color {color!r}", ptr)
         colors[vid] = color
 
-    arc_items = _require(doc, "arcs", "/arcs")
+    arc_items = _require(doc, "arcs", "/arcs", list)
     arcs = [None] * len(arc_items)
     weights = [None] * len(arc_items)
     for i, item in enumerate(arc_items):
         ptr = f"/arcs/{i}"
-        aid = _require(item, "id", ptr)
-        if not isinstance(aid, int) or not (0 <= aid < len(arc_items)):
-            raise ParseError("arc ids must be 0..b-1", ptr)
+        aid = _index(_require(item, "id", ptr), len(arc_items), "arc id", ptr)
         if arcs[aid] is not None:
             raise ParseError(f"duplicate arc id {aid}", ptr)
-        arcs[aid] = (_require(item, "black", ptr), _require(item, "white", ptr))
+        arcs[aid] = (
+            _index(_require(item, "black", ptr), len(vertices), "black end", f"{ptr}/black"),
+            _index(_require(item, "white", ptr), len(vertices), "white end", f"{ptr}/white"),
+        )
         weights[aid] = parse_fraction(_require(item, "weight", ptr), f"{ptr}/weight")
 
     rotations = [None] * len(vertices)
-    rot_doc = _require(doc, "rotations", "/rotations")
+    rot_doc = _require(doc, "rotations", "/rotations", dict)
     for key, row in rot_doc.items():
         ptr = f"/rotations/{key}"
-        try:
-            v = int(key)
-        except ValueError:
+        if not key.isascii() or not key.isdigit():
             raise ParseError(f"rotation key {key!r} is not a vertex id", ptr)
+        v = int(key)
         if not (0 <= v < len(vertices)) or rotations[v] is not None:
             raise ParseError(f"bad or duplicate rotation key {key}", ptr)
+        if not isinstance(row, list):
+            raise ParseError("rotation row must be a JSON array", ptr)
         rotations[v] = [parse_dart(tok, f"{ptr}/{i}") for i, tok in enumerate(row)]
     if any(r is None for r in rotations):
         raise ParseError("missing rotation rows", "/rotations")
@@ -145,7 +170,7 @@ def load_document(doc: dict) -> DataSet:
     except HcmuError as exc:
         raise ValidationError(str(exc), "/rotations")
 
-    level_doc = _require(doc, "face_levels", "/face_levels")
+    level_doc = _require(doc, "face_levels", "/face_levels", dict)
     keys = {face_key_token(ma, f): f for f in range(ma.num_faces)}
     levels = [None] * ma.num_faces
     for key, text in level_doc.items():
@@ -168,7 +193,7 @@ def load(source) -> DataSet:
             text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"invalid JSON: {exc}", "/")
     return load_document(doc)
 

@@ -1,7 +1,11 @@
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import FIXTURES
+from hcmu import cli
 from hcmu import serialization as ser
+from hcmu.balance import HallCut, SolutionSpace
 from hcmu.cli import main
 
 
@@ -173,3 +177,47 @@ def test_bad_angles_exit_two(capsys):
     code, _, err = run(capsys, "check", "--genus", "0", "--angles", "2,1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["ratio"], "1e-400000000"),
+        (["k0"], "inf"),
+        (["arcs", 0, "black"], 0.9),
+        (["vertices", 0], 5),
+    ],
+    ids=["exponent-ratio", "infinite-k0", "fractional-end", "scalar-vertex"],
+)
+def test_hostile_document_exit_two(capsys, tmp_path, path, value):
+    doc = ser.save(ser.load(FIXTURES / "calabi.json"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(ser.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error: /")
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code, out, err = run(capsys, "validate", str(FIXTURES / "calabi.json"))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
+def test_solve_prints_the_obstruction(capsys, monkeypatch):
+    cut = HallCut(frozenset({0}), frozenset({3}), (1,), F(0))
+    space = SolutionSpace((F(1), F(0)), [], None, cut)
+    monkeypatch.setattr(cli.balance, "solve_balance", lambda *args: space)
+    code, out, _ = run(capsys, "solve", str(FIXTURES / "calabi.json"))
+    assert code == 0
+    assert out.splitlines()[-1] == f"no positive solution: {cut}"
+    assert "positive witness:" not in out

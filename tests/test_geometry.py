@@ -74,8 +74,16 @@ def quad(f, a, b):
 
 
 def quad_distance(k0, k1, s):
-    """Meridian distance down to level s = cos^2(theta) by quadrature in theta."""
-    return quad(lambda t: dv_dtheta(t, k0, k1), math.acos(math.sqrt(s)), math.pi / 2)
+    """Meridian distance down to level s = cos^2(theta) by quadrature.
+
+    Below s = 1/2 the integral runs over the amplitude pi/2 - theta from 0 to
+    asin(sqrt(s)); above, over theta from asin(sqrt(1 - s)) to pi/2.  Either
+    way no limit is rounded near pi/2, so a level near 0 or 1 keeps its
+    digits.
+    """
+    if s < 0.5:
+        return quad(lambda p: dv_dtheta(math.pi / 2 - p, k0, k1), 0.0, math.asin(math.sqrt(s)))
+    return quad(lambda t: dv_dtheta(t, k0, k1), math.asin(math.sqrt(1 - s)), math.pi / 2)
 
 
 def warped_integral(k0, k1):
@@ -251,6 +259,22 @@ def test_cusp_closed_form_against_sampled_profile():
     p = solve_profile(k0, F(0), 3001)
     dev = np.abs(p.K - cusp_profile_closed_form(k0, p.v))
     assert dev.max() < 1e-7
+
+
+def test_distance_near_the_bottom_matches_mpmath():
+    # at s = 1 - 1e-9 an amplitude asin(sqrt(s)) loses about 5e-9 relative;
+    # the cusp, m near 1 (R = 1/1000) and a regular ratio
+    mpmath = pytest.importorskip("mpmath")
+    k0 = 2.0
+    with mpmath.workdps(40):
+        for k1 in (-1.0, k1_from_ratio(k0, F(1, 1000)), 0.5):
+            a, b = mpmath.mpf(k0) + 2 * mpmath.mpf(k1), mpmath.mpf(k0) - mpmath.mpf(k1)
+            c, m = 2 * mpmath.sqrt(3) / mpmath.sqrt(a + b), b / (a + b)
+            for s in (1 - 1e-9, F(1) - F(1, 10**9)):
+                level = mpmath.mpf(s) if isinstance(s, float) else mpmath.mpf(s.numerator) / s.denominator
+                want = c * mpmath.ellipf(mpmath.asin(mpmath.sqrt(level)), m)
+                got = level_to_distance(k0, k1, s)
+                assert abs(got - want) / want < 1e-13
 
 
 # -- areas -----------------------------------------------------------------------

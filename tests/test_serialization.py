@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -109,3 +110,54 @@ def test_profile_csv_golden():
 
 def test_empty_profile_csv():
     assert ser.export_profile_csv(None) == "v,s,K,h\n"
+
+
+# -- hostile documents: each is refused with ParseError, quickly ----------------
+
+
+def hostile(path, value):
+    """The Calabi document with the entry at ``path`` replaced by ``value``."""
+    doc = ser.save(make_calabi())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def refused(doc, pointer):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        ser.load_document(doc)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.pointer == pointer
+    return err.value
+
+
+def test_exponent_rational_is_refused_without_expanding_it():
+    # Fraction("1e-400000000") would build a 400-million-digit denominator
+    refused(hostile(["ratio"], "1e-400000000"), "/ratio")
+    refused(hostile(["ratio"], "0.5"), "/ratio")
+    refused(hostile(["arcs", 0, "weight"], "1" * 300), "/arcs/0/weight")
+    refused(hostile(["face_levels", "0:b"], 1), "/face_levels/0:b")
+    refused(hostile(["ratio"], "1/0"), "/ratio")
+
+
+def test_infinite_k0_is_refused():
+    for text in ("inf", "-Infinity", "nan"):
+        refused(hostile(["k0"], text), "/k0")
+    refused(hostile(["k0"], 2.0), "/k0")
+
+
+def test_fractional_arc_end_is_refused():
+    # int() would truncate 0.9 to vertex 0
+    refused(hostile(["arcs", 0, "black"], 0.9), "/arcs/0/black")
+    refused(hostile(["arcs", 0, "white"], True), "/arcs/0/white")
+    refused(hostile(["arcs", 1, "id"], False), "/arcs/1")
+
+
+def test_non_object_vertex_entry_is_refused():
+    refused(hostile(["vertices", 0], 5), "/vertices/0")
+    refused(hostile(["arcs"], {"0": 1}), "/arcs")
+    refused(hostile(["rotations", "0"], "0:b"), "/rotations/0")
+    refused(hostile(["rotations", "0", 0], "0:x"), "/rotations/0/0")
