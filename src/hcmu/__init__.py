@@ -21,12 +21,9 @@ from .angulation import (
     genus,
 )
 from .balance import (
-    BalanceSystem,
-    ConnectionMatrix,
     SolutionSpace,
-    connection_matrix,
+    balance_rank,
     divisibility_check,
-    matrix_rank,
     solve_balance,
     solve_tree,
     weight_space_dimension,

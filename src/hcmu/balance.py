@@ -28,9 +28,12 @@ bipartite graph with demand t at black vertices and t / R at white ones, so
 
 For R = 0 the white rows vanish and each black vertex owns a star of arcs.
 Either way the answer is a decision: a positive witness or a
-:class:`HallCut` proving that none exists.  Gaussian elimination remains
-only in :func:`matrix_rank`, the independent rank computation behind the
-dimension cross-checks.
+:class:`HallCut` proving that none exists.
+
+Nothing here eliminates.  The rank behind the dimension cross-checks,
+:func:`balance_rank`, runs over the arc list with a union-find on the
+vertices, independently of the spanning tree that :func:`solve_balance`
+peels.
 """
 from __future__ import annotations
 
@@ -52,62 +55,6 @@ from .errors import (
 )
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    """0-1 vertex/arc incidence with black rows listed first."""
-
-    rows: tuple  # tuple of row tuples over Fraction
-    black_rows: int
-    row_vertices: tuple  # vertex id per row
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
-def connection_matrix(ma: MixedAngulation) -> ConnectionMatrix:
-    order = [v for v in range(ma.num_vertices) if ma.colors[v] == BLACK]
-    blacks = len(order)
-    order += [v for v in range(ma.num_vertices) if ma.colors[v] == WHITE]
-    index = {v: r for r, v in enumerate(order)}
-    rows = [[Fraction(0)] * ma.num_arcs for _ in order]
-    for a, (b, w) in enumerate(ma.arcs):
-        rows[index[b]][a] += 1
-        rows[index[w]][a] += 1
-    return ConnectionMatrix(tuple(tuple(r) for r in rows), blacks, tuple(order))
-
-
-def _eliminate(m, ncols):
-    """Reduce the row list ``m`` in place on its first ``ncols`` columns.
-
-    Gauss-Jordan elimination over Fraction; returns the pivot columns in
-    order, so row i of the result has its leading one in column pivots[i].
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    return pivots
-
-
-def matrix_rank(rows) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    return len(_eliminate(m, len(m[0]))) if m else 0
 
 
 @dataclass(frozen=True)
@@ -146,38 +93,6 @@ class SolutionSpace:
     @property
     def kernel_dimension(self) -> int:
         return len(self.kernel_basis)
-
-
-@dataclass(frozen=True)
-class BalanceSystem:
-    """Lambda(R) * M * W = beta, rows ordered like the connection matrix."""
-
-    connection: ConnectionMatrix
-    ratio: Fraction
-    targets: tuple
-
-    @property
-    def rows(self):
-        return balance_rows(self.connection, self.ratio)
-
-    @property
-    def ratio_diagonal(self):
-        n = len(self.connection.rows)
-        return tuple(
-            Fraction(1) if r < self.connection.black_rows else self.ratio
-            for r in range(n)
-        )
-
-
-def balance_rows(conn: ConnectionMatrix, ratio: Fraction):
-    """Rows of the ratio-scaled balance matrix Lambda(R) * M."""
-    out = []
-    for r, row in enumerate(conn.rows):
-        if r < conn.black_rows:
-            out.append(row)
-        else:
-            out.append(tuple(x * ratio for x in row))
-    return out
 
 
 def solve_balance(ma: MixedAngulation, ratio, targets) -> SolutionSpace:
@@ -423,14 +338,45 @@ def divisibility_check(weights, lam: int) -> bool:
     return all(Fraction(w) % lam == 0 for w in weights)
 
 
+# -- rank ---------------------------------------------------------------------
+
+
+def balance_rank(ma: MixedAngulation, ratio) -> int:
+    """Rank of the balance matrix Lambda(R) * M; at R = 0 its white rows
+    vanish and are dropped.
+
+    Column elimination on the two nonzeros of each arc: the classes of a
+    union-find over the vertices are the rows tied together by the pivots so
+    far.  An arc joining two classes is a pivot.  An arc inside one class
+    closes a cycle, which is even because the map is bipartite, so the
+    columns around it sum to zero with alternating signs and the arc is
+    dependent.  At R = 0 one extra ground class stands in for the vanished
+    white rows.
+    """
+    ground = ma.num_vertices
+    parent = list(range(ground + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for b, w in ma.arcs:
+        x, y = find(b), find(w if ratio != 0 else ground)
+        if x != y:
+            parent[x] = y
+            rank += 1
+    return rank
+
+
 def weight_space_dimension(dataset) -> int:
     """Kernel dimension of the balance matrix; must equal 2g + j0 - 1."""
     if dataset.ratio == 0:
         raise BadRatio("weight space dimension is defined for R > 0")
     ma = dataset.angulation
-    conn = connection_matrix(ma)
-    rows = balance_rows(conn, dataset.ratio)
-    dim = ma.num_arcs - matrix_rank(rows)
+    dim = ma.num_arcs - balance_rank(ma, dataset.ratio)
     expected = 2 * ma.genus + ma.num_faces - 1
     if dim != expected:
         raise AssertionFailure(

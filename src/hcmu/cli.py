@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import balance, builders, constraints, deformations, geometry
 from . import serialization as ser
@@ -31,7 +30,7 @@ INFEASIBLE = (EmptySpace, Inadmissible, Infeasible, NotInteger, CuspVertex, CutO
 
 
 def _angles(text):
-    return [Fraction(part) for part in text.split(",") if part != ""]
+    return [ser.parse_fraction(part, "--angles") for part in text.split(",") if part != ""]
 
 
 def _indices(text):
@@ -125,14 +124,15 @@ def cmd_solve(args):
 
 
 def cmd_profile(args):
-    profile = geometry.solve_profile(args.k0, Fraction(args.ratio), args.samples)
+    profile = geometry.solve_profile(args.k0, ser.parse_fraction(args.ratio, "--ratio"), args.samples)
     _write(args.output, ser.export_profile_csv(profile))
     return 0
 
 
 def cmd_twist(args):
     ds = ser.load(args.file)
-    out = deformations.twist(ds, Fraction(args.level), args.circle, Fraction(args.psi))
+    level = ser.parse_fraction(args.level, "--level")
+    out = deformations.twist(ds, level, args.circle, ser.parse_fraction(args.psi, "--psi"))
     if not out.is_generic:
         print("non-generic: saddle-saddle meridians between faces:")
         for above, below in out.non_generic:
@@ -144,7 +144,8 @@ def cmd_twist(args):
 
 def cmd_split(args):
     ds = ser.load(args.file)
-    out = deformations.split(ds, args.vertex, Fraction(args.offset), Fraction(args.level))
+    offset = ser.parse_fraction(args.offset, "--offset")
+    out = deformations.split(ds, args.vertex, offset, ser.parse_fraction(args.level, "--level"))
     _write(args.output, ser.dumps(ser.save(out)))
     return 0
 

@@ -1,16 +1,18 @@
-"""Dimension formulas for the moduli spaces, with a linear-algebra cross-check.
+"""Dimension formulas for the moduli spaces, with a parameter-count cross-check.
 
 The dimension counts independent continuous parameters: one for the maximum
 curvature, one level per saddle, and the kernel dimension of the balance
 matrix for the weights.  The closed forms are 2g + 2k (no cusp), 2g + 2k +
 q - 1 (q cusps) and 1 for the bare football strata, with k replaced by the
-saddle count j0 on refined spaces.
+saddle count j0 on refined spaces.  The cross-check counts the kernel as
+arcs minus :func:`hcmu.balance.balance_rank`, a union-find over the arcs
+that uses neither the closed forms nor the balance solver.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .balance import balance_rows, connection_matrix, matrix_rank
+from .balance import balance_rank
 from .constraints import as_angle_vector, check_existence, check_refined
 from .dataset import DataSet, realized_prescription
 from .errors import AssertionFailure
@@ -46,12 +48,7 @@ def dimension_crosscheck(ds: DataSet) -> int:
     mismatch is raised as a model bug.
     """
     ma = ds.angulation
-    conn = connection_matrix(ma)
-    if ds.ratio == 0:
-        rank = matrix_rank(conn.rows[: conn.black_rows])
-    else:
-        rank = matrix_rank(balance_rows(conn, ds.ratio))
-    dim = 1 + ma.num_faces + (ma.num_arcs - rank)
+    dim = 1 + ma.num_faces + (ma.num_arcs - balance_rank(ma, ds.ratio))
     g, alpha, Z = realized_prescription(ds)
     expected = dimension_refined(g, alpha, Z)
     if dim != expected:

@@ -40,8 +40,8 @@ class CurvaturePair:
     k1: float
 
     def __post_init__(self):
-        if not self.k0 > 0:
-            raise BadRatio(f"K0 = {self.k0} must be positive")
+        if not 0 < self.k0 < math.inf:
+            raise BadRatio(f"K0 = {self.k0} must be positive and finite")
         if not (-self.k0 / 2 - 1e-12 * self.k0 <= self.k1 < self.k0):
             raise BadRatio(f"K1 = {self.k1} outside [-K0/2, K0)")
 
@@ -51,7 +51,23 @@ class CurvaturePair:
 
     @property
     def cbar(self) -> float:
-        return -(self.k0 - self.k1) * (2 * self.k0 + self.k1) / 6.0
+        j, k0, k1 = _scaled(self.k0, self.k1)
+        try:
+            return math.ldexp(-(k0 - k1) * (2 * k0 + k1) / 6.0, 4 * j)
+        except OverflowError:
+            raise BadRatio(f"cbar of K0 = {self.k0} overflows") from None
+
+
+def _scaled(k0, k1):
+    """(j, K0 / 4^j, K1 / 4^j) with K0 / 4^j in [1, 4).
+
+    The division is exact, and polynomials in the scaled pair neither
+    overflow nor underflow.  A quantity homogeneous of degree d in (K0, K1)
+    is its value at the scaled pair times 4^(d j); for K0 in [1, 4) nothing
+    changes, bit for bit.
+    """
+    j = (math.frexp(k0)[1] - 1) // 2
+    return j, math.ldexp(k0, -2 * j), math.ldexp(k1, -2 * j)
 
 
 def k1_from_ratio(k0: float, ratio) -> float:
@@ -74,9 +90,10 @@ def _moduli(k0, k1):
     A cusp pair gets 1 - m = 0 exactly, so both integrals diverge at s = 1.
     """
     pair = CurvaturePair(k0, k1)
+    j, k0, k1 = _scaled(k0, k1)
     a = 0.0 if pair.is_cusp else k0 + 2 * k1
     b = k0 - k1
-    return 2.0 * math.sqrt(3.0) / math.sqrt(a + b), a / (a + b)
+    return math.ldexp(2.0 * math.sqrt(3.0) / math.sqrt(a + b), -j), a / (a + b)
 
 
 def _distance(c, m1, s, t):
@@ -96,12 +113,17 @@ def _k_of_s(s, k0, k1):
 
 
 def _h_of_s(s, k0, k1):
-    """h = |K'| / |cbar| evaluated from the curvature polynomial."""
+    """h = |K'| / |cbar| evaluated from the curvature polynomial.
+
+    h is homogeneous of degree -1/2 in (K0, K1), so it is evaluated at the
+    scaled pair, where K0^3 and K0^2 stay in range, and multiplied by 2^-j.
+    """
     s = np.asarray(s, dtype=float)
+    j, k0, k1 = _scaled(k0, k1)
     k = _k_of_s(s, k0, k1)
     prod = (k0 - k) * (k - k1) * (k + k0 + k1)
     cbar = (k0 - k1) * (2 * k0 + k1) / 6.0
-    return np.sqrt(np.maximum(prod, 0.0) / 3.0) / cbar
+    return np.ldexp(np.sqrt(np.maximum(prod, 0.0) / 3.0) / cbar, -j)
 
 
 def level_to_distance(k0: float, k1: float, s) -> float:

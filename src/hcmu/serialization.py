@@ -1,9 +1,9 @@
 """JSON persistence of data sets, plus DOT and CSV exports.
 
 The document stores rationals as strings in lowest terms and the maximum
-curvature as a decimal string; emission is canonical (sorted keys, two-space
-indent, trailing newline), so saving a loaded canonical document is
-byte-identical.
+curvature as the repr of a float; loading accepts exactly those forms.
+Emission is canonical (sorted keys, two-space indent, trailing newline), so
+saving a loaded canonical document is byte-identical.
 """
 from __future__ import annotations
 
@@ -20,7 +20,9 @@ SCHEMA_VERSION = 1
 
 # The only rationals a document may hold: what format_fraction writes, up to
 # a length that keeps parsing cheap (Fraction would expand "1e-400000000").
-RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The pattern rules out leading zeros, "-0" and a zero denominator; lowest
+# terms and a denominator other than 1 are checked on the integers.
+RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 MAX_RATIONAL_CHARS = 256
 
 
@@ -29,13 +31,18 @@ def format_fraction(x) -> str:
 
 
 def parse_fraction(text, pointer="") -> Fraction:
+    """The rational ``text``, which must be exactly as format_fraction writes it."""
     match = RATIONAL.fullmatch(text) if type(text) is str and len(text) <= MAX_RATIONAL_CHARS else None
     if match is None:
-        raise ParseError(f"not a rational p or p/q: {text!r:.80}", pointer)
-    numerator, denominator = (int(part) for part in match.groups("1"))
-    if denominator == 0:
-        raise ParseError(f"zero denominator in {text!r:.80}", pointer)
-    return Fraction(numerator, denominator)
+        raise ParseError(f"not a rational p or p/q in lowest terms: {text!r:.80}", pointer)
+    numerator, denominator = match.groups()
+    if denominator is None:
+        return Fraction(int(numerator))
+    denominator = int(denominator)
+    value = Fraction(int(numerator), denominator)
+    if value.denominator != denominator or denominator == 1:
+        raise ParseError(f"{text!r:.80} is not in lowest terms; write {value}", pointer)
+    return value
 
 
 def dart_token(dart) -> str:
@@ -116,12 +123,14 @@ def load_document(doc: dict) -> DataSet:
     version = _require(doc, "version", "/version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported version {version!r}", "/version")
+    text = _require(doc, "k0", "/k0", str)
     try:
-        k0 = float(_require(doc, "k0", "/k0", str))
+        # the repr of a float has at most 24 characters
+        k0 = float(text) if len(text) <= 32 else math.nan
     except ValueError:
         k0 = math.nan
-    if not math.isfinite(k0):
-        raise ParseError("k0 must be a finite decimal string", "/k0")
+    if not math.isfinite(k0) or repr(k0) != text:
+        raise ParseError(f"k0 must be a finite float as repr writes it, not {text!r:.80}", "/k0")
     ratio = parse_fraction(_require(doc, "ratio", "/ratio"), "/ratio")
 
     vertices = _require(doc, "vertices", "/vertices", list)

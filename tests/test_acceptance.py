@@ -13,13 +13,7 @@ import pytest
 from conftest import FIXTURES, make_calabi, make_two_level, random_bicolored_angulation
 from hcmu import serialization as ser
 from hcmu.angulation import BLACK
-from hcmu.balance import (
-    connection_matrix,
-    matrix_rank,
-    solve_balance,
-    solve_tree,
-    weight_space_dimension,
-)
+from hcmu.balance import solve_balance, solve_tree, weight_space_dimension
 from hcmu.builders import (
     brute_force_trees,
     build_one_cone,
@@ -37,6 +31,7 @@ from hcmu.geometry import (
     k1_from_ratio,
     solve_profile,
 )
+from test_balance import connection_matrix, matrix_rank
 from test_geometry import fd_derivative, warped_integral
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)

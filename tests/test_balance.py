@@ -1,16 +1,14 @@
 import random
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
 from conftest import make_calabi, random_bicolored_angulation
 from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.balance import (
-    _eliminate,
-    balance_rows,
-    connection_matrix,
+    balance_rank,
     divisibility_check,
-    matrix_rank,
     solve_balance,
     solve_tree,
     weight_space_dimension,
@@ -28,7 +26,77 @@ from hcmu.errors import BadTargets, Infeasible, NotATree
 RATIOS = (F(0), F(1, 3), F(2, 5), F(3, 4))
 
 
-# -- oracle and certificate checks ---------------------------------------------
+# -- dense oracle and certificate checks ---------------------------------------
+
+
+class ConnectionMatrix(NamedTuple):
+    """0-1 vertex/arc incidence as plain rows, black rows listed first."""
+
+    rows: tuple  # tuple of row tuples over Fraction
+    black_rows: int
+    row_vertices: tuple  # vertex id per row
+
+    @property
+    def shape(self):
+        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+
+
+def connection_matrix(ma):
+    order = [v for v in range(ma.num_vertices) if ma.colors[v] == BLACK]
+    blacks = len(order)
+    order += [v for v in range(ma.num_vertices) if ma.colors[v] == WHITE]
+    index = {v: r for r, v in enumerate(order)}
+    rows = [[F(0)] * ma.num_arcs for _ in order]
+    for a, (b, w) in enumerate(ma.arcs):
+        rows[index[b]][a] += 1
+        rows[index[w]][a] += 1
+    return ConnectionMatrix(tuple(tuple(r) for r in rows), blacks, tuple(order))
+
+
+def balance_rows(conn, ratio):
+    """Rows of the ratio-scaled balance matrix Lambda(R) * M."""
+    return [
+        row if r < conn.black_rows else tuple(x * ratio for x in row)
+        for r, row in enumerate(conn.rows)
+    ]
+
+
+def eliminate(m, ncols):
+    """Reduce the row list ``m`` in place on its first ``ncols`` columns.
+
+    Gauss-Jordan elimination over Fraction; returns the pivot columns in
+    order, so row i of the result has its leading one in column pivots[i].
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = F(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return pivots
+
+
+def matrix_rank(rows) -> int:
+    """Exact rank over the rationals by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    return len(eliminate(m, len(m[0]))) if m else 0
+
+
+def dense_rank(ma, ratio):
+    """Rank of the balance matrix by elimination, white rows dropped at R = 0."""
+    conn = connection_matrix(ma)
+    rows = balance_rows(conn, ratio)
+    return matrix_rank(rows[: conn.black_rows] if ratio == 0 else rows)
 
 
 def solve_affine(rows, rhs):
@@ -36,7 +104,7 @@ def solve_affine(rows, rhs):
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     aug = [list(rows[r]) + [rhs[r]] for r in range(nrows)]
-    pivots = _eliminate(aug, ncols)
+    pivots = eliminate(aug, ncols)
     rank = len(pivots)
     for r in range(rank, nrows):
         if aug[r][ncols] != 0:
@@ -111,7 +179,7 @@ def check_space(ma, ratio, targets):
         if ratio > 0:
             assert set(vec) <= {-1, 0, 1}
     dim = space.kernel_dimension
-    assert dim == ma.num_arcs - matrix_rank(rows)
+    assert dim == ma.num_arcs - matrix_rank(rows) == ma.num_arcs - balance_rank(ma, ratio)
     if ratio > 0:
         assert dim == 2 * ma.genus + ma.num_faces - 1
     else:
@@ -182,6 +250,8 @@ def test_rank_is_vertices_minus_one_randomized():
         ma = random_bicolored_angulation(rng)
         conn = connection_matrix(ma)
         assert matrix_rank(conn.rows) == ma.num_vertices - 1
+        for ratio in RATIOS[1:]:
+            assert balance_rank(ma, ratio) == ma.num_vertices - 1
 
 
 def test_signed_row_identity():
@@ -298,6 +368,8 @@ def test_random_angulations_match_the_oracle():
     found = blocked = inconsistent = 0
     for _ in range(200):
         ma = random_bicolored_angulation(rng)
+        for r in RATIOS:
+            assert balance_rank(ma, r) == dense_rank(ma, r)
         ratio = rng.choice(RATIOS)
         # weights with zeros and negatives: some systems have no positive point
         weights = [F(rng.randint(-1, 9), rng.randint(1, 3)) for _ in range(ma.num_arcs)]

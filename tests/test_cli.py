@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -221,3 +222,34 @@ def test_solve_prints_the_obstruction(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[-1] == f"no positive solution: {cut}"
     assert "positive witness:" not in out
+
+
+HUGE = "1e-400000000"  # Fraction(HUGE) would build a 400-million-digit denominator
+TWO_LEVEL = str(FIXTURES / "two_level.json")
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--angles", ["check", "--genus", "0", "--angles", f"2,2,{HUGE}"]),
+        ("--level", ["twist", TWO_LEVEL, "--level", HUGE, "--circle", "0", "--psi", "1/5"]),
+        ("--psi", ["twist", TWO_LEVEL, "--level", "1/2", "--circle", "0", "--psi", HUGE]),
+        ("--offset", ["split", TWO_LEVEL, "--vertex", "0", "--offset", HUGE, "--level", "3/4"]),
+        ("--ratio", ["profile", "--k0", "2", "--ratio", HUGE, "--samples", "16"]),
+    ],
+    ids=["angles", "level", "psi", "offset", "ratio"],
+)
+def test_exponent_rational_argument_exit_two(capsys, tmp_path, flag, argv):
+    if argv[0] != "check":
+        argv = argv + ["-o", str(tmp_path / "out")]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
+def test_non_canonical_argument_exit_two(capsys):
+    code, _, err = run(capsys, "dim", "--genus", "0", "--angles", "2,2,4/6")
+    assert code == 2
+    assert err == "error: --angles: '4/6' is not in lowest terms; write 2/3\n"

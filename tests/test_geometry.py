@@ -174,6 +174,25 @@ def test_cbar_value():
     assert p.cbar == pytest.approx(-(2.0 - 0.5) * (4.0 + 0.5) / 6.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("k0", [1e120, 1e-120, 1e-200])
+def test_profile_at_extreme_curvature_follows_the_scaling_law(k0):
+    # h(s; K0, R) = h(s; 1, R) / sqrt(K0) and v likewise; evaluated directly,
+    # K0^3 and K0^2 overflow to inf (1e120) or underflow to 0 and nan
+    unit = solve_profile(1.0, F(1, 2), 16)
+    p = solve_profile(k0, F(1, 2), 16)
+    assert np.all(np.isfinite(p.h)) and np.all(p.h[1:-1] > 0)
+    np.testing.assert_allclose(math.sqrt(k0) * p.h, unit.h, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(math.sqrt(k0) * p.v, unit.v, rtol=1e-13, atol=0)
+    assert p.cbar == pytest.approx(k0 * k0 * unit.cbar, rel=1e-13, abs=0)
+
+
+def test_profile_whose_cbar_overflows_is_refused():
+    with pytest.raises(BadRatio, match="overflows"):
+        solve_profile(1e200, F(1, 2), 16)
+    with pytest.raises(BadRatio, match="finite"):
+        solve_profile(math.inf, F(1, 2), 16)
+
+
 def test_ode_residual_small():
     for k0, r in [(1.0, F(0)), (2.0, F(2, 3)), (5.0, F(1, 3)), (0.5, F(9, 10))]:
         p = solve_profile(k0, r, 10001)

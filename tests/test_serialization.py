@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, make_calabi, make_two_level
 from hcmu import serialization as ser
@@ -52,7 +53,7 @@ def test_load_from_stream():
 
 def test_bad_ratio_document():
     doc = ser.save(make_calabi())
-    doc["ratio"] = "3/3"
+    doc["ratio"] = "1"
     with pytest.raises(ValidationError, match="BadRatio"):
         ser.load_document(doc)
 
@@ -161,3 +162,48 @@ def test_non_object_vertex_entry_is_refused():
     refused(hostile(["arcs"], {"0": 1}), "/arcs")
     refused(hostile(["rotations", "0"], "0:b"), "/rotations/0")
     refused(hostile(["rotations", "0", 0], "0:x"), "/rotations/0/0")
+
+
+def test_non_canonical_entries_are_refused():
+    # each of these used to load and then save back differently
+    for text in (" 1_0 ", "2", "2e0"):
+        refused(hostile(["k0"], text), "/k0")
+    for text in ("02/3", "4/6", "-0"):
+        refused(hostile(["ratio"], text), "/ratio")
+    refused(hostile(["arcs", 0, "weight"], "01/2"), "/arcs/0/weight")
+    for text in ("3/1", "0/5", "-01", "1/00"):
+        refused(hostile(["arcs", 1, "weight"], text), "/arcs/1/weight")
+
+
+LEAVES = {
+    "k0": lambda doc: (doc, "k0"),
+    "ratio": lambda doc: (doc, "ratio"),
+    "weight": lambda doc: (doc["arcs"][1], "weight"),
+    "level": lambda doc: (doc["face_levels"], sorted(doc["face_levels"])[0]),
+}
+LEAF_VALUES = st.one_of(
+    st.text(alphabet="0123456789/-.e_ ", max_size=8),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    name=st.sampled_from(["calabi", "two_level"]),
+    leaf=st.sampled_from(sorted(LEAVES)),
+    value=LEAF_VALUES,
+)
+def test_mutated_document_round_trips_or_is_refused(name, leaf, value):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    parent, key = LEAVES[leaf](doc)
+    parent[key] = value
+    start = time.perf_counter()
+    try:
+        ds = ser.load_document(doc)
+    except (ParseError, ValidationError):
+        pass
+    else:
+        assert ser.dumps(ser.save(ds)) == ser.dumps(doc)
+    assert time.perf_counter() - start < 1.0
