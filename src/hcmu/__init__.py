@@ -31,7 +31,6 @@ from .balance import (
 from .builders import (
     PolygonFragment,
     WeightedTree,
-    brute_force_trees,
     build_coprime_tree,
     build_one_cone,
     build_surface,

@@ -1,13 +1,17 @@
 """Embedded bi-colored graphs on closed oriented surfaces.
 
-An embedded graph is stored as a rotation system: each vertex carries the
-counterclockwise cyclic order of its incident arc-ends.  Every arc joins a
-black vertex (curvature maximum) to a white vertex (minimum), so an arc-end
-is written as a dart ``(arc_id, "b")`` or ``(arc_id, "w")``.  Faces are the
-orbits of the walk ``d -> rotation_predecessor(opposite_end(d))``, which
-traverses each face boundary with the face on the left; genus comes from the
-Euler count.  A mixed-angulation additionally requires every face degree to
-be even and at least 4.
+Every arc joins a black vertex (curvature maximum) to a white vertex
+(minimum), so an arc-end is written as a dart ``(arc_id, "b")`` or
+``(arc_id, "w")``.  The map is the pair of dart permutations of Lando and
+Zvonkin: the rotation sigma sends a dart to the next dart counterclockwise
+at its vertex, and the involution alpha = ``opposite`` swaps the two ends of
+an arc.  ``rotations`` lists the orbits of sigma, one cyclic order per
+vertex.  Faces are the orbits of sigma^-1 o alpha, which traverse each face
+boundary with the face on the left; genus comes from the Euler count.  A
+mixed-angulation additionally requires every face degree to be even and at
+least 4.  Two maps are isomorphic when a dart bijection commutes with sigma
+and alpha and keeps the labels; the canonical form is the least
+dart-numbering code over all root darts.
 """
 from __future__ import annotations
 
@@ -57,6 +61,8 @@ class MixedAngulation:
         "colors",
         "arcs",
         "rotations",
+        "sigma",
+        "sigma_inv",
         "faces",
         "face_keys",
         "face_of_dart",
@@ -71,7 +77,8 @@ class MixedAngulation:
         rotations = tuple(tuple((int(a), e) for a, e in rot) for rot in rotations)
         _check_structure(colors, arcs, rotations)
         _check_connected(colors, arcs)
-        faces = trace_faces(arcs, rotations)
+        sigma, sigma_inv = _rotation_maps(rotations)
+        faces = _face_orbits(len(arcs), sigma_inv)
         degenerate = False
         for walk in faces:
             deg = len(walk)
@@ -95,6 +102,8 @@ class MixedAngulation:
             d: i for i, walk in enumerate(self.faces) for d in walk
         }
         self.rotations = rotations
+        self.sigma = sigma
+        self.sigma_inv = sigma_inv
         self.genus = (2 - euler) // 2
         self.order_vector = tuple(sorted(len(w) - 2 for w in self.faces))
         self.degenerate = degenerate
@@ -135,14 +144,10 @@ class MixedAngulation:
         return self.face_of_dart[(arc, "w")]
 
     def rotation_next(self, dart: Dart) -> Dart:
-        rot = self.rotations[self.vertex_of_dart(dart)]
-        i = rot.index(dart)
-        return rot[(i + 1) % len(rot)]
+        return self.sigma[dart]
 
     def rotation_prev(self, dart: Dart) -> Dart:
-        rot = self.rotations[self.vertex_of_dart(dart)]
-        i = rot.index(dart)
-        return rot[(i - 1) % len(rot)]
+        return self.sigma_inv[dart]
 
     def face_items(self):
         """(canonical key, degree, boundary walk) per face, key-sorted."""
@@ -159,62 +164,44 @@ class MixedAngulation:
 
     # -- equivalence ---------------------------------------------------------
 
-    def canonical_form(self, arc_label=None, face_label=None, extra=()):
+    def canonical_form(self, arc_labels=None, face_labels=None):
         """Canonical invariant under color- and rotation-preserving relabeling.
 
-        ``arc_label(arc_id)`` and ``face_label(face_index)`` may attach data
-        (weights, levels) that the isomorphism must preserve.  Only
+        ``arc_labels[arc]`` and ``face_labels[face]`` may attach data
+        (weights, levels) that the isomorphism must preserve.  From each
+        root dart, the darts are numbered breadth-first along sigma and
+        alpha; the code lists, in number order, each dart's label (end, arc
+        label, label of its face) with the numbers of its sigma- and
+        alpha-images.  The form is the least code over all roots.  Only
         orientation-preserving bijections are considered; mirror images stay
         distinct.
         """
+        # dart (a, e) is 2a for e = "b" and 2a + 1 for e = "w", so alpha is d ^ 1
+        n = 2 * len(self.arcs)
+        darts = [(d >> 1, "w" if d & 1 else "b") for d in range(n)]
+        succ = [2 * a + (e == "w") for a, e in (self.sigma[d] for d in darts)]
+        labels = []
+        for d in darts:
+            label = (d[1],)
+            if arc_labels is not None:
+                label += (arc_labels[d[0]],)
+            if face_labels is not None:
+                label += (face_labels[self.face_of_dart[d]],)
+            labels.append(label)
         best = None
-        for arc0 in range(len(self.arcs)):
-            for end in ("b", "w"):
-                sig = self._rooted_signature((arc0, end), arc_label, face_label)
-                if best is None or sig < best:
-                    best = sig
-        return (best, tuple(extra))
-
-    def _rooted_signature(self, root: Dart, arc_label, face_label):
-        vmap: dict[int, int] = {}
-        amap: dict[int, int] = {}
-        vorder: list[int] = []
-        entry: dict[int, Dart] = {}
-
-        def see_vertex(v, d):
-            if v not in vmap:
-                vmap[v] = len(vmap)
-                vorder.append(v)
-                entry[v] = d
-
-        v0 = self.vertex_of_dart(root)
-        see_vertex(v0, root)
-        out = []
-        i = 0
-        while i < len(vorder):
-            v = vorder[i]
-            i += 1
-            rot = self.rotations[v]
-            k = rot.index(entry[v])
-            row = []
-            for j in range(len(rot)):
-                d = rot[(k + j) % len(rot)]
-                a = d[0]
-                if a not in amap:
-                    amap[a] = len(amap)
-                row.append(amap[a])
-                see_vertex(self.vertex_of_dart(opposite(d)), opposite(d))
-            out.append((self.colors[v], tuple(row)))
-        arcdata = []
-        for a, _ in sorted(((a, na) for a, na in amap.items()), key=lambda p: p[1]):
-            item = [vmap[self.arcs[a][0]], vmap[self.arcs[a][1]]]
-            if arc_label is not None:
-                item.append(arc_label(a))
-            if face_label is not None:
-                item.append(face_label(self.face_left(a)))
-                item.append(face_label(self.face_right(a)))
-            arcdata.append(tuple(item))
-        return (tuple(out), tuple(arcdata))
+        for root in range(n):
+            num = [-1] * n
+            num[root] = 0
+            order = [root]
+            for d in order:
+                for e in (succ[d], d ^ 1):
+                    if num[e] < 0:
+                        num[e] = len(order)
+                        order.append(e)
+            code = tuple((labels[d], num[succ[d]], num[d ^ 1]) for d in order)
+            if best is None or code < best:
+                best = code
+        return best
 
     def is_isomorphic(self, other: "MixedAngulation") -> bool:
         return self.canonical_form() == other.canonical_form()
@@ -293,16 +280,30 @@ def _check_connected(colors, arcs):
         raise Disconnected("graph is not connected")
 
 
-def trace_faces(arcs, rotations):
-    """Orbits of d -> rotation_predecessor(opposite(d)) over all darts."""
-    rot_prev = {}
+def _rotation_maps(rotations):
+    """sigma and sigma^-1 as dart -> dart maps, in one pass over the rotations."""
+    sigma = {}
+    sigma_inv = {}
     for rot in rotations:
-        m = len(rot)
-        for i, d in enumerate(rot):
-            rot_prev[d] = rot[(i - 1) % m]
+        prev = rot[-1] if rot else None
+        for d in rot:
+            sigma[prev] = d
+            sigma_inv[d] = prev
+            prev = d
+    return sigma, sigma_inv
+
+
+def trace_faces(arcs, rotations):
+    """Orbits of sigma^-1 o alpha over all darts."""
+    return _face_orbits(len(arcs), _rotation_maps(rotations)[1])
+
+
+def _face_orbits(num_arcs, sigma_inv):
+    """Face walks d -> sigma^-1(opposite(d)), each from its first unvisited
+    dart in (arc, end) order."""
     walks = []
     visited = set()
-    for a in range(len(arcs)):
+    for a in range(num_arcs):
         for end in ("b", "w"):
             d0 = (a, end)
             if d0 in visited:
@@ -312,7 +313,7 @@ def trace_faces(arcs, rotations):
             while True:
                 walk.append(d)
                 visited.add(d)
-                d = rot_prev[opposite(d)]
+                d = sigma_inv[opposite(d)]
                 if d == d0:
                     break
             walks.append(tuple(walk))

@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import networkx as nx
-
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation, opposite
 from .balance import solve_tree
 from .constraints import (
@@ -30,9 +28,7 @@ from .errors import (
     EmptySpace,
     Inadmissible,
     Incompatible,
-    Infeasible,
     NotCoprime,
-    TooLarge,
 )
 
 DEFAULT_LEVEL = Fraction(1, 2)
@@ -401,37 +397,6 @@ def build_tree(p: int, q: int) -> WeightedTree:
         edges, weights = _duplicate(edges, weights, base.q)
     assert len({bk for bk, _ in edges}) == p and len({wh for _, wh in edges}) == q
     return WeightedTree(p, q, edges, tuple(w * lam for w in weights))
-
-
-def brute_force_trees(p: int, q: int, max_nodes: int = 12):
-    """All solvable bi-colored trees with p black / q white nodes, up to
-    color-preserving isomorphism.  Enumeration oracle for small sizes."""
-    if max_nodes > 12:
-        raise TooLarge("max_nodes capped at 12")
-    if p + q > max_nodes:
-        raise TooLarge(f"p + q = {p + q} > max_nodes = {max_nodes}")
-    out = []
-    for g in nx.nonisomorphic_trees(p + q):
-        parts = nx.bipartite.color(g)
-        side0 = [v for v in g if parts[v] == 0]
-        side1 = [v for v in g if parts[v] == 1]
-        for blacks, whites in ((side0, side1), (side1, side0)):
-            if len(blacks) != p or len(whites) != q:
-                continue
-            bmap = {v: i for i, v in enumerate(sorted(blacks))}
-            wmap = {v: i for i, v in enumerate(sorted(whites))}
-            edges = tuple(
-                sorted(
-                    (bmap[u], wmap[v]) if u in bmap else (bmap[v], wmap[u])
-                    for u, v in g.edges()
-                )
-            )
-            try:
-                weights = solve_tree(tree_angulation(p, q, edges), p, q)
-            except Infeasible:  # no positive weights on this tree
-                continue
-            out.append(WeightedTree(p, q, edges, tuple(weights)))
-    return out
 
 
 # -- single-cone constructions ---------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BadAngleVector, BadTypePartition, EmptySpace
+from .errors import BadAngleVector, BadGenus, BadTypePartition, EmptySpace
 
 
 def _to_fraction(x) -> Fraction:
@@ -23,6 +23,15 @@ def _to_fraction(x) -> Fraction:
     if f == 1:
         raise BadAngleVector("angle 1 (a smooth point) cannot be prescribed")
     return f
+
+
+def _check_genus(g) -> None:
+    """Refuse a negative genus before any formula uses it.  Every
+    prescription reaches this check: through ``invariants_m_a`` (existence,
+    ratios, dimensions, builders), the football branch of
+    ``check_existence``, or ``one_cone_admissible``."""
+    if g < 0:
+        raise BadGenus(f"genus {g} is negative")
 
 
 def _is_saddle_angle(f: Fraction) -> bool:
@@ -118,6 +127,7 @@ class TypePartition:
 
 def invariants_m_a(g: int, alpha, Z) -> tuple:
     """(m(Z), a(Z), b(Z)) for the subset Z of saddle indices."""
+    _check_genus(g)
     alpha = as_angle_vector(alpha)
     Z = frozenset(Z)
     for i in Z:
@@ -173,26 +183,26 @@ def check_refined(g: int, alpha, Z) -> ExistenceResult:
 
 
 def check_existence(g: int, alpha) -> ExistenceResult:
-    """Nonemptiness of the moduli space for genus g and angle vector alpha."""
+    """Nonemptiness of the moduli space for genus g and angle vector alpha.
+
+    With k > 0 integer entries this is the refined test with every integer
+    entry a saddle; only the football strata (k = 0) are decided here.
+    """
     alpha = as_angle_vector(alpha)
-    if alpha.k == 0:
-        # no possible saddle: only footballs, forcing g = 0 and n <= 2
-        m0 = -(2 * g - 2 + alpha.n)
-        a0 = 2 - 2 * g
-        q = alpha.q_zeros
-        if q > 0:
-            ok = a0 >= q + 1 and m0 >= 0
-        else:
-            ok = (a0 == 2 and m0 == 1) or (
-                a0 == 2 and m0 == 0 and alpha[-2] != alpha[-1]
-            )
-        return ExistenceResult(True, "football") if ok else EMPTY
-    Z = frozenset(range(1, alpha.k + 1))
-    m, a, _ = invariants_m_a(g, alpha, Z)
+    if alpha.k > 0:
+        return check_refined(g, alpha, range(1, alpha.k + 1))
+    _check_genus(g)
+    # no possible saddle: only footballs, forcing g = 0 and n <= 2
+    m0 = -(2 * g - 2 + alpha.n)
+    a0 = 2 - 2 * g
     q = alpha.q_zeros
     if q > 0:
-        return ExistenceResult(True, "B") if (a >= q + 1 and m >= 0) else EMPTY
-    return _case_a(a, m, alpha, Z)
+        ok = a0 >= q + 1 and m0 >= 0
+    else:
+        ok = (a0 == 2 and m0 == 1) or (
+            a0 == 2 and m0 == 0 and alpha[-2] != alpha[-1]
+        )
+    return ExistenceResult(True, "football") if ok else EMPTY
 
 
 def enumerate_ratios(g: int, alpha, partition: TypePartition):
@@ -226,6 +236,7 @@ def enumerate_ratios(g: int, alpha, partition: TypePartition):
 def one_cone_admissible(g: int, alpha: int, p: int, q: int) -> bool:
     """Can a genus-g surface carry a single saddle cone of angle 2*pi*alpha
     with p smooth maxima and q smooth minima?"""
+    _check_genus(g)
     if alpha != int(alpha):
         return False
     alpha = int(alpha)

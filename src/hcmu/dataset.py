@@ -68,12 +68,8 @@ class DataSet:
         return sum(self.weights, Fraction(0))
 
     def canonical_form(self):
-        ma = self.angulation
-        return ma.canonical_form(
-            arc_label=lambda a: self.weights[a],
-            face_label=lambda f: self.face_levels[f],
-            extra=(repr(self.k0), self.ratio),
-        )
+        code = self.angulation.canonical_form(self.weights, self.face_levels)
+        return (code, repr(self.k0), self.ratio)
 
     def is_isomorphic(self, other: "DataSet") -> bool:
         return self.canonical_form() == other.canonical_form()

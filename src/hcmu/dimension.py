@@ -19,15 +19,15 @@ from .errors import AssertionFailure
 
 
 def dimension(g: int, alpha) -> Optional[int]:
-    """Real dimension of the moduli space, or None when it is empty."""
+    """Real dimension of the moduli space, or None when it is empty.
+
+    With k > 0 integer entries this is the refined dimension with every
+    integer entry a saddle; a football stratum (k = 0) has dimension 1.
+    """
     alpha = as_angle_vector(alpha)
-    if not check_existence(g, alpha):
-        return None
-    if alpha.k == 0:
-        return 1
-    if alpha.q_zeros > 0:
-        return 2 * g + 2 * alpha.k + alpha.q_zeros - 1
-    return 2 * g + 2 * alpha.k
+    if alpha.k > 0:
+        return dimension_refined(g, alpha, range(1, alpha.k + 1))
+    return 1 if check_existence(g, alpha) else None
 
 
 def dimension_refined(g: int, alpha, Z) -> Optional[int]:

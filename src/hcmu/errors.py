@@ -33,6 +33,10 @@ class BadTypePartition(HcmuError):
     pass
 
 
+class BadGenus(HcmuError):
+    """A prescribed genus is negative."""
+
+
 class EmptySpace(HcmuError):
     """The requested (refined) moduli space is empty."""
 
@@ -60,10 +64,6 @@ class BadTargets(HcmuError):
 
 
 class NotATree(HcmuError):
-    pass
-
-
-class TooLarge(HcmuError):
     pass
 
 

@@ -120,9 +120,13 @@ def _h_of_s(s, k0, k1):
     """
     s = np.asarray(s, dtype=float)
     j, k0, k1 = _scaled(k0, k1)
-    k = _k_of_s(s, k0, k1)
-    prod = (k0 - k) * (k - k1) * (k + k0 + k1)
-    cbar = (k0 - k1) * (2 * k0 + k1) / 6.0
+    a, b = k0 + 2 * k1, k0 - k1
+    # (K0 - K)(K - K1)(K + K0 + K1) with K = K0 - s b is s b * u * (a + u) with
+    # u = (1 - s) b: no factor is a difference of nearby numbers, so h is
+    # exactly 0 at the bottom and keeps its digits next to it (a = 0 at the cusp)
+    u = (1.0 - s) * b
+    prod = (s * b) * u * (a + u)
+    cbar = b * (2 * k0 + k1) / 6.0
     return np.ldexp(np.sqrt(np.maximum(prod, 0.0) / 3.0) / cbar, -j)
 
 

@@ -15,7 +15,6 @@ from hcmu import serialization as ser
 from hcmu.angulation import BLACK
 from hcmu.balance import solve_balance, solve_tree, weight_space_dimension
 from hcmu.builders import (
-    brute_force_trees,
     build_one_cone,
     build_surface,
     build_tree,
@@ -32,6 +31,7 @@ from hcmu.geometry import (
     solve_profile,
 )
 from test_balance import connection_matrix, matrix_rank
+from test_builders import brute_force_trees
 from test_geometry import fd_derivative, warped_integral
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)

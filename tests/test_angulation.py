@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,10 @@ from hcmu.angulation import (
     build_angulation,
     opposite,
 )
-from hcmu.builders import canonical_angulation
-from hcmu.errors import Disconnected, NotBipartite, OddFaceDegree
+from hcmu.builders import build_one_cone, build_surface, canonical_angulation
+from hcmu.dataset import DataSet
+from hcmu.deformations import circles_at_level, split, twist
+from hcmu.errors import Disconnected, HcmuError, NotBipartite, OddFaceDegree
 
 
 def star_angulation(p):
@@ -147,3 +150,180 @@ def test_isomorphism_distinguishes_mirror_of_weighted_star():
     ds_m = DataSet(mirrored, 1.0, F(1, 2), weights, [F(1, 2)])
     assert ma.is_isomorphic(mirrored)  # the bare star is amphichiral
     assert not ds.is_isomorphic(ds_m)  # but the weighted surface is not
+
+
+# -- oracle: the rooted vertex/arc signature -----------------------------------
+#
+# Before the dart-numbering code, maps were identified by this signature: from
+# a root dart, vertices are numbered breadth-first with one row of arc numbers
+# per vertex (in rotation order from its entry dart), followed by an arc
+# table carrying the end vertices and the labels.  It is kept as the reference
+# for ``MixedAngulation.canonical_form``.
+
+
+def rooted_signature(ma, root, arc_label, face_label):
+    vmap = {}
+    amap = {}
+    vorder = []
+    entry = {}
+
+    def see_vertex(v, d):
+        if v not in vmap:
+            vmap[v] = len(vmap)
+            vorder.append(v)
+            entry[v] = d
+
+    see_vertex(ma.vertex_of_dart(root), root)
+    out = []
+    i = 0
+    while i < len(vorder):
+        v = vorder[i]
+        i += 1
+        rot = ma.rotations[v]
+        k = rot.index(entry[v])
+        row = []
+        for j in range(len(rot)):
+            d = rot[(k + j) % len(rot)]
+            a = d[0]
+            if a not in amap:
+                amap[a] = len(amap)
+            row.append(amap[a])
+            see_vertex(ma.vertex_of_dart(opposite(d)), opposite(d))
+        out.append((ma.colors[v], tuple(row)))
+    arcdata = []
+    for a in sorted(amap, key=amap.get):
+        item = [vmap[ma.arcs[a][0]], vmap[ma.arcs[a][1]]]
+        if arc_label is not None:
+            item.append(arc_label(a))
+        if face_label is not None:
+            item.append(face_label(ma.face_left(a)))
+            item.append(face_label(ma.face_right(a)))
+        arcdata.append(tuple(item))
+    return (tuple(out), tuple(arcdata))
+
+
+def signature_form(ma, arc_labels=None, face_labels=None):
+    arc_label = None if arc_labels is None else arc_labels.__getitem__
+    face_label = None if face_labels is None else face_labels.__getitem__
+    return min(
+        rooted_signature(ma, (a, end), arc_label, face_label)
+        for a in range(ma.num_arcs)
+        for end in ("b", "w")
+    )
+
+
+def relabeled(ma, weights, levels, rng):
+    """The same labelled map under random vertex ids, arc ids and rotation
+    starts."""
+    pv = list(range(ma.num_vertices))
+    pa = list(range(ma.num_arcs))
+    rng.shuffle(pv)
+    rng.shuffle(pa)
+    colors = [None] * ma.num_vertices
+    rot = [None] * ma.num_vertices
+    for v, r in enumerate(ma.rotations):
+        colors[pv[v]] = ma.colors[v]
+        k = rng.randrange(len(r))
+        rot[pv[v]] = [(pa[a], e) for a, e in r[k:] + r[:k]]
+    arcs = [None] * ma.num_arcs
+    new_weights = [None] * ma.num_arcs
+    for a, (b, w) in enumerate(ma.arcs):
+        arcs[pa[a]] = (pv[b], pv[w])
+        new_weights[pa[a]] = weights[a]
+    new = MixedAngulation(colors, arcs, rot, _allow_degenerate=True)
+    new_levels = [None] * new.num_faces
+    for (a, e), f in ma.face_of_dart.items():
+        new_levels[new.face_of_dart[(pa[a], e)]] = levels[f]
+    return new, tuple(new_weights), tuple(new_levels)
+
+
+def mirrored(ma, weights, levels):
+    """Every rotation reversed; the face of d takes the level of the old face
+    of opposite(d)."""
+    new = MixedAngulation(
+        ma.colors, ma.arcs, [r[::-1] for r in ma.rotations], _allow_degenerate=True
+    )
+    new_levels = [None] * new.num_faces
+    for d, f in new.face_of_dart.items():
+        new_levels[f] = levels[ma.face_of_dart[opposite(d)]]
+    return new, tuple(weights), tuple(new_levels)
+
+
+def with_levels(ds, rng, choices):
+    levels = [rng.choice(choices) for _ in range(ds.angulation.num_faces)]
+    return DataSet(ds.angulation, ds.k0, ds.ratio, ds.weights, levels)
+
+
+def oracle_corpus(rng):
+    """Labelled maps: both fixtures, builder outputs, random angulations and
+    twist/split outputs."""
+    surfaces = [make_calabi(), make_two_level()]
+    for g, alpha, Z in [
+        (0, [2, 2, 2], {1, 2, 3}),
+        (0, [2, 3], {1}),
+        (0, [3, 0], {1}),
+        (0, [3, 3], {1, 2}),
+        (0, [3, 3, 3], {1, 2, 3}),
+        (0, [2, 2, 3], {1, 2}),
+        (1, [4], {1}),
+        (1, [4, 0, 0], {1}),
+        (1, [3, 2], {1, 2}),
+        (2, [7], {1}),
+    ]:
+        surfaces.append(build_surface(g, alpha, Z))
+    for g, p, q in [(0, 3, 1), (0, 3, 2), (0, 5, 2), (0, 7, 3), (1, 2, 1), (1, 4, 3), (2, 6, 2)]:
+        surfaces.append(build_one_cone(g, p, q))
+    # builder outputs at levels 1/3 and 2/3, so that level-1/2 circles cut
+    # between saddles, plus their twists and a split
+    deformed = []
+    for ds in surfaces[2:]:
+        for _ in range(2):
+            base = with_levels(ds, rng, (F(1, 3), F(2, 3)))
+            deformed.append(base)
+            for _ in range(2):
+                circles = circles_at_level(base, F(1, 2))
+                i = rng.randrange(len(circles))
+                psi = circles[i].circumference * F(rng.randint(0, 4), 4)
+                out = twist(base, F(1, 2), i, psi)
+                if out.is_generic:
+                    deformed.append(out.dataset)
+            ma = base.angulation
+            for v in range(ma.num_vertices):
+                try:
+                    deformed.append(split(base, v, F(1, 3), F(1, 2)))
+                except HcmuError:  # no integer angle or a cut on a boundary
+                    continue
+                break
+    items = [(ds.angulation, ds.weights, ds.face_levels) for ds in surfaces + deformed]
+    for _ in range(80):
+        ma = random_bicolored_angulation(rng, max_vertices=rng.choice((3, 4, 5, 8)))
+        weights = tuple(F(rng.randint(1, 2)) for _ in range(ma.num_arcs))
+        levels = tuple(rng.choice((F(1, 3), F(2, 3))) for _ in range(ma.num_faces))
+        items.append((ma, weights, levels))
+    return items
+
+
+def test_canonical_form_agrees_with_rooted_signature_oracle():
+    rng = random.Random(20)
+    base = oracle_corpus(rng)
+    assert len(base) >= 150
+    items = []
+    for ma, weights, levels in base:
+        items += [(ma, weights, levels), relabeled(ma, weights, levels, rng), mirrored(ma, weights, levels)]
+    for labelled in (True, False):
+        forms = []
+        for ma, weights, levels in items:
+            args = (weights, levels) if labelled else ()
+            forms.append((ma.canonical_form(*args), signature_form(ma, *args)))
+        # a relabelled copy is the same map under both forms
+        for i in range(0, len(forms), 3):
+            assert forms[i] == forms[i + 1]
+        # pairwise equality agrees: each code meets exactly one signature and
+        # each signature exactly one code
+        codes = {code for code, _ in forms}
+        signatures = {sig for _, sig in forms}
+        assert len(set(forms)) == len(codes) == len(signatures)
+        equal_pairs = sum(n * (n - 1) // 2 for n in Counter(forms).values())
+        assert equal_pairs > len(base)
+        mirror_equal = sum(forms[i] == forms[i + 2] for i in range(0, len(forms), 3))
+        assert 0 < mirror_equal < len(base)

@@ -14,7 +14,6 @@ from hcmu.balance import (
     weight_space_dimension,
 )
 from hcmu.builders import (
-    brute_force_trees,
     build_coprime_tree,
     build_one_cone,
     build_surface,
@@ -22,6 +21,7 @@ from hcmu.builders import (
     tree_angulation,
 )
 from hcmu.errors import BadTargets, Infeasible, NotATree
+from test_builders import brute_force_trees
 
 RATIOS = (F(0), F(1, 3), F(2, 5), F(3, 4))
 

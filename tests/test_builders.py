@@ -1,17 +1,19 @@
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from hcmu.angulation import BLACK
 from hcmu.balance import solve_tree
 from hcmu.builders import (
-    brute_force_trees,
+    WeightedTree,
     build_coprime_tree,
     build_one_cone,
     build_surface,
     build_tree,
     canonical_angulation,
     subdivide_polygon,
+    tree_angulation,
 )
 from hcmu.constraints import check_refined, invariants_m_a, one_cone_admissible
 from hcmu.dataset import census, realized_angle_vector, validate_dataset
@@ -20,8 +22,43 @@ from hcmu.errors import (
     EmptySpace,
     Inadmissible,
     Incompatible,
+    Infeasible,
     NotCoprime,
 )
+
+
+# -- oracle: trees by exhaustive enumeration -------------------------------------
+
+
+def brute_force_trees(p: int, q: int, max_nodes: int = 12):
+    """All solvable bi-colored trees with p black / q white nodes, up to
+    color-preserving isomorphism.  Enumeration oracle for small sizes."""
+    if max_nodes > 12:
+        raise ValueError("max_nodes capped at 12")
+    if p + q > max_nodes:
+        raise ValueError(f"p + q = {p + q} > max_nodes = {max_nodes}")
+    out = []
+    for g in nx.nonisomorphic_trees(p + q):
+        parts = nx.bipartite.color(g)
+        side0 = [v for v in g if parts[v] == 0]
+        side1 = [v for v in g if parts[v] == 1]
+        for blacks, whites in ((side0, side1), (side1, side0)):
+            if len(blacks) != p or len(whites) != q:
+                continue
+            bmap = {v: i for i, v in enumerate(sorted(blacks))}
+            wmap = {v: i for i, v in enumerate(sorted(whites))}
+            edges = tuple(
+                sorted(
+                    (bmap[u], wmap[v]) if u in bmap else (bmap[v], wmap[u])
+                    for u, v in g.edges()
+                )
+            )
+            try:
+                weights = solve_tree(tree_angulation(p, q, edges), p, q)
+            except Infeasible:  # no positive weights on this tree
+                continue
+            out.append(WeightedTree(p, q, edges, tuple(weights)))
+    return out
 
 
 def test_canonical_counts():

@@ -253,3 +253,29 @@ def test_non_canonical_argument_exit_two(capsys):
     code, _, err = run(capsys, "dim", "--genus", "0", "--angles", "2,2,4/6")
     assert code == 2
     assert err == "error: --angles: '4/6' is not in lowest terms; write 2/3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--genus", "-1", "--angles", "2,2"],
+        ["check", "--genus", "-1", "--angles", "0"],
+        ["check", "--genus", "-1", "--angles", "3", "--saddles", "1"],
+        ["dim", "--genus", "-2", "--angles", "3,3"],
+        ["dim", "--genus", "-1", "--angles", "0"],
+        ["dim", "--genus", "-1", "--angles", "3", "--saddles", "1"],
+        ["ratios", "--genus", "-1", "--angles", "3,1/2,1/3", "--saddles", "1"],
+        ["build", "--genus", "-1", "--angles", "3", "--saddles", "1"],
+        ["one-cone", "--genus", "-1", "-p", "3", "-q", "1"],
+    ],
+    ids=["check", "check-football", "check-refined", "dim", "dim-football", "dim-refined",
+         "ratios", "build", "one-cone"],
+)
+def test_negative_genus_exit_two(capsys, tmp_path, argv):
+    if argv[0] in ("build", "one-cone"):
+        argv = argv + ["-o", str(tmp_path / "out.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    genus = argv[argv.index("--genus") + 1]
+    assert err == f"error: genus {genus} is negative\n"
+    assert not (tmp_path / "out.json").exists()

@@ -13,7 +13,7 @@ from hcmu.constraints import (
     invariants_m_a,
     one_cone_admissible,
 )
-from hcmu.errors import BadAngleVector, EmptySpace
+from hcmu.errors import BadAngleVector, BadGenus, EmptySpace
 
 
 def test_angle_vector_convention_order():
@@ -169,3 +169,26 @@ def test_type_partition_equivalence():
     p3 = TypePartition.make(av, {1}, {4}, {2, 3, 5})
     assert p1.signature(av) == p2.signature(av)
     assert p1.signature(av) != p3.signature(av)
+
+
+def test_negative_genus_is_refused_by_every_prescription():
+    from hcmu.builders import build_one_cone, build_surface
+    from hcmu.dimension import dimension, dimension_refined
+
+    av = AngleVector([3, F(1, 2), F(1, 3)])
+    calls = [
+        lambda: check_existence(-1, [2, 2]),
+        lambda: check_existence(-1, [0]),  # the football branch
+        lambda: check_refined(-1, av, {1}),
+        lambda: invariants_m_a(-1, av, {1}),
+        lambda: enumerate_ratios(-1, av, TypePartition.make(av, {1})),
+        lambda: one_cone_admissible(-1, 3, 3, 1),
+        lambda: dimension(-2, [3, 3]),
+        lambda: dimension(-1, [0]),
+        lambda: dimension_refined(-1, av, {1}),
+        lambda: build_surface(-1, [3], {1}),
+        lambda: build_one_cone(-1, 3, 1),
+    ]
+    for call in calls:
+        with pytest.raises(BadGenus, match="is negative"):
+            call()

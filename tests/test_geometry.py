@@ -15,6 +15,7 @@ from hcmu.errors import BadRatio
 from hcmu.geometry import (
     DEFAULT_CUSP_SMAX,
     CurvaturePair,
+    _h_of_s,
     cusp_profile_closed_form,
     element_length,
     football_area,
@@ -294,6 +295,24 @@ def test_distance_near_the_bottom_matches_mpmath():
                 want = c * mpmath.ellipf(mpmath.asin(mpmath.sqrt(level)), m)
                 got = level_to_distance(k0, k1, s)
                 assert abs(got - want) / want < 1e-13
+
+
+def test_h_is_zero_at_the_bottom_and_matches_mpmath_near_it():
+    # h = sqrt((K0 - K)(K - K1)(K + K0 + K1) / 3) / |cbar| with K = K0 - s (K0 - K1);
+    # K - K1 formed as a difference is rounding noise at s = 1
+    mpmath = pytest.importorskip("mpmath")
+    for k0 in GRID_K0:
+        for r in GRID_R:
+            k1 = k1_from_ratio(k0, r)
+            assert _h_of_s([1.0], k0, k1)[0] == 0.0
+            with mpmath.workdps(40):
+                K0, K1 = mpmath.mpf(k0), mpmath.mpf(k1)
+                cbar = (K0 - K1) * (2 * K0 + K1) / 6
+                for s in (1 - 1e-3, 1 - 1e-6, 1 - 1e-9, DEFAULT_CUSP_SMAX):
+                    K = K0 - mpmath.mpf(s) * (K0 - K1)
+                    want = mpmath.sqrt((K0 - K) * (K - K1) * (K + K0 + K1) / 3) / abs(cbar)
+                    got = _h_of_s([s], k0, k1)[0]
+                    assert abs(got - want) / want < 1e-13
 
 
 # -- areas -----------------------------------------------------------------------
