@@ -11,7 +11,9 @@ boundary with the face on the left; genus comes from the Euler count.  A
 mixed-angulation additionally requires every face degree to be even and at
 least 4.  Two maps are isomorphic when a dart bijection commutes with sigma
 and alpha and keeps the labels; the canonical form is the least
-dart-numbering code over all root darts.
+dart-numbering code over the roots of the least class of an isomorphism
+invariant (label, vertex degree, face degree), each code built with an
+early stop against the best so far.
 """
 from __future__ import annotations
 
@@ -168,40 +170,70 @@ class MixedAngulation:
         """Canonical invariant under color- and rotation-preserving relabeling.
 
         ``arc_labels[arc]`` and ``face_labels[face]`` may attach data
-        (weights, levels) that the isomorphism must preserve.  From each
-        root dart, the darts are numbered breadth-first along sigma and
-        alpha; the code lists, in number order, each dart's label (end, arc
-        label, label of its face) with the numbers of its sigma- and
-        alpha-images.  The form is the least code over all roots.  Only
-        orientation-preserving bijections are considered; mirror images stay
-        distinct.
+        (weights, levels) that the isomorphism must preserve.  From a root
+        dart, the darts are numbered breadth-first along sigma and alpha;
+        the code lists, in number order, each dart's label (end, arc label,
+        label of its face) with the numbers of its sigma- and alpha-images.
+        Only roots of the least invariant class are tried: darts are keyed
+        by (label, degree of their vertex, degree of their face), which
+        every isomorphism keeps, and the class of least (size, key) gives
+        the roots.  The form is the least code over those roots; a root is
+        dropped at the first item that exceeds the best code's item at the
+        same position.  Only orientation-preserving bijections are
+        considered; mirror images stay distinct.
         """
         # dart (a, e) is 2a for e = "b" and 2a + 1 for e = "w", so alpha is d ^ 1
         n = 2 * len(self.arcs)
-        darts = [(d >> 1, "w" if d & 1 else "b") for d in range(n)]
-        succ = [2 * a + (e == "w") for a, e in (self.sigma[d] for d in darts)]
-        labels = []
-        for d in darts:
-            label = (d[1],)
-            if arc_labels is not None:
-                label += (arc_labels[d[0]],)
-            if face_labels is not None:
-                label += (face_labels[self.face_of_dart[d]],)
-            labels.append(label)
+        succ = [0] * n
+        vertex_degree = [0] * n
+        for rot in self.rotations:
+            prev = 2 * rot[-1][0] + (rot[-1][1] == "w")
+            for a, e in rot:
+                d = 2 * a + (e == "w")
+                succ[prev] = d
+                vertex_degree[d] = len(rot)
+                prev = d
+        labels = [None] * n
+        face_degree = [0] * n
+        for f, walk in enumerate(self.faces):
+            for a, e in walk:
+                label = (e,)
+                if arc_labels is not None:
+                    label += (arc_labels[a],)
+                if face_labels is not None:
+                    label += (face_labels[f],)
+                d = 2 * a + (e == "w")
+                labels[d] = label
+                face_degree[d] = len(walk)
+        classes = {}
+        for d in range(n):
+            classes.setdefault((labels[d], vertex_degree[d], face_degree[d]), []).append(d)
+        _, roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
         best = None
-        for root in range(n):
+        for root in roots:
             num = [-1] * n
             num[root] = 0
             order = [root]
-            for d in order:
-                for e in (succ[d], d ^ 1):
-                    if num[e] < 0:
-                        num[e] = len(order)
-                        order.append(e)
-            code = tuple((labels[d], num[succ[d]], num[d ^ 1]) for d in order)
-            if best is None or code < best:
+            code = []
+            tied = best is not None
+            for i, d in enumerate(order):
+                s = succ[d]
+                if num[s] < 0:
+                    num[s] = len(order)
+                    order.append(s)
+                t = d ^ 1
+                if num[t] < 0:
+                    num[t] = len(order)
+                    order.append(t)
+                item = (labels[d], num[s], num[t])
+                if tied and item != best[i]:
+                    if item > best[i]:
+                        break
+                    tied = False
+                code.append(item)
+            else:
                 best = code
-        return best
+        return tuple(best)
 
     def is_isomorphic(self, other: "MixedAngulation") -> bool:
         return self.canonical_form() == other.canonical_form()
@@ -352,10 +384,14 @@ class MapBuilder:
         return trace_faces(self.arcs, self.rot)
 
     def face_walk_of_dart(self, dart: Dart):
-        for walk in self.trace():
-            if dart in walk:
-                return walk
-        raise KeyError(dart)
+        """Boundary walk of the face on the left of ``dart``, from ``dart``."""
+        sigma_inv = _rotation_maps(self.rot)[1]
+        walk = [dart]
+        d = sigma_inv[opposite(dart)]
+        while d != dart:
+            walk.append(d)
+            d = sigma_inv[opposite(d)]
+        return tuple(walk)
 
     def _insert_before(self, v: int, anchor: Dart, new: Dart):
         self.rot[v].insert(self.rot[v].index(anchor), new)

@@ -9,6 +9,7 @@ own error classes, i.e. a bug).  All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import balance, builders, constraints, deformations, geometry
@@ -156,7 +157,13 @@ def cmd_export_dot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Subcommands carry no handler: ``main`` looks up ``cmd_<command>`` when
+    it runs, so the cached parser never holds a stale function.
+    """
     top = argparse.ArgumentParser(
         prog="hcmu",
         description="Data-set representation of generic HCMU surfaces.",
@@ -165,50 +172,42 @@ def build_parser():
 
     p = sub.add_parser("validate", help="validate a data-set file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="existence of surfaces with given angles")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--angles", required=True, help="comma-separated rationals")
     p.add_argument("--saddles", help="1-based indices realized as saddles")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="construct a witness surface")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles", required=True)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("one-cone", help="single-saddle surface with p maxima, q minima")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_one_cone)
 
     p = sub.add_parser("ratios", help="admissible ratio values for a prescription")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles", required=True)
-    p.set_defaults(func=cmd_ratios)
 
     p = sub.add_parser("dim", help="moduli space dimension")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles")
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("solve", help="balance system of a data-set file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("profile", help="sample a character line element to CSV")
     p.add_argument("--k0", type=float, required=True)
     p.add_argument("--ratio", required=True)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("twist", help="twist along a level circle")
     p.add_argument("file")
@@ -216,7 +215,6 @@ def build_parser():
     p.add_argument("--circle", type=int, required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("split", help="split an integer-angle extremal point")
     p.add_argument("file")
@@ -224,11 +222,9 @@ def build_parser():
     p.add_argument("--offset", required=True)
     p.add_argument("--level", required=True)
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("export-dot", help="Graphviz drawing of the graph")
     p.add_argument("file")
-    p.set_defaults(func=cmd_export_dot)
 
     return top
 
@@ -240,7 +236,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

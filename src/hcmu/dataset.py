@@ -33,10 +33,11 @@ class DataSet:
 
     ``weights`` and ``face_levels`` are exact rationals; ``k0`` is the only
     floating quantity.  ``face_levels`` is indexed by face position in the
-    angulation's canonical face order.
+    angulation's canonical face order.  The canonical form is computed on
+    first use and cached, so equality and hashing cost at most one code.
     """
 
-    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels")
+    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "_form")
 
     def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels):
         self.angulation = angulation
@@ -48,6 +49,7 @@ class DataSet:
         else:
             levels = list(face_levels)
         self.face_levels = tuple(Fraction(s) for s in levels)
+        self._form = None
         issues = validate_dataset(self)
         if issues:
             raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")
@@ -68,8 +70,10 @@ class DataSet:
         return sum(self.weights, Fraction(0))
 
     def canonical_form(self):
-        code = self.angulation.canonical_form(self.weights, self.face_levels)
-        return (code, repr(self.k0), self.ratio)
+        if self._form is None:
+            code = self.angulation.canonical_form(self.weights, self.face_levels)
+            self._form = (code, repr(self.k0), self.ratio)
+        return self._form
 
     def is_isomorphic(self, other: "DataSet") -> bool:
         return self.canonical_form() == other.canonical_form()

@@ -8,6 +8,7 @@ from conftest import make_calabi, make_two_level, random_bicolored_angulation
 from hcmu.angulation import (
     BLACK,
     WHITE,
+    MapBuilder,
     MixedAngulation,
     build_angulation,
     opposite,
@@ -97,6 +98,21 @@ def test_face_walks_partition_the_darts():
         assert len(set(seen)) == 2 * ma.num_arcs
         assert sum(len(w) for w in ma.faces) == 2 * ma.num_arcs
         assert sum(ma.degree(v) for v in range(ma.num_vertices)) == 2 * ma.num_arcs
+
+
+def test_builder_face_walk_of_dart_is_its_traced_face_from_that_dart():
+    rng = random.Random(8)
+    maps = [random_bicolored_angulation(rng) for _ in range(25)]
+    maps += [build_surface(0, [3, 3, 3], {1, 2, 3}).angulation, build_surface(2, [7], {1}).angulation]
+    maps += [build_one_cone(1, 4, 3).angulation, make_two_level().angulation]
+    for ma in maps:
+        builder = MapBuilder.from_angulation(ma)
+        face_of = {d: walk for walk in builder.trace() for d in walk}
+        assert len(face_of) == 2 * ma.num_arcs
+        for d, traced in face_of.items():
+            walk = builder.face_walk_of_dart(d)
+            k = traced.index(d)
+            assert walk == traced[k:] + traced[:k]
 
 
 def test_order_vector_compatibility_identity():
@@ -327,3 +343,27 @@ def test_canonical_form_agrees_with_rooted_signature_oracle():
         assert equal_pairs > len(base)
         mirror_equal = sum(forms[i] == forms[i + 2] for i in range(0, len(forms), 3))
         assert 0 < mirror_equal < len(base)
+
+
+def test_canonical_form_agrees_with_the_oracle_on_large_maps():
+    # maps with hundreds of darts, where the least invariant class is a small
+    # share of the darts, at levels drawn from two values so that classes and
+    # automorphisms survive the labels; a relabelled copy must meet its
+    # original's form, and originals and mirror images meet each other's forms
+    # exactly when their oracle signatures meet
+    rng = random.Random(21)
+    for labelled in (True, False):
+        forms = []
+        for ds in (build_one_cone(0, 301, 17), build_surface(0, [3] * 30, set(range(1, 31)))):
+            for _ in range(2 if labelled else 1):
+                ds = with_levels(ds, rng, (F(1, 3), F(2, 3)))
+                item = (ds.angulation, ds.weights, ds.face_levels)
+                for ma, weights, levels in (item, mirrored(*item)):
+                    args = (weights, levels) if labelled else ()
+                    forms.append((ma.canonical_form(*args), signature_form(ma, *args)))
+                ma, weights, levels = relabeled(*item, rng)
+                args = (weights, levels) if labelled else ()
+                assert ma.canonical_form(*args) == forms[-2][0]
+        for x in forms:
+            for y in forms:
+                assert (x[0] == y[0]) == (x[1] == y[1])

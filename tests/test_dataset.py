@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import make_calabi, make_two_level
-from hcmu.angulation import BLACK, WHITE
+from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.builders import build_one_cone, build_surface
 from hcmu.dataset import (
     DataSet,
@@ -14,6 +15,7 @@ from hcmu.dataset import (
     validate_dataset,
 )
 from hcmu.errors import HcmuError, ValidationError
+from test_angulation import relabeled
 
 
 def test_calabi_is_valid(calabi):
@@ -121,3 +123,24 @@ def test_dataset_equality_via_canonical_form(calabi):
         [F(1, 3), F(1, 2), F(1, 2)],
     )
     assert calabi != bumped
+
+
+def test_dataset_computes_its_canonical_form_at_most_once(monkeypatch):
+    ds = build_surface(1, [3, 2], {1, 2})
+    ma, weights, levels = relabeled(ds.angulation, ds.weights, ds.face_levels, random.Random(3))
+    copy = DataSet(ma, ds.k0, ds.ratio, weights, levels)
+    calls = []
+    form = MixedAngulation.canonical_form
+
+    def counting(self, *args):
+        calls.append(self)
+        return form(self, *args)
+
+    monkeypatch.setattr(MixedAngulation, "canonical_form", counting)
+    assert len({ds, copy}) == 1
+    assert ds == copy and copy == ds
+    assert ds.is_isomorphic(copy) and copy.is_isomorphic(ds)
+    for x in (ds, copy):
+        assert hash(x) == hash(x) == hash(copy)
+    assert len(calls) == 2
+    assert {id(m) for m in calls} == {id(ds.angulation), id(ma)}
