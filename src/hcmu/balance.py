@@ -17,14 +17,18 @@ bipartite graph with demand t at black vertices and t / R at white ones, so
 * the kernel basis is one fundamental cycle per non-tree arc, with entries
   alternating +1/-1 around the (even) cycle, so its dimension is
   E - V + 1 = 2g + j0 - 1 by construction;
-* a strictly positive solution is a transportation problem.  A maximum flow
-  on the demands scaled to integers either saturates them or exposes a
+* a strictly positive solution is a transportation problem.  The residual
+  graph runs black -> white along every arc and white -> black along every
+  arc that carries flow.  A maximum flow on the demands scaled to integers,
+  each black in turn sending its supply along shortest augmenting paths to
+  whites with room left (Edmonds-Karp), either saturates them or exposes a
   violated Hall inequality.  An arc with zero flow can be made positive
   exactly when its ends lie in one strongly connected component of the
   residual graph, i.e. when the white end reaches the black end; pushing a
   small exact amount around one such alternating cycle per zero arc gives a
   positive witness, and an unreachable black end gives a cut that forces
-  the arc to zero.
+  the arc to zero.  One breadth-first walk finds the augmenting paths, the
+  cut and the cycles.
 
 For R = 0 the white rows vanish and each black vertex owns a star of arcs.
 Either way the answer is a decision: a positive witness or a
@@ -42,8 +46,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import networkx as nx
 
 from .angulation import BLACK, WHITE, MixedAngulation
 from .errors import (
@@ -217,11 +219,11 @@ def _star_solution(ma, demand):
 
 def _positive_solution(ma, demand):
     """(strictly positive solution, None) or (None, HallCut)."""
-    nv = ma.num_vertices
+    nv, colors = ma.num_vertices, ma.colors
     for v, d in enumerate(demand):
         if d is not None and d <= 0:
             # a vertex with no positive share for its arcs
-            reach = {v} if ma.colors[v] == WHITE else set(range(nv)) - {v}
+            reach = {v} if colors[v] == WHITE else set(range(nv)) - {v}
             return None, _hall_cut(ma, demand, reach)
     if any(d is None for d in demand):
         degree = [0] * nv
@@ -229,66 +231,77 @@ def _positive_solution(ma, demand):
             degree[b] += 1
         return tuple(demand[b] / degree[b] for b, _ in ma.arcs), None
 
+    # maximum flow in integer units: supply left at the blacks, room left at
+    # the whites; each black in turn sends along shortest residual paths
     scale = math.lcm(*(d.denominator for d in demand))
-    units = [int(d * scale) for d in demand]  # exact: scale clears every denominator
-    network = nx.DiGraph()
-    for v, u in enumerate(units):
-        if ma.colors[v] == BLACK:
-            network.add_edge("source", v, capacity=u)
-        else:
-            network.add_edge(v, "sink", capacity=u)
-    for b, w in ma.arcs:
-        network.add_edge(b, w)  # no capacity: unbounded
-    _, flow_of = nx.maximum_flow(network, "source", "sink")
-    flow = []
-    for b, w in ma.arcs:
-        # parallel arcs share one network edge; the first of them carries it
-        flow.append(Fraction(flow_of[b][w], scale))
-        flow_of[b][w] = 0
-
-    # residual graph on the vertices: black -> white along every arc,
-    # white -> black along the arcs that carry flow
-    out = [[] for _ in range(nv)]
+    left = [int(d * scale) for d in demand]  # exact: scale clears every denominator
+    incident = [[] for _ in range(nv)]
     for a, (b, w) in enumerate(ma.arcs):
-        out[b].append((a, w))
-        if flow[a] > 0:
-            out[w].append((a, b))
+        incident[b].append((a, w))
+        incident[w].append((a, b))
+    flow = [0] * ma.num_arcs
+    blacks = [v for v in range(nv) if colors[v] == BLACK]
+    for source in blacks:
+        while left[source]:
+            via, end = _search(colors, incident, flow, [source],
+                               lambda v: colors[v] == WHITE and left[v])
+            if end is None:
+                # nothing this black reaches can change later: it stays short
+                break
+            path, v = [], end
+            while v != source:
+                path.append((via[v], colors[v] == WHITE))  # (arc, walked black -> white)
+                v = _other_end(ma, via[v], v)
+            push = min([left[source], left[end]] + [flow[a] for a, up in path if not up])
+            for a, up in path:
+                flow[a] += push if up else -push
+            left[source] -= push
+            left[end] -= push
     # an unsaturated black: the source side of a minimum cut violates Hall
-    short = [v for v in range(nv) if ma.colors[v] == BLACK and flow_of["source"][v] < units[v]]
+    short = [v for v in blacks if left[v]]
     if short:
-        return None, _hall_cut(ma, demand, _search(out, short))
+        return None, _hall_cut(ma, demand, _search(colors, incident, flow, short)[0])
 
-    zero = [a for a in range(ma.num_arcs) if flow[a] == 0]
+    witness = [Fraction(f, scale) for f in flow]
+    zero = [a for a in range(ma.num_arcs) if not flow[a]]
     if not zero:
-        return tuple(flow), None
-    delta = min(f for f in flow if f > 0) / (2 * len(zero))
-    witness = list(flow)
+        return tuple(witness), None
+    delta = Fraction(min(f for f in flow if f), scale * 2 * len(zero))
     for a in zero:
         b, w = ma.arcs[a]
-        via = _search(out, [w])
-        if b not in via:
+        via, end = _search(colors, incident, flow, [w], lambda v: v == b)
+        if end is None:
             return None, _hall_cut(ma, demand, via)
         # raise a and the arcs walked black -> white, lower those walked back
         witness[a] += delta
         v = b
         while v != w:
             e = via[v]
-            witness[e] += delta if ma.colors[v] == WHITE else -delta
+            witness[e] += delta if colors[v] == WHITE else -delta
             v = _other_end(ma, e, v)
     return tuple(witness), None
 
 
-def _search(out, starts):
-    """Breadth-first reach in ``out``: vertex -> arc it was reached by."""
+def _search(colors, incident, flow, starts, stop=None):
+    """Breadth-first reach in the residual graph from ``starts``.
+
+    The residual graph runs black -> white along every arc and white -> black
+    along the arcs that carry flow.  Returns (vertex -> arc it was reached by,
+    the first reached vertex that satisfies ``stop``, where the walk ends, or
+    None when the walk covers the whole reach).
+    """
     via = {v: None for v in starts}
     queue = deque(starts)
     while queue:
         v = queue.popleft()
-        for a, u in out[v]:
-            if u not in via:
+        black = colors[v] == BLACK
+        for a, u in incident[v]:
+            if u not in via and (black or flow[a]):
                 via[u] = a
+                if stop is not None and stop(u):
+                    return via, u
                 queue.append(u)
-    return via
+    return via, None
 
 
 def _hall_cut(ma, demand, reach):

@@ -25,6 +25,7 @@ from .errors import (
     Inadmissible,
     Infeasible,
     NotInteger,
+    ParseError,
 )
 
 INFEASIBLE = (EmptySpace, Inadmissible, Infeasible, NotInteger, CuspVertex, CutOnBoundary)
@@ -34,8 +35,24 @@ def _angles(text):
     return [ser.parse_fraction(part, "--angles") for part in text.split(",") if part != ""]
 
 
+def _integer(flag):
+    """Argument type: an integer as the file grammar writes one, so no p/q."""
+
+    def parse(text):
+        try:
+            value = ser.parse_fraction(text, flag)
+        except ParseError:
+            value = None
+        if value is None or value.denominator != 1:
+            raise ParseError(f"not an integer: {text!r:.80}", flag) from None
+        return value.numerator
+
+    return parse
+
+
 def _indices(text):
-    return frozenset(int(part) for part in text.split(",") if part != "")
+    parse = _integer("--saddles")
+    return frozenset(parse(part) for part in text.split(",") if part != "")
 
 
 def _write(path, text):
@@ -174,29 +191,29 @@ def build_parser():
     p.add_argument("file")
 
     p = sub.add_parser("check", help="existence of surfaces with given angles")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer("--genus"), required=True)
     p.add_argument("--angles", required=True, help="comma-separated rationals")
     p.add_argument("--saddles", help="1-based indices realized as saddles")
 
     p = sub.add_parser("build", help="construct a witness surface")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer("--genus"), required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles", required=True)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("one-cone", help="single-saddle surface with p maxima, q minima")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
+    p.add_argument("--genus", type=_integer("--genus"), required=True)
+    p.add_argument("-p", type=_integer("-p"), required=True)
+    p.add_argument("-q", type=_integer("-q"), required=True)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("ratios", help="admissible ratio values for a prescription")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer("--genus"), required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles", required=True)
 
     p = sub.add_parser("dim", help="moduli space dimension")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer("--genus"), required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--saddles")
 
@@ -206,19 +223,19 @@ def build_parser():
     p = sub.add_parser("profile", help="sample a character line element to CSV")
     p.add_argument("--k0", type=float, required=True)
     p.add_argument("--ratio", required=True)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_integer("--samples"), default=256)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("twist", help="twist along a level circle")
     p.add_argument("file")
     p.add_argument("--level", required=True)
-    p.add_argument("--circle", type=int, required=True)
+    p.add_argument("--circle", type=_integer("--circle"), required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("split", help="split an integer-angle extremal point")
     p.add_argument("file")
-    p.add_argument("--vertex", type=int, required=True)
+    p.add_argument("--vertex", type=_integer("--vertex"), required=True)
     p.add_argument("--offset", required=True)
     p.add_argument("--level", required=True)
     p.add_argument("-o", "--output", default="-")
@@ -230,13 +247,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        # an integer argument raises ParseError from inside parse_args
+        args = build_parser().parse_args(argv)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return 2 if exc.code not in (0, None) else 0
     except INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ of the first kind c F(phi | m) with m = B/(A + B), c = 2 sqrt(3)/sqrt(A + B)
 Carlson's form F(phi | m) = sqrt(s) R_F(1 - s, 1 - m s, 1) and
 K(m) = R_F(0, 1 - m, 1) (DLMF 19.25.1, 19.25.5), which take 1 - s and
 1 - m = A/(A + B) directly instead of an amplitude rounded near pi/2;
-at the cusp m = 1, F(phi | 1) = asinh(tan phi).
+R_F itself comes from Carlson's duplication algorithm (DLMF 19.36.1), one
+loop for a float and for an array of levels.  At the cusp m = 1,
+F(phi | 1) = asinh(tan phi).
 The warped function is h = K'/cbar with cbar = -(K0 - K1)(2 K0 + K1)/6;
 the integral of h over the element is 2 (2 - R)/K0, so areas are rational
 in (K0, R).
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.special
 
 from .errors import BadRatio
 
@@ -105,7 +106,93 @@ def _distance(c, m1, s, t):
     if m1 == 0:
         with np.errstate(divide="ignore"):  # t = 0 at the bottom: +inf
             return c * np.arcsinh(np.sqrt(s) / np.sqrt(t))
-    return c * np.sqrt(s) * scipy.special.elliprf(t, t + s * m1, 1.0)
+    sqrt = np.sqrt if isinstance(s, np.ndarray) else math.sqrt
+    return c * sqrt(s) * _rf(t, t + s * m1, 1.0)
+
+
+# Carlson's (3 r)^(-1/6) for the relative tolerance r = 2^-53
+_RF_Q = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
+_RF_BLOCK = 8192  # entries per pass over an array, whose temporaries then stay in cache
+
+# (sqrt, largest of three, any, ldexp) on floats and on arrays; np.ldexp is
+# slow unless its exponents are C ints
+_FLOAT_OPS = (math.sqrt, max, bool, math.ldexp)
+_ARRAY_OPS = (
+    np.sqrt,
+    lambda u, v, w: np.maximum(np.maximum(u, v), w),
+    np.ndarray.any,
+    lambda r, n: np.ldexp(r, np.asarray(n, dtype=np.intc)),
+)
+
+
+def _rf(x, y, z):
+    """Carlson's symmetric integral R_F(x, y, z), x, y, z >= 0, at most one 0.
+
+    ``x`` is a float, with ``y`` and ``z`` floats, or a one-dimensional array,
+    with ``y`` and ``z`` arrays or floats that broadcast to it.  The same code
+    serves both, entry by entry, so a level's value does not depend on the
+    levels computed with it; an array runs in blocks.
+    """
+    if isinstance(x, np.ndarray) and x.size > _RF_BLOCK:
+        x, y, z = np.broadcast_arrays(x, y, z)
+        return np.concatenate([
+            _rf(x[i:i + _RF_BLOCK], y[i:i + _RF_BLOCK], z[i:i + _RF_BLOCK])
+            for i in range(0, x.size, _RF_BLOCK)
+        ])
+    sqrt, largest, anywhere, ldexp = _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+    a, tail, steps = _duplication(x, y, z, sqrt, largest, anywhere)
+    # R_F = 2^n (1 + tail) / sqrt(4^n A_n), with the roundings of the square
+    # root and of its reciprocal recovered exactly, so that only the last sum
+    # rounds at full size
+    root = sqrt(a)
+    inverse = 1.0 / root
+    rh, rl = _halves(root)
+    ih, il = _halves(inverse)
+    square, one = root * root, inverse * root
+    eta = ((a - square) - (((rh * rh - square) + 2.0 * rh * rl) + rl * rl)) / a  # a = root^2 (1 + eta)
+    rho = (1.0 - one) - (((ih * rh - one) + ih * rl + il * rh) + il * rl)  # inverse root = 1 - rho
+    return ldexp(inverse + inverse * (rho + tail - 0.5 * eta), steps)
+
+
+def _duplication(x, y, z, sqrt, largest, anywhere):
+    """(4^n A_n, the series for R_F less its leading 1, n), entry by entry.
+
+    Duplication (Carlson 1995; DLMF 19.36.1): a step adds
+    lambda = sqrt(x y) + sqrt(y z) + sqrt(z x) to all three arguments and
+    divides them by 4, which keeps R_F and moves them four times closer to
+    their mean A.  Once 4^-n Q < A_n the fifth-order series in the scaled
+    deviations X, Y, Z = -X - Y is exact to about one rounding, and the
+    entry takes no further step.  The loop keeps 4^n x_n, 4^n y_n, 4^n z_n,
+    4^n A_n, the same floats scaled by a power of two, so no step divides.
+    """
+    a = (x + y + z) / 3.0
+    q = _RF_Q * largest(abs(a - x), abs(a - y), abs(a - z))
+    steps = 0
+    while anywhere(going := q >= a):
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = (sx * (sy + sz) + sy * sz) * going  # 0 where converged
+        # one at a time, so that each old array is freed before the next
+        # new one: peak memory, more than arithmetic, bounds a block's time
+        x = x + lam
+        y = y + lam
+        z = z + lam
+        a = a + lam
+        steps = steps + going
+    # 4^n (A_n - x_n) loses about 3 digits to cancellation, which reach the
+    # series only at the size of X^2 < 1e-5 times that loss
+    X, Y = (a - x) / a, (a - y) / a
+    xy, s = X * Y, X + Y
+    e2 = xy - s * s
+    e3 = -(xy * s)
+    return a, e2 * (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) + e3 / 14.0, steps
+
+
+def _halves(u):
+    """(hi, lo) with u = hi + lo and 26-bit halves, whose products are exact
+    (Veltkamp's split, for Dekker's exact product)."""
+    t = 134217729.0 * u  # 2^27 + 1
+    hi = t - (t - u)
+    return hi, u - hi
 
 
 def _k_of_s(s, k0, k1):

@@ -195,14 +195,14 @@ def load_document(doc: dict) -> DataSet:
 
 def load(source) -> DataSet:
     """Data set from a file path or a readable stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", "/")
     return load_document(doc)
 

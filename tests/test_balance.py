@@ -1,12 +1,16 @@
+import math
 import random
 from fractions import Fraction as F
 from typing import NamedTuple
 
+import networkx as nx
 import pytest
 
 from conftest import make_calabi, random_bicolored_angulation
 from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.balance import (
+    HallCut,
+    _positive_solution,
     balance_rank,
     divisibility_check,
     solve_balance,
@@ -163,6 +167,65 @@ def check_obstruction(ma, ratio, targets, space):
     assert str(cut).startswith(f"arcs {' '.join(map(str, crossing))} must carry total weight {gap}")
 
 
+def networkx_decision(ma, demand):
+    """(maximum flow value, HallCut or None) by ``networkx.maximum_flow``.
+
+    The demands are positive, in weight units.  The cut is the one the
+    balance layer certifies: the vertices outside the residual reach of the
+    unsaturated blacks or, when every black is saturated, of the white end
+    of the first arc, in arc order, whose black end that reach misses.
+    """
+    colors = ma.colors
+    scale = math.lcm(*(d.denominator for d in demand))
+    network = nx.DiGraph()
+    for v, d in enumerate(demand):
+        if colors[v] == BLACK:
+            network.add_edge("source", v, capacity=int(d * scale))
+        else:
+            network.add_edge(v, "sink", capacity=int(d * scale))
+    for b, w in ma.arcs:
+        network.add_edge(b, w)  # no capacity: unbounded; parallel arcs share it
+    value, flow_of = nx.maximum_flow(network, "source", "sink")
+    residual = nx.DiGraph()
+    residual.add_nodes_from(range(ma.num_vertices))
+    for b, w in ma.arcs:
+        residual.add_edge(b, w)
+        if flow_of[b][w] > 0:
+            residual.add_edge(w, b)
+    short = [v for v, d in enumerate(demand) if colors[v] == BLACK and flow_of["source"][v] < d * scale]
+    if short:
+        reach = set(short).union(*(nx.descendants(residual, v) for v in short))
+    else:
+        for b, w in ma.arcs:
+            reach = nx.descendants(residual, w) | {w}
+            if b not in reach:
+                break
+        else:
+            return F(value, scale), None
+    blacks = frozenset(v for v in range(ma.num_vertices) if colors[v] == BLACK and v not in reach)
+    whites = frozenset(v for v in range(ma.num_vertices) if colors[v] == WHITE and v not in reach)
+    crossing = tuple(a for a, (b, w) in enumerate(ma.arcs) if b in blacks and w in reach)
+    gap = sum(demand[b] for b in blacks) - sum(demand[w] for w in whites)
+    return F(value, scale), HallCut(blacks, whites, crossing, gap)
+
+
+def check_flow(ma, ratio, targets, rows, rhs):
+    """The positivity decision against networkx, for R > 0 and positive targets."""
+    demand = [
+        F(targets[v]) if ma.colors[v] == BLACK else F(targets[v]) / ratio
+        for v in range(ma.num_vertices)
+    ]
+    witness, obstruction = _positive_solution(ma, demand)
+    value, cut = networkx_decision(ma, demand)
+    # a maximum flow saturates the demands or leaves a cut of its own value
+    total = sum(d for v, d in enumerate(demand) if ma.colors[v] == BLACK)
+    assert total + (obstruction.gap if obstruction else 0) == value
+    assert (witness is None) == (cut is not None)
+    assert obstruction == cut
+    if witness is not None:
+        assert all(x > 0 for x in witness) and solves(rows, rhs, witness)
+
+
 def check_space(ma, ratio, targets):
     """solve_balance against the elimination oracle; returns the space."""
     rows, rhs = system_rows(ma, ratio, targets)
@@ -192,6 +255,8 @@ def check_space(ma, ratio, targets):
         assert solves(rows, rhs, space.positive_witness)
     else:
         check_obstruction(ma, ratio, targets, space)
+    if ratio > 0 and all(F(t) > 0 for t in targets.values()):
+        check_flow(ma, ratio, targets, rows, rhs)
     return space
 
 

@@ -203,6 +203,14 @@ def test_hostile_document_exit_two(capsys, tmp_path, path, value):
     assert out == "" and err.startswith("error: /")
 
 
+def test_undecodable_document_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error: /: ")
+
+
 def test_internal_error_exit_three(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom\nsecond line")
@@ -249,10 +257,30 @@ def test_exponent_rational_argument_exit_two(capsys, tmp_path, flag, argv):
     assert err.startswith(f"error: {flag}: ")
 
 
-def test_non_canonical_argument_exit_two(capsys):
+def test_non_canonical_argument_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "dim", "--genus", "0", "--angles", "2,2,4/6")
     assert code == 2
     assert err == "error: --angles: '4/6' is not in lowest terms; write 2/3\n"
+    # integer arguments take the integers of the same grammar: int() would
+    # read 1_0 as 10, ' 1' as 1 and the Arabic-Indic digit one as 1
+    out = str(tmp_path / "out")
+    for flag, text, argv in [
+        ("--genus", "1_0", ["dim", "--genus", "1_0", "--angles", "3,3"]),
+        ("--genus", " 1", ["dim", "--genus", " 1", "--angles", "3,3"]),
+        ("--genus", "+1", ["check", "--genus", "+1", "--angles", "2,2,2"]),
+        ("--genus", "0/1", ["build", "--genus", "0/1", "--angles", "3", "--saddles", "1", "-o", out]),
+        ("--saddles", "\u0661", ["ratios", "--genus", "0", "--angles", "2,2,2", "--saddles", "\u0661,2,3"]),
+        ("--saddles", "01", ["check", "--genus", "0", "--angles", "3,0", "--saddles", "01"]),
+        ("-p", "7/2", ["one-cone", "--genus", "0", "-p", "7/2", "-q", "3", "-o", out]),
+        ("-q", "3.0", ["one-cone", "--genus", "0", "-p", "7", "-q", "3.0", "-o", out]),
+        ("--samples", "1e3", ["profile", "--k0", "2", "--ratio", "1/2", "--samples", "1e3", "-o", out]),
+        ("--circle", "0x0", ["twist", TWO_LEVEL, "--level", "1/2", "--circle", "0x0", "--psi", "1/5", "-o", out]),
+        ("--vertex", "-0", ["split", TWO_LEVEL, "--vertex", "-0", "--offset", "1/3", "--level", "3/4", "-o", out]),
+    ]:
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == f"error: {flag}: not an integer: {text!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import hcmu
 from hcmu.errors import BadRatio
@@ -16,6 +16,7 @@ from hcmu.geometry import (
     DEFAULT_CUSP_SMAX,
     CurvaturePair,
     _h_of_s,
+    _rf,
     cusp_profile_closed_form,
     element_length,
     football_area,
@@ -297,6 +298,41 @@ def test_distance_near_the_bottom_matches_mpmath():
                 assert abs(got - want) / want < 1e-13
 
 
+@pytest.mark.parametrize("m1", [1 / 3, 1e-3, 1e-9, 0.5, 0.999])
+def test_carlson_rf_matches_scipy(m1):
+    # R_F(1 - s, 1 - m s, 1) over a profile's levels, array and scalar paths
+    s = np.linspace(0.0, 1.0, 65536)
+    t = 1.0 - s
+    y = t + s * m1
+    want = special.elliprf(t, y, 1.0)
+    assert np.max(np.abs(_rf(t, y, 1.0) - want) / want) < 2e-15
+    for i in range(0, 65536, 1021):
+        got = _rf(float(t[i]), float(y[i]), 1.0)
+        assert type(got) is float and abs(got - want[i]) / want[i] < 2e-15
+
+
+def test_profile_samples_are_level_to_distance_bit_for_bit():
+    # each level takes its own number of duplication steps, so its distance
+    # does not depend on the levels sampled with it (10000 spans two blocks)
+    for r in (F(1, 3), F(299, 300), F(1, 10**9)):
+        for n in (16, 10000):
+            p = solve_profile(1.3, r, n)
+            for s, v in list(zip(p.s, p.v))[::61]:
+                assert level_to_distance(p.k0, p.k1, float(s)) == v
+
+
+def test_carlson_rf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(19361)
+    with mpmath.workdps(40):
+        for _ in range(30):
+            # at most one argument 0, in any position
+            args = [rng.choice([0.0, rng.random()]), rng.random(), rng.uniform(0.0, 1e3)]
+            rng.shuffle(args)
+            want = mpmath.elliprf(*args)
+            assert abs(_rf(*args) - want) / want < 1e-15
+
+
 def test_h_is_zero_at_the_bottom_and_matches_mpmath_near_it():
     # h = sqrt((K0 - K)(K - K1)(K + K0 + K1) / 3) / |cbar| with K = K0 - s (K0 - K1);
     # K - K1 formed as a difference is rounding noise at s = 1
@@ -388,11 +424,13 @@ def test_closed_form_matches_quadrature_oracle():
 # -- imports ---------------------------------------------------------------------
 
 
-def test_import_does_not_load_scipy_integrate():
-    # scipy.integrate adds about 0.3 s and tens of MiB to every start-up
+@pytest.mark.parametrize("module", ["scipy", "networkx"])
+def test_import_does_not_load_scipy_integrate(module):
+    # test oracles only: scipy.special alone adds about 0.3 s to every
+    # start-up, scipy.integrate more, and networkx about 0.1 s
     src = str(Path(hcmu.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hcmu; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, hcmu, hcmu.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

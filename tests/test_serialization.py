@@ -164,6 +164,18 @@ def test_non_object_vertex_entry_is_refused():
     refused(hostile(["rotations", "0", 0], "0:x"), "/rotations/0/0")
 
 
+def test_undecodable_bytes_are_refused(tmp_path):
+    # a document is UTF-8 text; these bytes used to escape as UnicodeDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError) as err:
+        ser.load(bad)
+    assert err.value.pointer == "/"
+    with bad.open(encoding="utf-8") as fh, pytest.raises(ParseError) as err:
+        ser.load(fh)
+    assert err.value.pointer == "/"
+
+
 def test_non_canonical_entries_are_refused():
     # each of these used to load and then save back differently
     for text in (" 1_0 ", "2", "2e0"):
