@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import re
 import sys
 
 from . import balance, builders, constraints, deformations, geometry
@@ -30,6 +32,9 @@ from .errors import (
 
 INFEASIBLE = (EmptySpace, Inadmissible, Infeasible, NotInteger, CuspVertex, CutOnBoundary)
 
+# ASCII decimals only: every repr of a finite float, and integers such as 2
+DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
+
 
 def _angles(text):
     return [ser.parse_fraction(part, "--angles") for part in text.split(",") if part != ""]
@@ -48,6 +53,14 @@ def _integer(flag):
         return value.numerator
 
     return parse
+
+
+def _k0(text):
+    """Argument type of --k0: a finite float written as an ASCII decimal."""
+    value = float(text) if DECIMAL.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite decimal number: {text!r:.80}", "--k0")
+    return value
 
 
 def _indices(text):
@@ -128,10 +141,7 @@ def cmd_dim(args):
 
 def cmd_solve(args):
     ds = ser.load(args.file)
-    targets = {
-        v: ds.vertex_angle(v) for v in range(ds.angulation.num_vertices)
-    }
-    space = balance.solve_balance(ds.angulation, ds.ratio, targets)
+    space = balance.solve_balance(ds.angulation, ds.ratio, dict(enumerate(ds.vertex_angles())))
     print("particular:", " ".join(str(x) for x in space.particular))
     print("kernel dimension:", space.kernel_dimension)
     if space.positive_witness is not None:
@@ -221,7 +231,7 @@ def build_parser():
     p.add_argument("file")
 
     p = sub.add_parser("profile", help="sample a character line element to CSV")
-    p.add_argument("--k0", type=float, required=True)
+    p.add_argument("--k0", type=_k0, required=True)
     p.add_argument("--ratio", required=True)
     p.add_argument("--samples", type=_integer("--samples"), default=256)
     p.add_argument("-o", "--output", default="-")

@@ -9,6 +9,7 @@ the balance equations: Sum W at a black vertex, R * Sum W at a white one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,6 +36,7 @@ class DataSet:
     floating quantity.  ``face_levels`` is indexed by face position in the
     angulation's canonical face order.  The canonical form is computed on
     first use and cached, so equality and hashing cost at most one code.
+    A weight or level given as a ``Fraction`` is kept as it is.
     """
 
     __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "_form")
@@ -43,12 +45,12 @@ class DataSet:
         self.angulation = angulation
         self.k0 = float(k0)
         self.ratio = Fraction(ratio)
-        self.weights = tuple(Fraction(w) for w in weights)
+        self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         if isinstance(face_levels, dict):
             levels = [face_levels[i] for i in range(angulation.num_faces)]
         else:
             levels = list(face_levels)
-        self.face_levels = tuple(Fraction(s) for s in levels)
+        self.face_levels = tuple(s if type(s) is Fraction else Fraction(s) for s in levels)
         self._form = None
         issues = validate_dataset(self)
         if issues:
@@ -62,6 +64,26 @@ class DataSet:
     def vertex_angle(self, v: int) -> Fraction:
         s = self.vertex_weight_sum(v)
         return s if self.angulation.colors[v] == BLACK else self.ratio * s
+
+    def vertex_angles(self) -> list:
+        """Every vertex angle, as :meth:`vertex_angle` gives it, in one pass.
+
+        The weight sums are integer numerators over the lcm of the weight
+        denominators; one Fraction is built per vertex.
+        """
+        ma = self.angulation
+        den = math.lcm(*{w.denominator for w in self.weights})
+        sums = [0] * ma.num_vertices
+        for (b, w), x in zip(ma.arcs, self.weights):
+            x = x.numerator * (den // x.denominator)
+            sums[b] += x
+            sums[w] += x
+        r = self.ratio
+        white_den = r.denominator * den
+        return [
+            Fraction(s, den) if c == BLACK else Fraction(r.numerator * s, white_den)
+            for c, s in zip(ma.colors, sums)
+        ]
 
     def face_angle(self, f: int) -> Fraction:
         return Fraction(self.angulation.face_degree(f), 2)
@@ -136,9 +158,8 @@ def cone_points(ds: DataSet):
     """One cone point per vertex and per face; smooth means angle exactly 1."""
     ma = ds.angulation
     out = []
-    for v in range(ma.num_vertices):
+    for v, ang in enumerate(ds.vertex_angles()):
         kind = "maximum" if ma.colors[v] == BLACK else "minimum"
-        ang = ds.vertex_angle(v)
         out.append(ConePoint(kind, ang, v, ang == 1))
     for f in range(ma.num_faces):
         ang = ds.face_angle(f)
@@ -192,11 +213,12 @@ def census(
         m=m_plus + m_minus,
         b=ma.num_arcs,
     )
+    saddle_angle = sum((c.angle for c in saddles), Fraction(0))
     # index identity for the curvature gradient field
-    total = sum((1 - c.angle for c in saddles), Fraction(0)) + cs.a
+    total = len(saddles) - saddle_angle + cs.a
     if total != 2 - 2 * ma.genus:
         raise CensusInconsistent(f"index sum {total} != {2 - 2 * ma.genus}")
-    if cs.b != sum(c.angle for c in saddles):
+    if cs.b != saddle_angle:
         raise CensusInconsistent("arc count differs from total saddle angle")
     if partition is not None:
         if alpha is None:

@@ -118,6 +118,7 @@ class CuspVertex(HcmuError):
 class ParseError(HcmuError):
     def __init__(self, message, pointer=""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
+        self.message = message
         self.pointer = pointer
 
 

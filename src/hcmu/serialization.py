@@ -1,9 +1,14 @@
 """JSON persistence of data sets, plus DOT and CSV exports.
 
 The document stores rationals as strings in lowest terms and the maximum
-curvature as the repr of a float; loading accepts exactly those forms.
-Emission is canonical (sorted keys, two-space indent, trailing newline), so
-saving a loaded canonical document is byte-identical.
+curvature as the repr of a float; loading accepts exactly those forms and
+no key outside the schema.  Emission is canonical (sorted keys, two-space
+indent, trailing newline), so saving a loaded canonical document is
+byte-identical.  :func:`dumps` writes that layout directly, one f-string per
+entry with strings escaped by ``json``'s own C escaper.  Its text is what
+``json.dumps`` writes with sorted keys and a two-space indent, plus a
+newline; the tests keep that call as the oracle, since any indent sends
+``json`` through its pure-Python encoder.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .angulation import BLACK, WHITE, MixedAngulation
 from .dataset import DataSet
@@ -18,7 +24,7 @@ from .errors import HcmuError, ParseError, ValidationError
 
 SCHEMA_VERSION = 1
 
-# The only rationals a document may hold: what format_fraction writes, up to
+# The only rationals a document may hold: what str(Fraction) writes, up to
 # a length that keeps parsing cheap (Fraction would expand "1e-400000000").
 # The pattern rules out leading zeros, "-0" and a zero denominator; lowest
 # terms and a denominator other than 1 are checked on the integers.
@@ -26,12 +32,8 @@ RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 MAX_RATIONAL_CHARS = 256
 
 
-def format_fraction(x) -> str:
-    return str(Fraction(x))
-
-
 def parse_fraction(text, pointer="") -> Fraction:
-    """The rational ``text``, which must be exactly as format_fraction writes it."""
+    """The rational ``text``, which must be exactly as str(Fraction) writes it."""
     match = RATIONAL.fullmatch(text) if type(text) is str and len(text) <= MAX_RATIONAL_CHARS else None
     if match is None:
         raise ParseError(f"not a rational p or p/q in lowest terms: {text!r:.80}", pointer)
@@ -61,12 +63,12 @@ def face_key_token(ma: MixedAngulation, face_index: int) -> str:
 
 
 def save(ds: DataSet) -> dict:
-    """Canonical JSON document of a data set."""
+    """Canonical JSON document of a data set; its rationals are Fractions, so str formats them."""
     ma = ds.angulation
     return {
         "version": SCHEMA_VERSION,
         "k0": repr(ds.k0),
-        "ratio": format_fraction(ds.ratio),
+        "ratio": str(ds.ratio),
         "vertices": [
             {"id": v, "color": ma.colors[v]} for v in range(ma.num_vertices)
         ],
@@ -75,7 +77,7 @@ def save(ds: DataSet) -> dict:
                 "id": a,
                 "black": ma.arcs[a][0],
                 "white": ma.arcs[a][1],
-                "weight": format_fraction(ds.weights[a]),
+                "weight": str(ds.weights[a]),
             }
             for a in range(ma.num_arcs)
         ],
@@ -84,14 +86,53 @@ def save(ds: DataSet) -> dict:
             for v in range(ma.num_vertices)
         },
         "face_levels": {
-            face_key_token(ma, f): format_fraction(ds.face_levels[f])
+            face_key_token(ma, f): str(ds.face_levels[f])
             for f in range(ma.num_faces)
         },
     }
 
 
+def _block(entries, brackets, indent):
+    """JSON array or object text of formatted ``entries``, ``indent`` spaces in."""
+    if not entries:
+        return brackets
+    inner = " " * indent
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(entries) + f"\n{inner[2:]}{brackets[1]}"
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical text of ``doc``, a document as :func:`save` returns it.
+
+    Keys come in ``sort_keys`` order: the fixed members of the document and
+    of its entries as written below, rotation and face-level keys sorted as
+    strings (``"10"`` before ``"2"``).
+    """
+    vertices = [
+        f'{{\n      "color": {_string(v["color"])},\n      "id": {v["id"]:d}\n    }}'
+        for v in doc["vertices"]
+    ]
+    arcs = [
+        f'{{\n      "black": {a["black"]:d},\n      "id": {a["id"]:d},\n'
+        f'      "weight": {_string(a["weight"])},\n      "white": {a["white"]:d}\n    }}'
+        for a in doc["arcs"]
+    ]
+    rotations = [
+        f"{_string(key)}: {_block(list(map(_string, row)), '[]', 6)}"
+        for key, row in sorted(doc["rotations"].items())
+    ]
+    levels = [
+        f"{_string(key)}: {_string(text)}"
+        for key, text in sorted(doc["face_levels"].items())
+    ]
+    return (
+        f'{{\n  "arcs": {_block(arcs, "[]", 4)},\n'
+        f'  "face_levels": {_block(levels, "{}", 4)},\n'
+        f'  "k0": {_string(doc["k0"])},\n'
+        f'  "ratio": {_string(doc["ratio"])},\n'
+        f'  "rotations": {_block(rotations, "{}", 4)},\n'
+        f'  "version": {doc["version"]:d},\n'
+        f'  "vertices": {_block(vertices, "[]", 4)}\n}}\n'
+    )
 
 
 _JSON_NAMES = {list: "array", dict: "object", str: "string"}
@@ -116,13 +157,37 @@ def _index(value, size, what, pointer):
     return value
 
 
+def _known_keys(obj, keys):
+    """Refuses a key of the JSON object ``obj`` outside ``keys``."""
+    if not keys.issuperset(obj):
+        key = next(k for k in obj if k not in keys)
+        token = key.replace("~", "~0").replace("/", "~1")  # RFC 6901
+        raise ParseError(f"unknown key {key!r:.80}", f"/{token}")
+
+
+def _within(exc, prefix):
+    """``exc``, raised with a pointer relative to an entry, at ``prefix``."""
+    return ParseError(exc.message, prefix + exc.pointer)
+
+
+DOCUMENT_KEYS = frozenset({"version", "k0", "ratio", "vertices", "arcs", "rotations", "face_levels"})
+VERTEX_KEYS = frozenset({"id", "color"})
+ARC_KEYS = frozenset({"id", "black", "white", "weight"})
+
+
 def load_document(doc: dict) -> DataSet:
-    """Validated data set from a parsed JSON document."""
+    """Validated data set from a parsed JSON document.
+
+    Every object may hold only its schema's keys.  Inside an entry, checks
+    raise with pointers relative to the entry, and the entry's own pointer
+    is formatted only when one of them refuses it.
+    """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
     version = _require(doc, "version", "/version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported version {version!r}", "/version")
+    _known_keys(doc, DOCUMENT_KEYS)
     text = _require(doc, "k0", "/k0", str)
     try:
         # the repr of a float has at most 24 characters
@@ -136,41 +201,52 @@ def load_document(doc: dict) -> DataSet:
     vertices = _require(doc, "vertices", "/vertices", list)
     colors = [None] * len(vertices)
     for i, item in enumerate(vertices):
-        ptr = f"/vertices/{i}"
-        vid = _index(_require(item, "id", ptr), len(vertices), "vertex id", ptr)
-        color = _require(item, "color", ptr)
-        if colors[vid] is not None:
-            raise ParseError(f"duplicate vertex id {vid}", ptr)
-        if color not in (BLACK, WHITE):
-            raise ParseError(f"unknown color {color!r}", ptr)
+        try:
+            vid = _index(_require(item, "id", ""), len(vertices), "vertex id", "")
+            color = _require(item, "color", "")
+            if colors[vid] is not None:
+                raise ParseError(f"duplicate vertex id {vid}")
+            if color not in (BLACK, WHITE):
+                raise ParseError(f"unknown color {color!r}")
+            _known_keys(item, VERTEX_KEYS)
+        except ParseError as exc:
+            raise _within(exc, f"/vertices/{i}") from None
         colors[vid] = color
 
     arc_items = _require(doc, "arcs", "/arcs", list)
     arcs = [None] * len(arc_items)
     weights = [None] * len(arc_items)
     for i, item in enumerate(arc_items):
-        ptr = f"/arcs/{i}"
-        aid = _index(_require(item, "id", ptr), len(arc_items), "arc id", ptr)
-        if arcs[aid] is not None:
-            raise ParseError(f"duplicate arc id {aid}", ptr)
-        arcs[aid] = (
-            _index(_require(item, "black", ptr), len(vertices), "black end", f"{ptr}/black"),
-            _index(_require(item, "white", ptr), len(vertices), "white end", f"{ptr}/white"),
-        )
-        weights[aid] = parse_fraction(_require(item, "weight", ptr), f"{ptr}/weight")
+        try:
+            aid = _index(_require(item, "id", ""), len(arc_items), "arc id", "")
+            if arcs[aid] is not None:
+                raise ParseError(f"duplicate arc id {aid}")
+            arcs[aid] = (
+                _index(_require(item, "black", ""), len(vertices), "black end", "/black"),
+                _index(_require(item, "white", ""), len(vertices), "white end", "/white"),
+            )
+            weights[aid] = parse_fraction(_require(item, "weight", ""), "/weight")
+            _known_keys(item, ARC_KEYS)
+        except ParseError as exc:
+            raise _within(exc, f"/arcs/{i}") from None
 
     rotations = [None] * len(vertices)
     rot_doc = _require(doc, "rotations", "/rotations", dict)
     for key, row in rot_doc.items():
-        ptr = f"/rotations/{key}"
         if not key.isascii() or not key.isdigit():
-            raise ParseError(f"rotation key {key!r} is not a vertex id", ptr)
+            raise ParseError(f"rotation key {key!r} is not a vertex id", f"/rotations/{key}")
         v = int(key)
         if not (0 <= v < len(vertices)) or rotations[v] is not None:
-            raise ParseError(f"bad or duplicate rotation key {key}", ptr)
+            raise ParseError(f"bad or duplicate rotation key {key}", f"/rotations/{key}")
         if not isinstance(row, list):
-            raise ParseError("rotation row must be a JSON array", ptr)
-        rotations[v] = [parse_dart(tok, f"{ptr}/{i}") for i, tok in enumerate(row)]
+            raise ParseError("rotation row must be a JSON array", f"/rotations/{key}")
+        darts = []
+        try:
+            for token in row:
+                darts.append(parse_dart(token))
+        except ParseError as exc:
+            raise _within(exc, f"/rotations/{key}/{len(darts)}") from None
+        rotations[v] = darts
     if any(r is None for r in rotations):
         raise ParseError("missing rotation rows", "/rotations")
 
@@ -183,10 +259,12 @@ def load_document(doc: dict) -> DataSet:
     keys = {face_key_token(ma, f): f for f in range(ma.num_faces)}
     levels = [None] * ma.num_faces
     for key, text in level_doc.items():
-        ptr = f"/face_levels/{key}"
         if key not in keys:
-            raise ValidationError(f"{key!r} is not a face of this angulation", ptr)
-        levels[keys[key]] = parse_fraction(text, ptr)
+            raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{key}")
+        try:
+            levels[keys[key]] = parse_fraction(text)
+        except ParseError as exc:
+            raise _within(exc, f"/face_levels/{key}") from None
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 
@@ -226,7 +304,7 @@ def export_dot(ds: DataSet) -> str:
             style = "shape=circle, style=filled, fillcolor=white"
         lines.append(f'  v{v} [{style}, label="{v}"];')
     for a, (b, w) in enumerate(ma.arcs):
-        lines.append(f'  v{b} -- v{w} [label="{format_fraction(ds.weights[a])}"];')
+        lines.append(f'  v{b} -- v{w} [label="{ds.weights[a]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction as F
 
@@ -168,7 +169,7 @@ def test_usage_error_exit_two(capsys, tmp_path):
     doc = ser.save(ser.load(FIXTURES / "calabi.json"))
     doc["arcs"][0]["weight"] = "0"
     bad = tmp_path / "bad.json"
-    bad.write_text(ser.dumps(doc))
+    bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert err.startswith("error: /BadWeight: ")
@@ -197,7 +198,7 @@ def test_hostile_document_exit_two(capsys, tmp_path, path, value):
         target = target[key]
     target[path[-1]] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(ser.dumps(doc))
+    bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert out == "" and err.startswith("error: /")
@@ -280,7 +281,17 @@ def test_non_canonical_argument_exit_two(capsys, tmp_path):
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
         assert err == f"error: {flag}: not an integer: {text!r}\n"
+    # --k0 takes decimal ASCII numbers: float() would read 1_0 as 10, ' 2'
+    # and the full-width digit two as 2, and 0x1p1 is a hexadecimal float
+    for text in ("1_0", " 2", "\uff12", "0x1p1"):
+        code, stdout, err = run(capsys, "profile", "--k0", text, "--ratio", "1/2", "--samples", "16", "-o", out)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: --k0: ")
     assert not (tmp_path / "out").exists()
+    for text in ("2", "1.7"):
+        code, stdout, _ = run(capsys, "profile", "--k0", text, "--ratio", "1/2", "--samples", "16")
+        assert code == 0
+        assert stdout.splitlines()[1] == f"0.0,0.0,{float(text)!r},0.0"
 
 
 @pytest.mark.parametrize(
@@ -307,3 +318,13 @@ def test_negative_genus_exit_two(capsys, tmp_path, argv):
     genus = argv[argv.index("--genus") + 1]
     assert err == f"error: genus {genus} is negative\n"
     assert not (tmp_path / "out.json").exists()
+
+
+def test_unknown_key_exit_two(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    doc["extra"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: /extra: unknown key 'extra'\n"

@@ -144,3 +144,48 @@ def test_dataset_computes_its_canonical_form_at_most_once(monkeypatch):
         assert hash(x) == hash(x) == hash(copy)
     assert len(calls) == 2
     assert {id(m) for m in calls} == {id(ds.angulation), id(ma)}
+
+
+def vertex_angle_corpus():
+    """Builder outputs, the R = 0 cusp surface and deformed surfaces."""
+    from test_deformation_stress import deformed_walk
+
+    corpus = [
+        make_calabi(),
+        make_two_level(),
+        build_surface(0, [3] * 11, range(1, 12)),
+        build_surface(1, [3, 2, F(1, 2), F(1, 3)], {1, 2}),
+        build_surface(1, [4, 0, 0], {1}),
+        build_one_cone(2, 7, 3),
+    ]
+    for seed in range(5):
+        corpus += deformed_walk(seed)
+    return corpus
+
+
+def per_vertex_angles(ds):
+    return [ds.vertex_angle(v) for v in range(ds.angulation.num_vertices)]
+
+
+def test_vertex_angles_match_the_per_vertex_sums():
+    corpus = vertex_angle_corpus()
+    for ds in corpus:
+        assert ds.vertex_angles() == per_vertex_angles(ds)
+    assert any(ds.ratio == 0 for ds in corpus)
+    # several surfaces whose weights mix three or more denominators
+    assert sum(len({w.denominator for w in ds.weights}) >= 3 for ds in corpus) >= 3
+
+
+def test_census_and_prescription_do_not_depend_on_the_angle_pass(monkeypatch):
+    corpus = vertex_angle_corpus()
+
+    def summary():
+        out = []
+        for ds in corpus:
+            g, alpha, Z = realized_prescription(ds)
+            out.append((census(ds), g, alpha.entries, Z))
+        return out
+
+    fast = summary()
+    monkeypatch.setattr(DataSet, "vertex_angles", per_vertex_angles)
+    assert summary() == fast

@@ -28,6 +28,38 @@ def random_dataset(rng):
     return DataSet(ma, 1.0, F(1, 2), [F(1)] * ma.num_arcs, levels)
 
 
+def deformed_walk(seed, steps=6):
+    """A random surface and what alternating twists and splits make of it.
+
+    Split offsets, new levels and twist shifts have unrelated denominators,
+    so the later surfaces mix weight denominators.
+    """
+    rng = random.Random(seed)
+    ds = random_dataset(rng)
+    walk = [ds]
+    for step in range(steps):
+        ma = ds.angulation
+        angles = ds.vertex_angles()
+        splittable = [
+            v for v in range(ma.num_vertices)
+            if ma.colors[v] == BLACK and angles[v].denominator == 1 and angles[v] >= 2
+        ]
+        if step % 2 and splittable:
+            ds = split(ds, rng.choice(splittable), F(rng.randint(1, 10), 11), F(rng.randint(1, 28), 29))
+        else:
+            c = F(rng.randint(1, 36), 37)
+            if c in ds.face_levels:
+                continue
+            circles = circles_at_level(ds, c)
+            i = rng.randrange(len(circles))
+            out = twist(ds, c, i, circles[i].circumference * F(rng.randint(1, 12), 13))
+            if not out.is_generic:
+                continue
+            ds = out.dataset
+        walk.append(ds)
+    return walk
+
+
 def test_twist_stress():
     rng = random.Random(2718)
     generic = non_generic = 0

@@ -10,10 +10,16 @@ from conftest import FIXTURES, make_calabi, make_two_level
 from hcmu import serialization as ser
 from hcmu.builders import build_one_cone, build_surface
 from hcmu.dataset import census
+from hcmu.deformations import split, twist
 from hcmu.errors import ParseError, ValidationError
 from hcmu.geometry import solve_profile
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def oracle(doc):
+    """The canonical text as json writes it, which ser.dumps must match."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_fixture_files_load_and_roundtrip():
@@ -217,5 +223,74 @@ def test_mutated_document_round_trips_or_is_refused(name, leaf, value):
     except (ParseError, ValidationError):
         pass
     else:
-        assert ser.dumps(ser.save(ds)) == ser.dumps(doc)
+        assert ser.dumps(ser.save(ds)) == oracle(doc)
     assert time.perf_counter() - start < 1.0
+
+
+# -- the emitter against json, and unknown keys ----------------------------------
+
+
+def emitter_corpus():
+    from test_deformation_stress import deformed_walk
+
+    surfaces = [ser.load(FIXTURES / "calabi.json"), ser.load(FIXTURES / "two_level.json")]
+    surfaces += [
+        build_surface(0, [2, 3], {1}),
+        build_surface(1, [4, 0, 0], {1}),
+        build_surface(0, [3] * 11, range(1, 12)),
+        build_surface(1, [3, 2, F(1, 2), F(1, 3)], {1, 2}),
+        build_one_cone(0, 301, 17),
+    ]
+    surfaces.append(twist(surfaces[1], F(1, 2), 0, F(1, 5)).dataset)
+    base = surfaces[2]
+    vertex = next(v for v, a in enumerate(base.vertex_angles()) if a == 3)
+    surfaces.append(split(base, vertex, F(1, 3), F(3, 4)))
+    surfaces += deformed_walk(1) + deformed_walk(4)
+    return [ser.save(ds) for ds in surfaces]
+
+
+def test_dumps_matches_the_json_oracle():
+    docs = emitter_corpus()
+    for name in ("calabi", "two_level"):
+        docs.append(json.loads((FIXTURES / f"{name}.json").read_text()))
+    for doc in docs:
+        assert ser.dumps(doc) == oracle(doc)
+    # string order of the keys differs from numeric order from 10 on
+    assert any(len(doc["vertices"]) >= 11 and len(doc["arcs"]) >= 11 for doc in docs)
+    assert any(len(doc["face_levels"]) >= 11 for doc in docs)
+
+
+def test_dumps_never_enters_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    doc = ser.save(make_two_level())
+    with pytest.raises(AssertionError, match="pure-Python"):
+        oracle(doc)
+    for doc in emitter_corpus():
+        ser.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path, pointer",
+    [
+        ([], "/extra"),
+        (["vertices", 3], "/vertices/3/extra"),
+        (["arcs", 1], "/arcs/1/extra"),
+    ],
+    ids=["document", "vertex", "arc"],
+)
+def test_unknown_key_is_refused(path, pointer):
+    # saving drops such a key, so the document would not round-trip
+    for key, value in [("extra", 1), ("extra", {"nested": []})]:
+        doc = json.loads((FIXTURES / "calabi.json").read_text())
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = value
+        err = refused(doc, pointer)
+        assert err.message == "unknown key 'extra'"
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    doc["arcs"][1]["a/b~"] = "1"
+    refused(doc, "/arcs/1/a~1b~0")
