@@ -9,17 +9,7 @@ balance-equation solving, metric profiles, twist/split deformations, and
 moduli dimension counts.
 """
 
-from .angulation import (
-    BLACK,
-    WHITE,
-    Arc,
-    MapBuilder,
-    MixedAngulation,
-    Vertex,
-    build_angulation,
-    faces,
-    genus,
-)
+from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from .balance import (
     SolutionSpace,
     balance_rank,
@@ -53,7 +43,6 @@ from .dataset import (
     ExtremalCensus,
     census,
     cone_points,
-    make_dataset,
     realized_angle_vector,
     realized_prescription,
     validate_dataset,

@@ -18,7 +18,6 @@ early stop against the best so far.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     Disconnected,
@@ -37,19 +36,6 @@ Dart = tuple[int, str]
 def opposite(dart: Dart) -> Dart:
     arc, end = dart
     return (arc, "w" if end == "b" else "b")
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    color: str
-
-
-@dataclass(frozen=True)
-class Arc:
-    id: int
-    black: int
-    white: int
 
 
 class MixedAngulation:
@@ -96,10 +82,10 @@ class MixedAngulation:
 
         self.colors = colors
         self.arcs = arcs
-        # faces sorted by canonical key = minimal dart on the walk
-        keyed = sorted((min(walk), walk) for walk in faces)
-        self.face_keys = tuple(k for k, _ in keyed)
-        self.faces = tuple(w for _, w in keyed)
+        # each walk starts at its minimal dart, the face's canonical key, and
+        # the walks come in key order (see _face_orbits)
+        self.faces = tuple(faces)
+        self.face_keys = tuple(walk[0] for walk in faces)
         self.face_of_dart = {
             d: i for i, walk in enumerate(self.faces) for d in walk
         }
@@ -150,19 +136,6 @@ class MixedAngulation:
 
     def rotation_prev(self, dart: Dart) -> Dart:
         return self.sigma_inv[dart]
-
-    def face_items(self):
-        """(canonical key, degree, boundary walk) per face, key-sorted."""
-        return [
-            (self.face_keys[i], len(self.faces[i]), self.faces[i])
-            for i in range(len(self.faces))
-        ]
-
-    def vertices(self):
-        return [Vertex(i, c) for i, c in enumerate(self.colors)]
-
-    def arc_items(self):
-        return [Arc(i, b, w) for i, (b, w) in enumerate(self.arcs)]
 
     # -- equivalence ---------------------------------------------------------
 
@@ -239,27 +212,6 @@ class MixedAngulation:
         return self.canonical_form() == other.canonical_form()
 
 
-def build_angulation(vertices, arcs, rotations) -> MixedAngulation:
-    """Validate raw components and return the angulation.
-
-    ``vertices`` is a sequence of colors (or ``Vertex``), ``arcs`` a sequence
-    of (black id, white id) pairs, ``rotations`` the per-vertex CCW dart
-    cycles.
-    """
-    colors = [v.color if isinstance(v, Vertex) else v for v in vertices]
-    pairs = [(a.black, a.white) if isinstance(a, Arc) else tuple(a) for a in arcs]
-    return MixedAngulation(colors, pairs, rotations)
-
-
-def faces(ma: MixedAngulation):
-    """(face key, degree, boundary walk) triples; see ``face_items``."""
-    return ma.face_items()
-
-
-def genus(ma: MixedAngulation) -> int:
-    return ma.genus
-
-
 # -- internals ---------------------------------------------------------------
 
 
@@ -325,14 +277,11 @@ def _rotation_maps(rotations):
     return sigma, sigma_inv
 
 
-def trace_faces(arcs, rotations):
-    """Orbits of sigma^-1 o alpha over all darts."""
-    return _face_orbits(len(arcs), _rotation_maps(rotations)[1])
-
-
 def _face_orbits(num_arcs, sigma_inv):
     """Face walks d -> sigma^-1(opposite(d)), each from its first unvisited
-    dart in (arc, end) order."""
+    dart in (arc, end) order.  A walk's other darts were all unvisited when
+    it started, so each walk starts at its least dart, and the walks come in
+    the order of those darts."""
     walks = []
     visited = set()
     for a in range(num_arcs):
@@ -381,17 +330,24 @@ class MapBuilder:
         return self.arcs[arc][0] if end == "b" else self.arcs[arc][1]
 
     def trace(self):
-        return trace_faces(self.arcs, self.rot)
+        """Every face walk, as :class:`MixedAngulation` traces them."""
+        return _face_orbits(len(self.arcs), _rotation_maps(self.rot)[1])
 
     def face_walk_of_dart(self, dart: Dart):
-        """Boundary walk of the face on the left of ``dart``, from ``dart``."""
-        sigma_inv = _rotation_maps(self.rot)[1]
-        walk = [dart]
-        d = sigma_inv[opposite(dart)]
-        while d != dart:
+        """Boundary walk of the face on the left of ``dart``, from ``dart``.
+
+        sigma^-1 of a dart is the entry before it in its vertex's rotation
+        list, so the walk reads only the rotations of the vertices it visits.
+        """
+        walk = []
+        d = dart
+        while True:
             walk.append(d)
-            d = sigma_inv[opposite(d)]
-        return tuple(walk)
+            d = opposite(d)
+            rot = self.rot[self.vertex_of_dart(d)]
+            d = rot[rot.index(d) - 1]
+            if d == dart:
+                return tuple(walk)
 
     def _insert_before(self, v: int, anchor: Dart, new: Dart):
         self.rot[v].insert(self.rot[v].index(anchor), new)

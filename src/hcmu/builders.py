@@ -498,16 +498,10 @@ def _one_cone_genus_stars(g, p, q, k0, level):
     u = xs[0][k - 1]
     v = ys[0]
     for step in range(1, 2 * g):
-        faces = builder.trace()
-        face_of = {d: i for i, wk in enumerate(faces) for d in wk}
-        corner_u = builder.rot[u][-1]  # gap after the newest arc at u
-        fu = face_of[corner_u]
+        # the face at the gap after the newest arc at u
+        face_u = set(builder.face_walk_of_dart(builder.rot[u][-1]))
         want_merge = step % 2 == 1
-        anchor = None
-        for d in builder.rot[v]:
-            if (face_of[d] != fu) == want_merge:
-                anchor = d
-                break
+        anchor = next((d for d in builder.rot[v] if (d not in face_u) == want_merge), None)
         assert anchor is not None
         a = new_arc(u, v, Fraction(1, 2 * g - 1))
         builder.rot[u].append((a, "b"))

@@ -28,8 +28,7 @@ def _to_fraction(x) -> Fraction:
 def _check_genus(g) -> None:
     """Refuse a negative genus before any formula uses it.  Every
     prescription reaches this check: through ``invariants_m_a`` (existence,
-    ratios, dimensions, builders), the football branch of
-    ``check_existence``, or ``one_cone_admissible``."""
+    ratios, dimensions, builders) or ``one_cone_admissible``."""
     if g < 0:
         raise BadGenus(f"genus {g} is negative")
 
@@ -133,13 +132,11 @@ def invariants_m_a(g: int, alpha, Z) -> tuple:
     for i in Z:
         if not (1 <= i <= alpha.k):
             raise BadTypePartition(f"saddle index {i} outside 1..k")
-    n = alpha.n
-    s = sum(alpha[i - 1] for i in Z)
-    m = s - (2 * g - 2 + n)
-    a = sum(alpha[i - 1] - 1 for i in Z) - (2 * g - 2)
-    b = s
-    assert b == n + m + (2 * g - 2)
-    return (m, a, b)
+    # Z indexes integer entries only, so the saddle angles sum as ints
+    s = sum(alpha[i - 1].numerator for i in Z)
+    m = s - (2 * g - 2 + alpha.n)
+    a = s - len(Z) - (2 * g - 2)
+    return (m, a, s)
 
 
 @dataclass(frozen=True)
@@ -167,12 +164,8 @@ def _case_a(a, m, alpha: AngleVector, Z) -> ExistenceResult:
     return EMPTY
 
 
-def check_refined(g: int, alpha, Z) -> ExistenceResult:
-    """Does some type partition with the given saddle set Z realize alpha?"""
-    alpha = as_angle_vector(alpha)
-    Z = frozenset(Z)
-    if not Z:
-        raise BadTypePartition("Z must be nonempty; footballs have no saddle")
+def _decide(g: int, alpha: AngleVector, Z: frozenset) -> ExistenceResult:
+    """Case B with cusps, case A without, on the invariants of Z."""
     m, a, _ = invariants_m_a(g, alpha, Z)
     q = alpha.q_zeros
     if q > 0:
@@ -182,27 +175,26 @@ def check_refined(g: int, alpha, Z) -> ExistenceResult:
     return _case_a(a, m, alpha, Z)
 
 
+def check_refined(g: int, alpha, Z) -> ExistenceResult:
+    """Does some type partition with the given saddle set Z realize alpha?"""
+    alpha = as_angle_vector(alpha)
+    Z = frozenset(Z)
+    if not Z:
+        raise BadTypePartition("Z must be nonempty; footballs have no saddle")
+    return _decide(g, alpha, Z)
+
+
 def check_existence(g: int, alpha) -> ExistenceResult:
     """Nonemptiness of the moduli space for genus g and angle vector alpha.
 
     With k > 0 integer entries this is the refined test with every integer
-    entry a saddle; only the football strata (k = 0) are decided here.
+    entry a saddle.  With k = 0 (the football strata) the same decision runs
+    with no saddle, which forces g = 0 and n <= 2.
     """
     alpha = as_angle_vector(alpha)
     if alpha.k > 0:
         return check_refined(g, alpha, range(1, alpha.k + 1))
-    _check_genus(g)
-    # no possible saddle: only footballs, forcing g = 0 and n <= 2
-    m0 = -(2 * g - 2 + alpha.n)
-    a0 = 2 - 2 * g
-    q = alpha.q_zeros
-    if q > 0:
-        ok = a0 >= q + 1 and m0 >= 0
-    else:
-        ok = (a0 == 2 and m0 == 1) or (
-            a0 == 2 and m0 == 0 and alpha[-2] != alpha[-1]
-        )
-    return ExistenceResult(True, "football") if ok else EMPTY
+    return ExistenceResult(True, "football") if _decide(g, alpha, frozenset()) else EMPTY
 
 
 def enumerate_ratios(g: int, alpha, partition: TypePartition):
@@ -223,7 +215,7 @@ def enumerate_ratios(g: int, alpha, partition: TypePartition):
     a_minus = sum(alpha[i - 1] for i in partition.Pminus)
     out = []
     upper = a_minus + m
-    lower = (a_minus + m - a_plus) / 2
+    lower = Fraction(a_minus + m - a_plus, 2)
     mp = 0
     while mp <= m:
         if lower < mp < upper:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .angulation import BLACK, MixedAngulation
-from .constraints import AngleVector, TypePartition
+from .constraints import AngleVector
 from .errors import CensusInconsistent, ValidationError
 
 
@@ -114,10 +113,6 @@ class DataSet:
         )
 
 
-def make_dataset(angulation, k0, ratio, weights, face_levels) -> DataSet:
-    return DataSet(angulation, k0, ratio, weights, face_levels)
-
-
 def validate_dataset(ds) -> list:
     """All invariant violations, as a report (never raises)."""
     issues = []
@@ -183,16 +178,8 @@ class ExtremalCensus:
         return (self.p, self.q, self.m_plus, self.m_minus, self.a, self.b)
 
 
-def census(
-    ds: DataSet,
-    partition: Optional[TypePartition] = None,
-    alpha: Optional[AngleVector] = None,
-) -> ExtremalCensus:
-    """Counts of extremal points, checked against the index identities.
-
-    With a prescribed ``partition`` (roles over ``alpha``), additionally
-    verifies that the surface realizes exactly those roles.
-    """
+def census(ds: DataSet) -> ExtremalCensus:
+    """Counts of extremal points, checked against the index identities."""
     ma = ds.angulation
     pts = cone_points(ds)
     maxima = [c for c in pts if c.kind == "maximum"]
@@ -220,23 +207,6 @@ def census(
         raise CensusInconsistent(f"index sum {total} != {2 - 2 * ma.genus}")
     if cs.b != saddle_angle:
         raise CensusInconsistent("arc count differs from total saddle angle")
-    if partition is not None:
-        if alpha is None:
-            _, alpha, _ = realized_prescription(ds)
-        by_kind = {"saddle": [], "maximum": [], "minimum": []}
-        for kind, ang in realized_angle_vector(ds):
-            by_kind[kind].append(ang)
-        want = {
-            "saddle": sorted(alpha[i - 1] for i in partition.Z),
-            "maximum": sorted(alpha[i - 1] for i in partition.Pplus),
-            "minimum": sorted(alpha[i - 1] for i in partition.Pminus),
-        }
-        for kind in want:
-            # prescribed angle-1 entries never occur, smooth points are free
-            if sorted(by_kind[kind]) != want[kind]:
-                raise CensusInconsistent(
-                    f"{kind} angles {by_kind[kind]} != prescribed {want[kind]}"
-                )
     return cs
 
 

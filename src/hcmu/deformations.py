@@ -99,14 +99,79 @@ def _cut_data(ds: DataSet, circle: LevelCircle):
     return cuts
 
 
-def twist_is_trivial(ds: DataSet, c, circle_index: int) -> bool:
-    """True iff one side of the circle is a saddle-free disk, making every
-    twist along it an isometry."""
+def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
     circles = circles_at_level(ds, c)
     if not (0 <= circle_index < len(circles)):
         raise BadCircleIndex(f"index {circle_index} of {len(circles)} circles")
-    kinds = {cut["kind"] for cut in _cut_data(ds, circles[circle_index])}
+    return circles[circle_index]
+
+
+def twist_is_trivial(ds: DataSet, c, circle_index: int) -> bool:
+    """True iff one side of the circle is a saddle-free disk, making every
+    twist along it an isometry."""
+    kinds = {cut["kind"] for cut in _cut_data(ds, _circle(ds, c, circle_index))}
     return len(kinds) == 1
+
+
+# -- rebuilding after a surgery ------------------------------------------------
+
+NEW_FACE = -1  # claim of a face that the surgery creates
+
+
+def _kept(ds: DataSet, dropped, vmap=None):
+    """The arcs a surgery keeps: every arc not in ``dropped``, renumbered in
+    order, with its ends renumbered by ``vmap`` when one is given.
+
+    Returns the old-to-new arc map, the kept arcs, their weights, and the
+    claims of their darts: each one borders the same old face as before.
+    """
+    ma = ds.angulation
+    arc_map = {}
+    arcs = []
+    weights = []
+    claims = {}
+    for a, (b, w) in enumerate(ma.arcs):
+        if a in dropped:
+            continue
+        na = len(arcs)
+        arc_map[a] = na
+        arcs.append((b, w) if vmap is None else (vmap[b], vmap[w]))
+        weights.append(ds.weights[a])
+        claims[(na, "b")] = ma.face_left(a)
+        claims[(na, "w")] = ma.face_right(a)
+    return arc_map, arcs, weights, claims
+
+
+def _rebuild(ds: DataSet, colors, arcs, weights, rotations, claims, new_level=None) -> DataSet:
+    """The data set that a surgery on ``ds`` produces.
+
+    ``claims`` maps darts of the new map to the old face each one borders,
+    or to ``NEW_FACE``.  The claims must agree on every new face, and each
+    old face must be claimed by exactly one new face, of the same degree,
+    which keeps its level; new faces get ``new_level``.
+    """
+    ma = ds.angulation
+    new_ma = MixedAngulation(colors, arcs, rotations)
+    old_of = {}
+    for dart, of in claims.items():
+        if old_of.setdefault(new_ma.face_of_dart[dart], of) != of:
+            raise AssertionFailure("inconsistent face claims after a surgery")
+    if len(old_of) != new_ma.num_faces or sorted(
+        of for of in old_of.values() if of != NEW_FACE
+    ) != list(range(ma.num_faces)):
+        raise AssertionFailure("faces were not matched bijectively after a surgery")
+    levels = []
+    for nf in range(new_ma.num_faces):
+        of = old_of[nf]
+        if of == NEW_FACE:
+            levels.append(new_level)
+        elif new_ma.face_degree(nf) != ma.face_degree(of):
+            raise AssertionFailure("a surgery changed a saddle angle")
+        else:
+            levels.append(ds.face_levels[of])
+    out = DataSet(new_ma, ds.k0, ds.ratio, weights, levels)
+    assert new_ma.genus == ma.genus
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,11 +193,7 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     side, the result has a saddle-saddle meridian and is reported instead of
     returned.
     """
-    circles = circles_at_level(ds, c)
-    if not (0 <= circle_index < len(circles)):
-        raise BadCircleIndex(f"index {circle_index} of {len(circles)} circles")
-    circle = circles[circle_index]
-    c = circle.level
+    circle = _circle(ds, c, circle_index)
     ma = ds.angulation
     members = list(circle.members)
     k = len(members)
@@ -186,19 +247,13 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
 
     # -- assemble the new angulation ----------------------------------------
     member_set = set(members)
-    arc_map = {}
-    new_arcs = []
-    new_weights = []
-    for a in range(ma.num_arcs):
-        if a not in member_set:
-            arc_map[a] = len(new_arcs)
-            new_arcs.append(ma.arcs[a])
-            new_weights.append(ds.weights[a])
-    strip_arc = []
-    for st in strips:
-        strip_arc.append(len(new_arcs))
+    arc_map, new_arcs, new_weights, claims = _kept(ds, member_set)
+    base = len(new_arcs)  # strip t becomes arc base + t
+    for t, st in enumerate(strips):
         new_arcs.append((st["top"], st["bottom"]))
         new_weights.append(st["width"])
+        claims[(base + t, "b")] = st["right_gate"]
+        claims[(base + t, "w")] = st["left_gate"]
 
     line_of_cut = {ln["cut"]: t for t, ln in enumerate(lines)}
 
@@ -240,62 +295,28 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
 
     # strips enter the rotations as ("s", t) markers so their ids cannot
     # collide with old arc ids before the final renumbering
-    for i, j, run in runs("black"):
-        x = ma.arcs[run[0]][0]
-        assert all(ma.arcs[a][0] == x for a in run)
-        ts = list(range(k)) if i is None else run_strips(i, j)
-        splice(x, [(a, "b") for a in run], [(("s", t), "b") for t in ts])
-    for i, j, run in runs("white"):
-        w = ma.arcs[run[0]][1]
-        assert all(ma.arcs[a][1] == w for a in run)
-        ts = list(range(k)) if i is None else run_strips(i, j)
-        splice(
-            w,
-            [(a, "w") for a in reversed(run)],
-            [(("s", t), "w") for t in reversed(ts)],
-        )
+    for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
+        for i, j, run in runs(kind):
+            x = ma.arcs[run[0]][side]
+            assert all(ma.arcs[a][side] == x for a in run)
+            ts = list(range(k)) if i is None else run_strips(i, j)
+            if side:  # a white vertex meets the circle in reverse order
+                run, ts = run[::-1], ts[::-1]
+            splice(x, [(a, end) for a in run], [(("s", t), end) for t in ts])
 
     final_rot = []
     for v in range(ma.num_vertices):
         row = []
         for a, e in rot[v]:
             if isinstance(a, tuple):
-                row.append((strip_arc[a[1]], e))
+                row.append((base + a[1], e))
             else:
                 assert a not in member_set, "member dart survived the splice"
                 row.append((arc_map[a], e))
         final_rot.append(row)
 
-    new_ma = MixedAngulation(ma.colors, new_arcs, final_rot)
-
-    # carry face levels over by matching saddles
-    claims = {}
-
-    def claim(dart, old_face):
-        nf = new_ma.face_of_dart[dart]
-        if claims.setdefault(nf, old_face) != old_face:
-            raise AssertionFailure("inconsistent saddle claims after twist")
-
-    for a in range(ma.num_arcs):
-        if a in arc_map:
-            claim((arc_map[a], "b"), ma.face_left(a))
-            claim((arc_map[a], "w"), ma.face_right(a))
-    for t, st in enumerate(strips):
-        claim((strip_arc[t], "b"), st["right_gate"])
-        claim((strip_arc[t], "w"), st["left_gate"])
-    if sorted(claims) != list(range(new_ma.num_faces)) or sorted(
-        set(claims.values())
-    ) != list(range(ma.num_faces)):
-        raise AssertionFailure("faces were not matched bijectively after twist")
-    for nf, of in claims.items():
-        if new_ma.face_degree(nf) != ma.face_degree(of):
-            raise AssertionFailure("twist changed a saddle angle")
-    levels = [None] * new_ma.num_faces
-    for nf, of in claims.items():
-        levels[nf] = ds.face_levels[of]
-    out = DataSet(new_ma, ds.k0, ds.ratio, new_weights, levels)
+    out = _rebuild(ds, ma.colors, new_arcs, new_weights, final_rot, claims)
     assert out.total_weight() == ds.total_weight()
-    assert out.angulation.genus == ma.genus
     return TwistOutcome(out)
 
 
@@ -346,28 +367,13 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
         return int((pos / spacing - offset).__floor__()) % alpha
 
     # -- new vertex numbering: drop x, append the alpha sector vertices
-    vmap = {}
-    colors = []
-    for v in range(ma.num_vertices):
-        if v != vertex:
-            vmap[v] = len(colors)
-            colors.append(ma.colors[v])
-    q_base = len(colors)
-    colors += [color] * alpha
+    others = [v for v in range(ma.num_vertices) if v != vertex]
+    vmap = {v: i for i, v in enumerate(others)}
+    q_base = len(others)
+    colors = [ma.colors[v] for v in others] + [color] * alpha
 
-    new_arcs = []
-    new_weights = []
-    arc_map = {}  # old arc id -> new id (arcs not at the split vertex)
-    incident = {a for a, _ in rot_x}
-    for a in range(ma.num_arcs):
-        if a not in incident:
-            arc_map[a] = len(new_arcs)
-            b, w = ma.arcs[a]
-            new_arcs.append((vmap[b], vmap[w]))
-            new_weights.append(ds.weights[a])
-
-    NEW_FACE = -1
-    claims_by_dart = {}
+    position = {a: r for r, (a, _) in enumerate(rot_x)}
+    arc_map, new_arcs, new_weights, claims = _kept(ds, position, vmap)
     sub_lists = []  # per rotation entry: new arc ids in position order
     q_members = {j: [] for j in range(alpha)}
     for r, (a, _) in enumerate(rot_x):
@@ -389,64 +395,41 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
             q_members[owner].append(((a_s - cuts[0]) % total, na))
         sub_lists.append(subs)
         if not inner:
-            claims_by_dart[(subs[0], "b")] = ma.face_left(a)
-            claims_by_dart[(subs[0], "w")] = ma.face_right(a)
+            claims[(subs[0], "b")] = ma.face_left(a)
+            claims[(subs[0], "w")] = ma.face_right(a)
         else:
             for na in subs:
-                claims_by_dart[(na, "b")] = NEW_FACE
-                claims_by_dart[(na, "w")] = NEW_FACE
+                claims[(na, "b")] = NEW_FACE
+                claims[(na, "w")] = NEW_FACE
             if color == BLACK:
-                claims_by_dart[(subs[0], "w")] = ma.face_right(a)
-                claims_by_dart[(subs[-1], "b")] = ma.face_left(a)
+                claims[(subs[0], "w")] = ma.face_right(a)
+                claims[(subs[-1], "b")] = ma.face_left(a)
             else:
-                claims_by_dart[(subs[0], "b")] = ma.face_left(a)
-                claims_by_dart[(subs[-1], "w")] = ma.face_right(a)
+                claims[(subs[0], "b")] = ma.face_left(a)
+                claims[(subs[-1], "w")] = ma.face_right(a)
 
     end_here = "b" if color == BLACK else "w"
-    end_far = "w" if color == BLACK else "b"
     rot = []
     for v in range(ma.num_vertices):
         if v == vertex:
             continue
         row = []
         for a, e in ma.rotations[v]:
-            if a not in incident:
+            if a in arc_map:
                 row.append((arc_map[a], e))
             else:
-                r = next(i for i, (aa, _) in enumerate(rot_x) if aa == a)
                 # the far end of a split arc sees the sub-arcs reversed
-                row.extend((na, e) for na in reversed(sub_lists[r]))
+                row.extend((na, e) for na in reversed(sub_lists[position[a]]))
         rot.append(row)
     for j in range(alpha):
         row = [(na, end_here) for _, na in sorted(q_members[j])]
         rot.append(row)
 
-    new_ma = MixedAngulation(colors, new_arcs, rot)
-    claims = {}
-    for a in range(ma.num_arcs):
-        if a in arc_map:
-            claims_by_dart[(arc_map[a], "b")] = ma.face_left(a)
-            claims_by_dart[(arc_map[a], "w")] = ma.face_right(a)
-    for dart, of in claims_by_dart.items():
-        nf = new_ma.face_of_dart[dart]
-        if claims.setdefault(nf, of) != of:
-            raise AssertionFailure("inconsistent face claims after split")
-    new_face = [nf for nf, of in claims.items() if of == NEW_FACE]
-    if len(new_face) != 1 or new_ma.face_degree(new_face[0]) != 2 * alpha:
+    out = _rebuild(ds, colors, new_arcs, new_weights, rot, claims, new_level)
+    new_ma = out.angulation
+    new_faces = {new_ma.face_of_dart[d] for d, of in claims.items() if of == NEW_FACE}
+    if len(new_faces) != 1 or new_ma.face_degree(new_faces.pop()) != 2 * alpha:
         raise AssertionFailure("split did not produce one new 2*alpha-gon")
-    if sorted(claims) != list(range(new_ma.num_faces)):
-        raise AssertionFailure("unclaimed face after split")
-    old_claimed = sorted(of for of in claims.values() if of != NEW_FACE)
-    if old_claimed != list(range(ma.num_faces)):
-        raise AssertionFailure("an old saddle vanished during split")
-    levels = [None] * new_ma.num_faces
-    for nf, of in claims.items():
-        levels[nf] = new_level if of == NEW_FACE else ds.face_levels[of]
-    for nf, of in claims.items():
-        if of != NEW_FACE and new_ma.face_degree(nf) != ma.face_degree(of):
-            raise AssertionFailure("split changed an old saddle angle")
-    out = DataSet(new_ma, ds.k0, ds.ratio, new_weights, levels)
-    assert out.angulation.genus == ma.genus
-    assert out.angulation.num_arcs == ma.num_arcs + alpha
-    assert out.angulation.num_vertices == ma.num_vertices - 1 + alpha
+    assert new_ma.num_arcs == ma.num_arcs + alpha
+    assert new_ma.num_vertices == ma.num_vertices - 1 + alpha
     return out

@@ -30,6 +30,9 @@ SCHEMA_VERSION = 1
 # terms and a denominator other than 1 are checked on the integers.
 RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 MAX_RATIONAL_CHARS = 256
+# Vertex ids in rotation keys and arc ids in arc-end tokens: what str(int)
+# writes for a natural number.
+NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_fraction(text, pointer="") -> Fraction:
@@ -53,7 +56,7 @@ def dart_token(dart) -> str:
 
 def parse_dart(token, pointer=""):
     arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
-    if end not in ("b", "w") or not (arc.isascii() and arc.isdigit()):
+    if end not in ("b", "w") or not NATURAL.fullmatch(arc):
         raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
     return (int(arc), end)
 
@@ -157,12 +160,16 @@ def _index(value, size, what, pointer):
     return value
 
 
+def _token(key):
+    """``key`` as a JSON pointer reference token (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
 def _known_keys(obj, keys):
     """Refuses a key of the JSON object ``obj`` outside ``keys``."""
     if not keys.issuperset(obj):
         key = next(k for k in obj if k not in keys)
-        token = key.replace("~", "~0").replace("/", "~1")  # RFC 6901
-        raise ParseError(f"unknown key {key!r:.80}", f"/{token}")
+        raise ParseError(f"unknown key {key!r:.80}", f"/{_token(key)}")
 
 
 def _within(exc, prefix):
@@ -213,12 +220,12 @@ def load_document(doc: dict) -> DataSet:
             raise _within(exc, f"/vertices/{i}") from None
         colors[vid] = color
 
-    arc_items = _require(doc, "arcs", "/arcs", list)
-    arcs = [None] * len(arc_items)
-    weights = [None] * len(arc_items)
-    for i, item in enumerate(arc_items):
+    arc_entries = _require(doc, "arcs", "/arcs", list)
+    arcs = [None] * len(arc_entries)
+    weights = [None] * len(arc_entries)
+    for i, item in enumerate(arc_entries):
         try:
-            aid = _index(_require(item, "id", ""), len(arc_items), "arc id", "")
+            aid = _index(_require(item, "id", ""), len(arc_entries), "arc id", "")
             if arcs[aid] is not None:
                 raise ParseError(f"duplicate arc id {aid}")
             arcs[aid] = (
@@ -233,8 +240,8 @@ def load_document(doc: dict) -> DataSet:
     rotations = [None] * len(vertices)
     rot_doc = _require(doc, "rotations", "/rotations", dict)
     for key, row in rot_doc.items():
-        if not key.isascii() or not key.isdigit():
-            raise ParseError(f"rotation key {key!r} is not a vertex id", f"/rotations/{key}")
+        if not NATURAL.fullmatch(key):
+            raise ParseError(f"rotation key {key!r} is not a vertex id", f"/rotations/{_token(key)}")
         v = int(key)
         if not (0 <= v < len(vertices)) or rotations[v] is not None:
             raise ParseError(f"bad or duplicate rotation key {key}", f"/rotations/{key}")
@@ -260,11 +267,11 @@ def load_document(doc: dict) -> DataSet:
     levels = [None] * ma.num_faces
     for key, text in level_doc.items():
         if key not in keys:
-            raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{key}")
+            raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{_token(key)}")
         try:
             levels[keys[key]] = parse_fraction(text)
         except ParseError as exc:
-            raise _within(exc, f"/face_levels/{key}") from None
+            raise _within(exc, f"/face_levels/{_token(key)}") from None
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 

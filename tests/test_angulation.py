@@ -10,7 +10,6 @@ from hcmu.angulation import (
     WHITE,
     MapBuilder,
     MixedAngulation,
-    build_angulation,
     opposite,
 )
 from hcmu.builders import build_one_cone, build_surface, canonical_angulation
@@ -37,7 +36,7 @@ def test_calabi_faces_and_genus():
 
 def test_single_arc_rejected_as_final_angulation():
     with pytest.raises(OddFaceDegree):
-        build_angulation(
+        MixedAngulation(
             [BLACK, WHITE], [(0, 1)], [[(0, "b")], [(0, "w")]]
         )
 
@@ -113,6 +112,45 @@ def test_builder_face_walk_of_dart_is_its_traced_face_from_that_dart():
             walk = builder.face_walk_of_dart(d)
             k = traced.index(d)
             assert walk == traced[k:] + traced[:k]
+
+
+def test_faces_start_at_their_least_dart_in_key_order():
+    rng = random.Random(10)
+    maps = [random_bicolored_angulation(rng) for _ in range(40)]
+    maps += [build_surface(0, [3] * 12, range(1, 13)).angulation, build_surface(2, [7], {1}).angulation]
+    maps += [build_surface(1, [4, 0, 0], {1}).angulation, build_one_cone(0, 7, 3).angulation]
+    maps += [build_one_cone(1, 4, 3).angulation, build_one_cone(2, 6, 3).angulation]
+    for ma in maps:
+        keyed = sorted((min(walk), walk) for walk in ma.faces)
+        assert ma.face_keys == tuple(k for k, _ in keyed)
+        assert ma.faces == tuple(w for _, w in keyed)
+        assert all(walk[0] == key for key, walk in zip(ma.face_keys, ma.faces))
+
+
+def test_builder_face_walk_reads_only_the_rotation_lists(monkeypatch):
+    # sigma^-1 over the whole map must not be rebuilt for one face walk
+    import hcmu.angulation as angulation
+
+    rotation_maps = angulation._rotation_maps
+    walking = []
+
+    def guarded(rotations):
+        assert not walking, "face_walk_of_dart rebuilt sigma^-1"
+        return rotation_maps(rotations)
+
+    face_walk_of_dart = MapBuilder.face_walk_of_dart
+
+    def walk(self, dart):
+        walking.append(dart)
+        try:
+            return face_walk_of_dart(self, dart)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(angulation, "_rotation_maps", guarded)
+    monkeypatch.setattr(MapBuilder, "face_walk_of_dart", walk)
+    ds = build_surface(0, [3] * 30, range(1, 31))
+    assert ds.angulation.num_faces == 30
 
 
 def test_order_vector_compatibility_identity():

@@ -328,3 +328,22 @@ def test_unknown_key_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2 and out == ""
     assert err == "error: /extra: unknown key 'extra'\n"
+
+
+@pytest.mark.parametrize(
+    "rename, pointer",
+    [(("00", None), "/rotations/00"), ((None, "00:b"), "/rotations/0/0")],
+    ids=["rotation-key", "arc-end-token"],
+)
+def test_non_canonical_integer_exit_two(capsys, tmp_path, rename, pointer):
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    key, token = rename
+    if key is not None:
+        doc["rotations"][key] = doc["rotations"].pop("0")
+    if token is not None:
+        doc["rotations"]["0"][0] = token
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {pointer}: ")

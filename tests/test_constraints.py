@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,3 +192,42 @@ def test_negative_genus_is_refused_by_every_prescription():
     for call in calls:
         with pytest.raises(BadGenus, match="is negative"):
             call()
+
+
+def football_oracle(g, alpha):
+    """The football decision written out: no saddle, so m0 = -(2g - 2 + n)
+    and a0 = 2 - 2g, then case B with cusps and A.2 / A.3 without."""
+    alpha = AngleVector(alpha)
+    m0 = -(2 * g - 2 + alpha.n)
+    a0 = 2 - 2 * g
+    q = alpha.q_zeros
+    if q > 0:
+        return a0 >= q + 1 and m0 >= 0
+    return (a0 == 2 and m0 == 1) or (a0 == 2 and m0 == 0 and alpha[-2] != alpha[-1])
+
+
+def test_football_existence_matches_the_written_out_decision():
+    values = [0, F(1, 3), F(1, 2), F(3, 2), F(5, 2), F(7, 3)]
+    seen = set()
+    for n in (1, 2, 3):
+        for alpha in combinations_with_replacement(values, n):
+            for g in (0, 1, 2):
+                want = football_oracle(g, alpha)
+                res = check_existence(g, alpha)
+                assert res.nonempty == want
+                assert res.case == ("football" if want else None)
+                seen.add((want, 0 in alpha))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_invariants_match_the_fraction_sums():
+    # the invariants as two Fraction sums over Z, as they were first written
+    for alpha in ([2, 3, F(1, 2), 0], [5, 2, 2, F(7, 3)], [4, 4, 0, 0], [3]):
+        av = AngleVector(alpha)
+        for j in range(1, av.k + 1):
+            for Z in combinations(range(1, av.k + 1), j):
+                for g in (0, 1, 3):
+                    s = sum((av[i - 1] for i in Z), F(0))
+                    m = s - (2 * g - 2 + av.n)
+                    a = sum((av[i - 1] - 1 for i in Z), F(0)) - (2 * g - 2)
+                    assert invariants_m_a(g, av, Z) == (m, a, s)

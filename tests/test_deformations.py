@@ -4,9 +4,17 @@ import pytest
 
 from hcmu.builders import build_surface
 from hcmu.dataset import DataSet, census, realized_angle_vector
-from hcmu.deformations import circles_at_level, split, twist, twist_is_trivial
+from hcmu.deformations import (
+    _kept,
+    _rebuild,
+    circles_at_level,
+    split,
+    twist,
+    twist_is_trivial,
+)
 from hcmu.dimension import dimension_refined
 from hcmu.errors import (
+    AssertionFailure,
     BadCircleIndex,
     CriticalLevel,
     CuspVertex,
@@ -269,3 +277,41 @@ def test_split_cut_on_sector_boundary(calabi):
         split(ds, v, F(2, 3), F(1, 5))
     out = split(ds, v, F(1, 5), F(1, 5))
     assert census(out).b == ds.angulation.num_arcs + 2
+
+
+# -- the shared rebuild ----------------------------------------------------------
+
+
+def rebuild_unchanged(ds, claims=None):
+    """``_rebuild`` of the identity surgery, with the kept arcs' claims
+    (or the given ones)."""
+    ma = ds.angulation
+    _, arcs, weights, kept = _kept(ds, ())
+    return _rebuild(ds, ma.colors, arcs, weights, ma.rotations, kept if claims is None else claims)
+
+
+def test_rebuild_of_the_identity_surgery_is_the_surface(calabi, two_level):
+    for ds in (calabi, two_level):
+        out = rebuild_unchanged(ds)
+        assert out == ds and out.face_levels == ds.face_levels
+
+
+def test_rebuild_refuses_disagreeing_claims(two_level):
+    _, _, _, claims = _kept(two_level, ())
+    face = claims[(0, "b")]
+    claims[(0, "b")] = 1 - face
+    with pytest.raises(AssertionFailure, match="inconsistent"):
+        rebuild_unchanged(two_level, claims)
+
+
+def test_rebuild_refuses_a_missing_old_face(calabi):
+    _, _, _, claims = _kept(calabi, ())
+    # every new face agrees with itself, but old face 1 is claimed by no one
+    claims = {d: (0 if f == 1 else f) for d, f in claims.items()}
+    with pytest.raises(AssertionFailure, match="bijectively"):
+        rebuild_unchanged(calabi, claims)
+    # and a face that nobody claims
+    _, _, _, claims = _kept(calabi, ())
+    claims = {d: f for d, f in claims.items() if f != 2}
+    with pytest.raises(AssertionFailure, match="bijectively"):
+        rebuild_unchanged(calabi, claims)

@@ -30,3 +30,91 @@ def test_runtime_dependencies_are_the_imported_packages():
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
     assert imported_packages() == declared
+
+
+# -- dead code: a stdlib-ast check, since no lint package is a dependency --------
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def package_trees():
+    """Syntax tree of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in ROOT.glob("*.py")}
+
+
+def own_nodes(scope):
+    """Nodes of ``scope``'s body that belong to its own namespace: nested
+    functions, classes and comprehensions are left out."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES + COMPREHENSIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree):
+    """(function, name) for each function local that is assigned but never read."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = set(), set()
+        for node in own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        found += [(func.name, name) for name in sorted(stored - read - declared) if not name.startswith("_")]
+    return found
+
+
+def test_no_function_local_is_assigned_but_never_read():
+    found = {name: unread_locals(tree) for name, tree in package_trees().items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_every_private_module_function_is_referenced():
+    trees = package_trees()
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unused == []
+
+
+def test_no_unused_import_outside_the_package_init():
+    unused = []
+    for name, tree in package_trees().items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{name}:{b}" for b in bound if b not in read]
+    assert unused == []

@@ -294,3 +294,42 @@ def test_unknown_key_is_refused(path, pointer):
     doc = json.loads((FIXTURES / "calabi.json").read_text())
     doc["arcs"][1]["a/b~"] = "1"
     refused(doc, "/arcs/1/a~1b~0")
+
+
+def renamed(doc, section, old, new):
+    """``doc`` with the key ``old`` of ``doc[section]`` renamed to ``new``."""
+    doc[section] = {new if k == old else k: v for k, v in doc[section].items()}
+    return doc
+
+
+@pytest.mark.parametrize("key", ["00", "+0", "0 ", "٠"])
+def test_non_canonical_rotation_key_is_refused(key):
+    # "00" would load as vertex 0 and save back as "0"
+    doc = renamed(json.loads((FIXTURES / "calabi.json").read_text()), "rotations", "0", key)
+    err = refused(doc, f"/rotations/{key}")
+    assert err.message == f"rotation key {key!r} is not a vertex id"
+
+
+@pytest.mark.parametrize("token", ["00:b", "+0:b", "٠:b", ":b"])
+def test_non_canonical_arc_end_token_is_refused(token):
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    assert doc["rotations"]["0"][0] == "0:b"
+    doc["rotations"]["0"][0] = token
+    err = refused(doc, "/rotations/0/0")
+    assert err.message == f"malformed arc-end token {token!r}"
+
+
+def test_rotation_key_pointers_are_escaped():
+    for key, token in [("1/2", "1~12"), ("~1", "~01"), ("a/~b", "a~1~0b")]:
+        doc = renamed(json.loads((FIXTURES / "calabi.json").read_text()), "rotations", "1", key)
+        refused(doc, f"/rotations/{token}")
+
+
+def test_face_level_key_pointers_are_escaped():
+    for key, token in [("0/b", "0~1b"), ("0~b", "0~0b")]:
+        doc = json.loads((FIXTURES / "calabi.json").read_text())
+        first = sorted(doc["face_levels"])[0]
+        renamed(doc, "face_levels", first, key)
+        with pytest.raises(ValidationError) as err:
+            ser.load_document(doc)
+        assert err.value.pointer == f"/face_levels/{token}"
