@@ -6,12 +6,19 @@ weight of an arc is the top angle of its bigon divided by 2*pi, and the face
 level places each saddle along the meridian as a normalized curvature level
 s = (K0 - K)/(K0 - K1) in (0, 1).  Cone angles at the vertices follow from
 the balance equations: Sum W at a black vertex, R * Sum W at a white one.
+
+Each data set also holds its rationals on an integer grid (:class:`Grid`):
+the weights as numerators over the lcm of their denominators, the levels
+likewise.  Validation, the angle sums, the canonical form and the
+deformations read those integers; the ``Fraction`` tuples stay the public
+form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .angulation import BLACK, MixedAngulation
 from .constraints import AngleVector
@@ -28,17 +35,33 @@ class ValidationIssue:
         return f"{self.code}({self.where}): {self.message}"
 
 
+class Grid(NamedTuple):
+    """A data set's rationals as integer numerators over common denominators."""
+
+    dw: int  # lcm of the weight denominators
+    weights: tuple  # weight numerators over dw, by arc
+    dl: int  # lcm of the face level denominators
+    levels: tuple  # level numerators over dl, by face
+
+
+def _on_grid(values):
+    """(lcm of the denominators, each numerator over it) of Fractions."""
+    den = math.lcm(*{x.denominator for x in values})
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
 class DataSet:
     """Immutable surface representation.
 
     ``weights`` and ``face_levels`` are exact rationals; ``k0`` is the only
     floating quantity.  ``face_levels`` is indexed by face position in the
-    angulation's canonical face order.  The canonical form is computed on
-    first use and cached, so equality and hashing cost at most one code.
-    A weight or level given as a ``Fraction`` is kept as it is.
+    angulation's canonical face order, and ``grid`` holds both on integer
+    grids.  The canonical form and its hash are computed on first use and
+    cached, so equality and hashing cost at most one code.  A weight or
+    level given as a ``Fraction`` is kept as it is.
     """
 
-    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "_form")
+    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash")
 
     def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels):
         self.angulation = angulation
@@ -50,7 +73,9 @@ class DataSet:
         else:
             levels = list(face_levels)
         self.face_levels = tuple(s if type(s) is Fraction else Fraction(s) for s in levels)
+        self.grid = Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
         self._form = None
+        self._hash = None
         issues = validate_dataset(self)
         if issues:
             raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")
@@ -58,7 +83,8 @@ class DataSet:
     # -- angles ---------------------------------------------------------------
 
     def vertex_weight_sum(self, v: int) -> Fraction:
-        return sum((self.weights[a] for a in self.angulation.arcs_at(v)), Fraction(0))
+        grid = self.grid
+        return Fraction(sum(grid.weights[a] for a, _ in self.angulation.rotations[v]), grid.dw)
 
     def vertex_angle(self, v: int) -> Fraction:
         s = self.vertex_weight_sum(v)
@@ -67,14 +93,13 @@ class DataSet:
     def vertex_angles(self) -> list:
         """Every vertex angle, as :meth:`vertex_angle` gives it, in one pass.
 
-        The weight sums are integer numerators over the lcm of the weight
-        denominators; one Fraction is built per vertex.
+        The weight sums are read off the grid; one Fraction is built per
+        vertex.
         """
         ma = self.angulation
-        den = math.lcm(*{w.denominator for w in self.weights})
+        den, numerators = self.grid.dw, self.grid.weights
         sums = [0] * ma.num_vertices
-        for (b, w), x in zip(ma.arcs, self.weights):
-            x = x.numerator * (den // x.denominator)
+        for (b, w), x in zip(ma.arcs, numerators):
             sums[b] += x
             sums[w] += x
         r = self.ratio
@@ -88,12 +113,17 @@ class DataSet:
         return Fraction(self.angulation.face_degree(f), 2)
 
     def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return Fraction(sum(self.grid.weights), self.grid.dw)
 
     def canonical_form(self):
+        """(code, dw, dl, repr(k0), ratio), the code labelled by the grid's
+        numerators: equal forms mean isomorphic surfaces with equal weights,
+        levels, K0 and R, since equal rationals share their lcm."""
         if self._form is None:
-            code = self.angulation.canonical_form(self.weights, self.face_levels)
-            self._form = (code, repr(self.k0), self.ratio)
+            dw, weights, dl, levels = self.grid
+            code = self.angulation.canonical_form(weights, levels)
+            self._form = (code, dw, dl, repr(self.k0), self.ratio)
+            self._hash = hash(self._form)
         return self._form
 
     def is_isomorphic(self, other: "DataSet") -> bool:
@@ -103,7 +133,9 @@ class DataSet:
         return isinstance(other, DataSet) and self.canonical_form() == other.canonical_form()
 
     def __hash__(self):
-        return hash(self.canonical_form())
+        if self._form is None:
+            self.canonical_form()
+        return self._hash
 
     def __repr__(self):
         ma = self.angulation
@@ -123,18 +155,19 @@ def validate_dataset(ds) -> list:
     ma = ds.angulation
     if ma.degenerate:
         issues.append(ValidationIssue("BadAngulation", "angulation", "degenerate face of degree < 4"))
-    if len(ds.weights) != ma.num_arcs:
+    _, weights, dl, levels = ds.grid
+    if len(weights) != ma.num_arcs:
         issues.append(ValidationIssue("BadWeight", "*", "weight table does not match arcs"))
     else:
-        for a, w in enumerate(ds.weights):
-            if not w > 0:
-                issues.append(ValidationIssue("BadWeight", a, f"weight {w} must be > 0"))
-    if len(ds.face_levels) != ma.num_faces:
+        for a, n in enumerate(weights):
+            if not n > 0:
+                issues.append(ValidationIssue("BadWeight", a, f"weight {ds.weights[a]} must be > 0"))
+    if len(levels) != ma.num_faces:
         issues.append(ValidationIssue("BadLevel", "*", "level table does not match faces"))
     else:
-        for f, s in enumerate(ds.face_levels):
-            if not (0 < s < 1):
-                issues.append(ValidationIssue("BadLevel", f, f"level {s} outside (0, 1)"))
+        for f, n in enumerate(levels):
+            if not 0 < n < dl:
+                issues.append(ValidationIssue("BadLevel", f, f"level {ds.face_levels[f]} outside (0, 1)"))
     return issues
 
 

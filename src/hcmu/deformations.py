@@ -6,10 +6,15 @@ the boundary's marked point lies below the circle (face level > c) and
 around the white end otherwise.  Twisting cuts along one circle and re-glues
 with a rational shift, redirecting every meridian ray that crosses it; split
 replaces an integer-angle extremal point by a saddle plus that many smooth
-extremal points.  All arithmetic in this module is exact.
+extremal points.  All arithmetic in this module is exact and integer: the
+levels are compared on the data set's level grid, and positions along a
+circle or around a vertex are integers in units of 1/D, D a multiple of the
+weight grid's denominator that also clears the shift or the cut spacing.
+Only the new weights are built as Fractions.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,59 +42,66 @@ class LevelCircle:
     circumference: Fraction
 
 
-def _check_level(ds: DataSet, c) -> Fraction:
+def _sides(ds: DataSet, c):
+    """``c`` as a Fraction and, per face, whether its level lies above c,
+    compared on the level grid; a critical level is refused."""
     c = Fraction(c)
     if not (0 < c < 1):
         raise CriticalLevel(f"level {c} outside (0, 1)")
-    for f, s in enumerate(ds.face_levels):
-        if s == c:
+    x, d = c.numerator * ds.grid.dl, c.denominator
+    above = []
+    for f, n in enumerate(ds.grid.levels):
+        if n * d == x:
             raise CriticalLevel(f"level {c} equals the level of face {f}")
-    return c
-
-
-def _successor(ds: DataSet, c: Fraction, arc: int) -> int:
-    """Next arc along the circle through ``arc`` at level ``c``."""
-    ma = ds.angulation
-    gate = ma.face_left(arc)
-    if c < ds.face_levels[gate]:
-        return ma.rotation_next((arc, "b"))[0]
-    return ma.rotation_prev((arc, "w"))[0]
+        above.append(n * d > x)
+    return c, above
 
 
 def circles_at_level(ds: DataSet, c) -> list:
     """All level circles at height c, sorted by smallest member arc."""
-    c = _check_level(ds, c)
+    c, above = _sides(ds, c)
     ma = ds.angulation
-    seen = set()
+    sigma, sigma_inv, face_of_dart = ma.sigma, ma.sigma_inv, ma.face_of_dart
+    nxt = [
+        sigma[(a, "b")][0] if above[face_of_dart[(a, "b")]] else sigma_inv[(a, "w")][0]
+        for a in range(ma.num_arcs)
+    ]
+    dw, weights = ds.grid.dw, ds.grid.weights
+    seen = [False] * ma.num_arcs
     circles = []
     for a0 in range(ma.num_arcs):
-        if a0 in seen:
+        if seen[a0]:
             continue
         orbit = []
+        total = 0
         a = a0
         while True:
-            orbit.append(a)
-            if a in seen:
+            if seen[a]:
                 raise AssertionFailure("level successor is not a permutation")
-            seen.add(a)
-            a = _successor(ds, c, a)
+            seen[a] = True
+            orbit.append(a)
+            total += weights[a]
+            a = nxt[a]
             if a == a0:
                 break
-        circ = sum((ds.weights[x] for x in orbit), Fraction(0))
-        circles.append(LevelCircle(c, tuple(orbit), circ))
+        circles.append(LevelCircle(c, tuple(orbit), Fraction(total, dw)))
     return circles
 
 
-def _cut_data(ds: DataSet, circle: LevelCircle):
-    """Per cut: position (cumulative weight), gate face, black/white kind."""
+def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
+    """Per cut: position (cumulative weight in units of 1/``unit``, a
+    multiple of the weight grid's dw), gate face, black/white kind."""
     ma = ds.angulation
-    pos = Fraction(0)
+    _, above = _sides(ds, circle.level)
+    scale = unit // ds.grid.dw
+    weights = ds.grid.weights
+    pos = 0
     cuts = []
     k = len(circle.members)
     for i, arc in enumerate(circle.members):
-        pos += ds.weights[arc]
+        pos += weights[arc] * scale
         gate = ma.face_left(arc)
-        kind = "black" if circle.level < ds.face_levels[gate] else "white"
+        kind = "black" if above[gate] else "white"
         nxt = circle.members[(i + 1) % k]
         if kind == "black":
             assert ma.arcs[arc][0] == ma.arcs[nxt][0]
@@ -109,7 +121,7 @@ def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
 def twist_is_trivial(ds: DataSet, c, circle_index: int) -> bool:
     """True iff one side of the circle is a saddle-free disk, making every
     twist along it an isometry."""
-    kinds = {cut["kind"] for cut in _cut_data(ds, _circle(ds, c, circle_index))}
+    kinds = {cut["kind"] for cut in _cut_data(ds, _circle(ds, c, circle_index), ds.grid.dw)}
     return len(kinds) == 1
 
 
@@ -192,15 +204,21 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     redirected ray lands exactly on a cut point whose saddle lies on the far
     side, the result has a saddle-saddle meridian and is reported instead of
     returned.
+
+    Positions on the circle are integers in units of 1/D, D the lcm of the
+    weight grid's dw and the denominator of ``psi``; the strip widths are
+    the only Fractions built.
     """
     circle = _circle(ds, c, circle_index)
     ma = ds.angulation
     members = list(circle.members)
     k = len(members)
-    phi = circle.circumference
-    psi = Fraction(psi) % phi
-    cuts = _cut_data(ds, circle)
+    psi = Fraction(psi)
+    unit = math.lcm(ds.grid.dw, psi.denominator)
+    cuts = _cut_data(ds, circle, unit)
     cut_pos = [cut["pos"] for cut in cuts]  # increasing, last == phi
+    phi = cut_pos[-1]
+    psi = psi.numerator * (unit // psi.denominator) % phi
 
     def owner_after(pos):
         """Member whose open interval starts at or spans just after pos."""
@@ -251,7 +269,7 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     base = len(new_arcs)  # strip t becomes arc base + t
     for t, st in enumerate(strips):
         new_arcs.append((st["top"], st["bottom"]))
-        new_weights.append(st["width"])
+        new_weights.append(Fraction(st["width"], unit))
         claims[(base + t, "b")] = st["right_gate"]
         claims[(base + t, "w")] = st["left_gate"]
 
@@ -349,22 +367,23 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     if not (0 <= offset < 1):
         raise CutOnBoundary(f"offset {offset} outside [0, 1)")
     spacing = Fraction(1) if color == BLACK else 1 / ds.ratio
+    first = offset * spacing
+    # positions around the vertex, from its least dart, in units of 1/unit
+    unit = math.lcm(ds.grid.dw, spacing.denominator, first.denominator)
+    step = spacing.numerator * (unit // spacing.denominator)
+    scale = unit // ds.grid.dw
 
     rot_x = list(ma.rotations[vertex])
     start = rot_x.index(min(rot_x))
     rot_x = rot_x[start:] + rot_x[:start]
-    widths = [ds.weights[a] for a, _ in rot_x]
-    bounds = [Fraction(0)]
-    for w in widths:
-        bounds.append(bounds[-1] + w)
+    bounds = [0]
+    for a, _ in rot_x:
+        bounds.append(bounds[-1] + ds.grid.weights[a] * scale)
     total = bounds[-1]
-    assert total == alpha * spacing
-    cuts = [(offset + j) * spacing for j in range(alpha)]
-    if offset == 0 or any(p in set(bounds) for p in cuts):
+    assert total == alpha * step
+    cuts = [first.numerator * (unit // first.denominator) + j * step for j in range(alpha)]
+    if offset == 0 or not set(bounds).isdisjoint(cuts):
         raise CutOnBoundary("a cut position hits a sector boundary")
-
-    def sector(pos):
-        return int((pos / spacing - offset).__floor__()) % alpha
 
     # -- new vertex numbering: drop x, append the alpha sector vertices
     others = [v for v in range(ma.num_vertices) if v != vertex]
@@ -378,19 +397,20 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     q_members = {j: [] for j in range(alpha)}
     for r, (a, _) in enumerate(rot_x):
         lo, hi = bounds[r], bounds[r + 1]
-        inner = sorted(p for p in cuts if lo < p < hi)
+        inner = [p for p in cuts if lo < p < hi]
         pts = [lo] + inner + [hi]
         subs = []
         for s in range(len(pts) - 1):
             a_s, b_s = pts[s], pts[s + 1]
-            owner = sector((a_s + b_s) / 2)
+            # the sector of the last cut at or before a_s; before the first cut, the last sector
+            owner = (a_s - cuts[0]) // step % alpha
             na = len(new_arcs)
             far = ma.arcs[a][1] if color == BLACK else ma.arcs[a][0]
             if color == BLACK:
                 new_arcs.append((q_base + owner, vmap[far]))
             else:
                 new_arcs.append((vmap[far], q_base + owner))
-            new_weights.append(b_s - a_s)
+            new_weights.append(Fraction(b_s - a_s, unit))
             subs.append(na)
             q_members[owner].append(((a_s - cuts[0]) % total, na))
         sub_lists.append(subs)

@@ -31,7 +31,9 @@ SCHEMA_VERSION = 1
 RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 MAX_RATIONAL_CHARS = 256
 # Vertex ids in rotation keys and arc ids in arc-end tokens: what str(int)
-# writes for a natural number.
+# writes for a natural number.  One with more digits than the vertex or arc
+# count is out of range and refused unread: int() refuses long digit strings
+# with a ValueError of its own.
 NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
@@ -54,10 +56,14 @@ def dart_token(dart) -> str:
     return f"{dart[0]}:{dart[1]}"
 
 
-def parse_dart(token, pointer=""):
+def parse_dart(token, pointer="", arc_count=None):
+    """The dart of ``token``; with ``arc_count`` given, an arc id with more
+    digits than the count is refused."""
     arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
     if end not in ("b", "w") or not NATURAL.fullmatch(arc):
         raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
+    if arc_count is not None and len(arc) > len(str(arc_count)):
+        raise ParseError(f"arc id of {token!r:.80} is not below the arc count {arc_count}", pointer)
     return (int(arc), end)
 
 
@@ -238,19 +244,20 @@ def load_document(doc: dict) -> DataSet:
             raise _within(exc, f"/arcs/{i}") from None
 
     rotations = [None] * len(vertices)
+    digits = len(str(len(vertices)))
     rot_doc = _require(doc, "rotations", "/rotations", dict)
     for key, row in rot_doc.items():
         if not NATURAL.fullmatch(key):
-            raise ParseError(f"rotation key {key!r} is not a vertex id", f"/rotations/{_token(key)}")
-        v = int(key)
-        if not (0 <= v < len(vertices)) or rotations[v] is not None:
-            raise ParseError(f"bad or duplicate rotation key {key}", f"/rotations/{key}")
+            raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
+        v = int(key) if len(key) <= digits else len(vertices)
+        if v >= len(vertices) or rotations[v] is not None:
+            raise ParseError(f"bad or duplicate rotation key {key:.80}", f"/rotations/{key}")
         if not isinstance(row, list):
             raise ParseError("rotation row must be a JSON array", f"/rotations/{key}")
         darts = []
         try:
             for token in row:
-                darts.append(parse_dart(token))
+                darts.append(parse_dart(token, "", len(arc_entries)))
         except ParseError as exc:
             raise _within(exc, f"/rotations/{key}/{len(darts)}") from None
         rotations[v] = darts

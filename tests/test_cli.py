@@ -347,3 +347,21 @@ def test_non_canonical_integer_exit_two(capsys, tmp_path, rename, pointer):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {pointer}: ")
+
+
+@pytest.mark.parametrize("long_key", [True, False], ids=["rotation-key", "arc-end-token"])
+def test_integer_longer_than_its_count_exit_two(capsys, tmp_path, long_key):
+    # 5000 digits pass the integer grammar but exceed int()'s digit limit
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    digits = "1" * 5000
+    if long_key:
+        doc["rotations"][digits] = doc["rotations"].pop("0")
+        pointer = f"/rotations/{digits}"
+    else:
+        doc["rotations"]["0"][0] = digits + ":b"
+        pointer = "/rotations/0/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {pointer}: ") and len(err) < len(pointer) + 200

@@ -146,6 +146,50 @@ def test_dataset_computes_its_canonical_form_at_most_once(monkeypatch):
     assert {id(m) for m in calls} == {id(ds.angulation), id(ma)}
 
 
+def test_equality_keeps_the_grid_denominators(two_level):
+    # within each pair the numerators agree; only dw or dl tells them apart
+    ma, weights, levels = two_level.angulation, two_level.weights, two_level.face_levels
+    assert sorted(levels) == [F(1, 3), F(2, 3)]
+
+    def surface(weights, levels):
+        return DataSet(ma, two_level.k0, two_level.ratio, weights, levels)
+
+    pairs = [
+        (surface([F(1, 3)] * 4, levels), surface([F(1, 6)] * 4, levels)),
+        (surface(weights, levels), surface(weights, [s * F(3, 5) for s in levels])),
+    ]
+    rng = random.Random(5)
+    for x, y in pairs:
+        assert x.grid.weights == y.grid.weights and x.grid.levels == y.grid.levels
+        assert (x.grid.dw, x.grid.dl) != (y.grid.dw, y.grid.dl)
+        assert x != y and not x.is_isomorphic(y)
+        assert len({x, y}) == 2
+        for ds in (x, y):
+            m, w, s = relabeled(ma, ds.weights, ds.face_levels, rng)
+            copy = DataSet(m, ds.k0, ds.ratio, w, s)
+            assert copy == ds and len({copy, ds, x, y}) == 2
+
+
+def test_a_cached_data_set_hashes_no_fraction(monkeypatch):
+    ds = build_surface(1, [3, 2, F(1, 2), F(1, 3)], {1, 2})
+    assert len({w.denominator for w in ds.weights}) > 1
+    ds.canonical_form()
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    assert hash(F(1, 3)) and calls  # hash() sees the patch
+    calls.clear()
+    for _ in range(3):
+        assert hash(ds) == hash(ds)
+        assert ds in {ds}
+    assert calls == []
+
+
 def vertex_angle_corpus():
     """Builder outputs, the R = 0 cusp surface and deformed surfaces."""
     from test_deformation_stress import deformed_walk

@@ -1,10 +1,15 @@
+import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 
-from hcmu.builders import build_surface
+from conftest import make_calabi
+from hcmu.angulation import BLACK
+from hcmu.builders import build_one_cone, build_surface
 from hcmu.dataset import DataSet, census, realized_angle_vector
 from hcmu.deformations import (
+    NEW_FACE,
     _kept,
     _rebuild,
     circles_at_level,
@@ -21,6 +26,8 @@ from hcmu.errors import (
     CutOnBoundary,
     NotInteger,
 )
+from hcmu.serialization import dumps, save
+from test_deformation_stress import deformed_walk
 
 
 # -- level circles ---------------------------------------------------------------
@@ -315,3 +322,243 @@ def test_rebuild_refuses_a_missing_old_face(calabi):
     claims = {d: f for d, f in claims.items() if f != 2}
     with pytest.raises(AssertionFailure, match="bijectively"):
         rebuild_unchanged(calabi, claims)
+
+
+# -- a Fraction oracle -------------------------------------------------------------
+#
+# Level circles by the per-arc successor walk, and twist and split with every
+# position, circumference, shift and width a Fraction; the package computes
+# the same on integer grids.  The oracle surgeries share only the rebuild.
+
+
+def oracle_successor(ds, c, arc):
+    ma = ds.angulation
+    if c < ds.face_levels[ma.face_left(arc)]:
+        return ma.rotation_next((arc, "b"))[0]
+    return ma.rotation_prev((arc, "w"))[0]
+
+
+def oracle_circles(ds, c):
+    """(members, circumference) of each circle at the non-critical level c."""
+    seen = set()
+    out = []
+    for a0 in range(ds.angulation.num_arcs):
+        if a0 in seen:
+            continue
+        orbit = [a0]
+        while (a := oracle_successor(ds, c, orbit[-1])) != a0:
+            orbit.append(a)
+        seen.update(orbit)
+        out.append((tuple(orbit), sum((ds.weights[a] for a in orbit), F(0))))
+    return out
+
+
+def oracle_twist(ds, c, index, psi):
+    """twist's outcome, as (non-generic pairs, None) or ((), data set)."""
+    ma = ds.angulation
+    members, phi = oracle_circles(ds, c)[index]
+    k = len(members)
+    psi = F(psi) % phi
+    cuts = []  # (position, gate, kind)
+    pos = F(0)
+    for arc in members:
+        pos += ds.weights[arc]
+        gate = ma.face_left(arc)
+        cuts.append((pos, gate, "black" if c < ds.face_levels[gate] else "white"))
+    cut_pos = [p for p, _, _ in cuts]
+
+    def owner_after(p):
+        return members[bisect_right(cut_pos, p % phi) % k]
+
+    lines, by_tau, clashes = [], {}, []
+    for i, (p, gate, kind) in enumerate(cuts):
+        tau = p % phi if kind == "white" else (p + psi) % phi
+        if tau in by_tau:
+            _, other_gate, _, _ = by_tau[tau]
+            above, below = (gate, other_gate) if kind == "white" else (other_gate, gate)
+            clashes.append((ma.face_keys[above], ma.face_keys[below]))
+        else:
+            by_tau[tau] = (tau, gate, kind, i)
+            lines.append(by_tau[tau])
+    if clashes:
+        return tuple(sorted(clashes)), None
+    lines.sort()
+    taus = [ln[0] for ln in lines]
+    arc_map, arcs, weights, claims = _kept(ds, set(members))
+    base = len(arcs)
+    for t in range(k):
+        arcs.append((ma.arcs[owner_after(taus[t])][0], ma.arcs[owner_after(taus[t] - psi)][1]))
+        weights.append((taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi)
+        claims[(base + t, "b")] = lines[(t + 1) % k][1]
+        claims[(base + t, "w")] = lines[t][1]
+    line_of_cut = {ln[3]: t for t, ln in enumerate(lines)}
+    rot = [list(r) for r in ma.rotations]
+    for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
+        boundary = [i for i in range(k) if cuts[i][2] != kind]
+        if boundary:
+            runs = []
+            for x, i in enumerate(boundary):
+                j = boundary[(x + 1) % len(boundary)]
+                n = (j - i) % k or k
+                ts = [(line_of_cut[i] + s) % k for s in range((line_of_cut[j] - line_of_cut[i]) % k or k)]
+                runs.append(([members[(i + 1 + s) % k] for s in range(n)], ts))
+        else:
+            runs = [(members, list(range(k)))]
+        for run, ts in runs:
+            if side:
+                run, ts = run[::-1], ts[::-1]
+            v = ma.arcs[run[0]][side]
+            i = rot[v].index((run[0], end))
+            rolled = rot[v][i:] + rot[v][:i]
+            assert rolled[: len(run)] == [(a, end) for a in run]
+            # strips enter as ("s", t) so that they meet no old arc id before renumbering
+            rot[v] = [(("s", t), end) for t in ts] + rolled[len(run):]
+    rot = [[(base + a[1] if isinstance(a, tuple) else arc_map[a], e) for a, e in row] for row in rot]
+    return (), _rebuild(ds, ma.colors, arcs, weights, rot, claims)
+
+
+def oracle_split(ds, vertex, offset, new_level):
+    """split's data set; the caller picks a splittable vertex and an offset
+    whose cuts miss the sector boundaries."""
+    ma = ds.angulation
+    color = ma.colors[vertex]
+    alpha = int(ds.vertex_angle(vertex))
+    spacing = F(1) if color == BLACK else 1 / ds.ratio
+    rot_x = list(ma.rotations[vertex])
+    start = rot_x.index(min(rot_x))
+    rot_x = rot_x[start:] + rot_x[:start]
+    bounds = [F(0)]
+    for a, _ in rot_x:
+        bounds.append(bounds[-1] + ds.weights[a])
+    total = bounds[-1]
+    cuts = [(offset + j) * spacing for j in range(alpha)]
+    assert not set(cuts) & set(bounds)
+    others = [v for v in range(ma.num_vertices) if v != vertex]
+    vmap = {v: i for i, v in enumerate(others)}
+    colors = [ma.colors[v] for v in others] + [color] * alpha
+    position = {a: r for r, (a, _) in enumerate(rot_x)}
+    arc_map, arcs, weights, claims = _kept(ds, position, vmap)
+    sub_lists = []
+    sectors = {j: [] for j in range(alpha)}
+    for r, (a, _) in enumerate(rot_x):
+        pts = [bounds[r]] + [p for p in cuts if bounds[r] < p < bounds[r + 1]] + [bounds[r + 1]]
+        subs = list(range(len(arcs), len(arcs) + len(pts) - 1))
+        far = vmap[ma.arcs[a][1] if color == BLACK else ma.arcs[a][0]]
+        for na, lo, hi in zip(subs, pts, pts[1:]):
+            owner = int(((lo + hi) / 2 / spacing - offset).__floor__()) % alpha
+            arcs.append((len(others) + owner, far) if color == BLACK else (far, len(others) + owner))
+            weights.append(hi - lo)
+            sectors[owner].append(((lo - cuts[0]) % total, na))
+        sub_lists.append(subs)
+        if len(subs) == 1:
+            claims[(subs[0], "b")] = ma.face_left(a)
+            claims[(subs[0], "w")] = ma.face_right(a)
+        else:
+            for na in subs:
+                claims[(na, "b")] = claims[(na, "w")] = NEW_FACE
+            first, last = ("w", "b") if color == BLACK else ("b", "w")
+            claims[(subs[0], first)] = ma.face_of_dart[(a, first)]
+            claims[(subs[-1], last)] = ma.face_of_dart[(a, last)]
+    end = "b" if color == BLACK else "w"
+    rot = [
+        [d for a, e in ma.rotations[v] for d in (
+            [(arc_map[a], e)] if a in arc_map else [(na, e) for na in reversed(sub_lists[position[a]])]
+        )]
+        for v in others
+    ]
+    rot += [[(na, end) for _, na in sorted(sectors[j])] for j in range(alpha)]
+    return _rebuild(ds, colors, arcs, weights, rot, claims, F(new_level))
+
+
+def text(ds):
+    return dumps(save(ds))
+
+
+def oracle_corpus():
+    """Builder outputs, seeded deformed walks, and walks whose shifts and
+    offsets have denominators (17, 19, 23) coprime to every weight's."""
+    calabi = make_calabi()
+    corpus = [
+        # R = 2/3 and white angles 2: a white cut spacing of 3/2
+        DataSet(calabi.angulation, calabi.k0, calabi.ratio, [2 * w for w in calabi.weights], calabi.face_levels),
+        build_surface(0, [2, 3], {1}, level=F(2, 5)),
+        build_surface(1, [3, 2, 5], {1}),
+        build_surface(1, [3, 2, F(1, 2), F(1, 3)], {1, 2}),
+        build_one_cone(1, 6, 3),
+    ]
+    for seed in range(4):
+        corpus += deformed_walk(seed, steps=4)
+    rng = random.Random(23)
+    for seed in (4, 5):
+        ds = deformed_walk(seed, steps=4)[-1]
+        for step in range(6):
+            angles = ds.vertex_angles()
+            splittable = [v for v, x in enumerate(angles) if x.denominator == 1 and x >= 2 and ds.ratio]
+            if step % 2 and splittable:
+                try:
+                    ds = split(ds, rng.choice(splittable), F(rng.randint(1, 16), 17), F(rng.randint(1, 40), 41))
+                except CutOnBoundary:
+                    continue
+            else:
+                c = F(rng.randint(1, 42), 43)
+                circles = circles_at_level(ds, c) if c not in ds.face_levels else []
+                out = circles and twist(ds, c, 0, F(rng.randint(1, 100), 19))
+                if not (out and out.is_generic):
+                    continue
+                ds = out.dataset
+            corpus.append(ds)
+    assert sum(len({w.denominator for w in ds.weights}) >= 3 for ds in corpus) >= 4
+    return corpus
+
+
+def test_circles_match_the_successor_walk_oracle():
+    rng = random.Random(7)
+    for ds in oracle_corpus():
+        for c in {F(rng.randint(1, 52), 53) for _ in range(4)} - set(ds.face_levels):
+            got = [(circle.members, circle.circumference) for circle in circles_at_level(ds, c)]
+            assert got == oracle_circles(ds, c)
+            assert all(circle.level == c for circle in circles_at_level(ds, c))
+
+
+def test_twist_matches_the_fraction_oracle():
+    rng = random.Random(11)
+    generic = clashing = 0
+    for ds in oracle_corpus():
+        for c in {F(rng.randint(1, 46), 47) for _ in range(2)} - set(ds.face_levels):
+            for index, (_, phi) in enumerate(oracle_circles(ds, c)):
+                # whole fractions of phi meet cut points; shifts over 23 and 29 are coprime to phi
+                for psi in (phi * F(rng.randint(1, 5), 6), F(rng.randint(1, 200), 23), F(-rng.randint(1, 99), 29)):
+                    clashes, want = oracle_twist(ds, c, index, psi)
+                    out = twist(ds, c, index, psi)
+                    assert out.non_generic == clashes
+                    if want is None:
+                        clashing += 1
+                    else:
+                        assert text(out.dataset) == text(want)
+                        generic += 1
+    assert generic >= 100 and clashing >= 5
+
+
+def test_split_matches_the_fraction_oracle():
+    rng = random.Random(13)
+    done = refused = 0
+    for ds in oracle_corpus():
+        angles = ds.vertex_angles()
+        for v, angle in enumerate(angles):
+            if angle.denominator != 1 or angle < 2 or ds.ratio == 0:
+                continue
+            # an even numerator shares a factor with a cut spacing of 3/2
+            for offset in (F(rng.randint(1, 16), 17), F(2 * rng.randint(1, 3), 7), F(rng.randint(1, 5), 6), F(1, 2)):
+                level = F(rng.randint(1, 36), 37)
+                if level in ds.face_levels:
+                    continue
+                try:
+                    out = split(ds, v, offset, level)
+                except CutOnBoundary:
+                    refused += 1
+                    with pytest.raises(AssertionError):
+                        oracle_split(ds, v, offset, level)
+                    continue
+                assert text(out) == text(oracle_split(ds, v, offset, level))
+                done += 1
+    assert done >= 40 and refused >= 3

@@ -333,3 +333,21 @@ def test_face_level_key_pointers_are_escaped():
         with pytest.raises(ValidationError) as err:
             ser.load_document(doc)
         assert err.value.pointer == f"/face_levels/{token}"
+
+
+@pytest.mark.parametrize("digits", [2, 5000])
+def test_rotation_key_longer_than_the_vertex_count_is_refused_unread(digits):
+    # int() would refuse 5000 digits with a ValueError of its own
+    key = "1" * digits
+    doc = renamed(json.loads((FIXTURES / "calabi.json").read_text()), "rotations", "0", key)
+    err = refused(doc, f"/rotations/{key}")
+    assert err.message == f"bad or duplicate rotation key {key:.80}"
+
+
+@pytest.mark.parametrize("digits", [2, 5000])
+def test_arc_id_longer_than_the_arc_count_is_refused_unread(digits):
+    token = "1" * digits + ":b"
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    doc["rotations"]["0"][1] = token
+    err = refused(doc, "/rotations/0/1")
+    assert err.message == f"arc id of {token!r:.80} is not below the arc count 6"
