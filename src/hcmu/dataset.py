@@ -84,7 +84,7 @@ class DataSet:
 
     def vertex_weight_sum(self, v: int) -> Fraction:
         grid = self.grid
-        return Fraction(sum(grid.weights[a] for a, _ in self.angulation.rotations[v]), grid.dw)
+        return Fraction(sum(grid.weights[a] for a in self.angulation.arcs_at(v)), grid.dw)
 
     def vertex_angle(self, v: int) -> Fraction:
         s = self.vertex_weight_sum(v)

@@ -92,16 +92,17 @@ def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
     """Per cut: position (cumulative weight in units of 1/``unit``, a
     multiple of the weight grid's dw), gate face, black/white kind."""
     ma = ds.angulation
-    _, above = _sides(ds, circle.level)
+    c = circle.level
+    x, d = c.numerator * ds.grid.dl, c.denominator
     scale = unit // ds.grid.dw
-    weights = ds.grid.weights
+    weights, levels = ds.grid.weights, ds.grid.levels
     pos = 0
     cuts = []
     k = len(circle.members)
     for i, arc in enumerate(circle.members):
         pos += weights[arc] * scale
         gate = ma.face_left(arc)
-        kind = "black" if above[gate] else "white"
+        kind = "black" if levels[gate] * d > x else "white"
         nxt = circle.members[(i + 1) % k]
         if kind == "black":
             assert ma.arcs[arc][0] == ma.arcs[nxt][0]

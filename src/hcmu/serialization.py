@@ -31,9 +31,7 @@ SCHEMA_VERSION = 1
 RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 MAX_RATIONAL_CHARS = 256
 # Vertex ids in rotation keys and arc ids in arc-end tokens: what str(int)
-# writes for a natural number.  One with more digits than the vertex or arc
-# count is out of range and refused unread: int() refuses long digit strings
-# with a ValueError of its own.
+# writes for a natural number.
 NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
@@ -56,15 +54,23 @@ def dart_token(dart) -> str:
     return f"{dart[0]}:{dart[1]}"
 
 
-def parse_dart(token, pointer="", arc_count=None):
-    """The dart of ``token``; with ``arc_count`` given, an arc id with more
-    digits than the count is refused."""
+def _short_id(digits: str, count: int):
+    """The natural number ``digits``, or None if it has more digits than
+    ``count``: such an id is out of range, and it is refused unread, since
+    int() refuses long digit strings with a ValueError of its own."""
+    return int(digits) if len(digits) <= len(str(count)) else None
+
+
+def parse_dart(token, arc_count: int, pointer=""):
+    """The dart of ``token``; an arc id with more digits than ``arc_count``
+    is refused."""
     arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
     if end not in ("b", "w") or not NATURAL.fullmatch(arc):
         raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
-    if arc_count is not None and len(arc) > len(str(arc_count)):
+    arc_id = _short_id(arc, arc_count)
+    if arc_id is None:
         raise ParseError(f"arc id of {token!r:.80} is not below the arc count {arc_count}", pointer)
-    return (int(arc), end)
+    return (arc_id, end)
 
 
 def face_key_token(ma: MixedAngulation, face_index: int) -> str:
@@ -244,20 +250,19 @@ def load_document(doc: dict) -> DataSet:
             raise _within(exc, f"/arcs/{i}") from None
 
     rotations = [None] * len(vertices)
-    digits = len(str(len(vertices)))
     rot_doc = _require(doc, "rotations", "/rotations", dict)
     for key, row in rot_doc.items():
         if not NATURAL.fullmatch(key):
             raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
-        v = int(key) if len(key) <= digits else len(vertices)
-        if v >= len(vertices) or rotations[v] is not None:
+        v = _short_id(key, len(vertices))
+        if v is None or v >= len(vertices) or rotations[v] is not None:
             raise ParseError(f"bad or duplicate rotation key {key:.80}", f"/rotations/{key}")
         if not isinstance(row, list):
             raise ParseError("rotation row must be a JSON array", f"/rotations/{key}")
         darts = []
         try:
             for token in row:
-                darts.append(parse_dart(token, "", len(arc_entries)))
+                darts.append(parse_dart(token, len(arc_entries)))
         except ParseError as exc:
             raise _within(exc, f"/rotations/{key}/{len(darts)}") from None
         rotations[v] = darts
