@@ -1,23 +1,30 @@
 """Embedded bi-colored graphs on closed oriented surfaces.
 
 Every arc joins a black vertex (curvature maximum) to a white vertex
-(minimum), so an arc-end is written as a dart ``(arc_id, "b")`` or
-``(arc_id, "w")``.  The map is the pair of dart permutations of Lando and
-Zvonkin: the rotation sigma sends a dart to the next dart counterclockwise
-at its vertex, and the involution alpha = ``opposite`` swaps the two ends of
-an arc.  ``rotations`` lists the orbits of sigma, one cyclic order per
-vertex.  Faces are the orbits of sigma^-1 o alpha, which traverse each face
+(minimum).  The map is the pair of dart permutations of Lando and Zvonkin on
+the integers 0 .. 2E - 1: arc ``a`` has the darts d = 2a at its black end and
+d = 2a + 1 at its white end, so the involution alpha swapping the two ends of
+an arc is ``d ^ 1``, and the rotation sigma sends a dart to the next dart
+counterclockwise at its vertex.  ``sigma``, ``sigma_inv`` and the face index
+``face_of_dart`` are flat lists over the darts.  Faces are the orbits of
+sigma^-1 o alpha, d -> ``sigma_inv[d ^ 1]``, which traverse each face
 boundary with the face on the left; genus comes from the Euler count.  A
 mixed-angulation additionally requires every face degree to be even and at
-least 4.  Two maps are isomorphic when a dart bijection commutes with sigma
-and alpha and keeps the labels; the canonical form is the least
-dart-numbering code over the roots of the least class of an isomorphism
-invariant (label, vertex degree, face degree), each code built with an
-early stop against the best so far.
+least 4.
+
+At the edges of the map a dart is written as the pair ``(arc, "b")`` or
+``(arc, "w")``: the constructor reads its rotations in pairs, ``rotations``
+and ``face_keys`` (the file format's face names) stay in pairs, and
+:class:`MapBuilder`'s surgeries work on pairs.  Since (a, "b") < (a, "w")
+exactly when 2a < 2a + 1, both numberings order the darts alike.
+
+Two maps are isomorphic when a dart bijection commutes with sigma and alpha
+and keeps the labels; the canonical form is the least dart-numbering code
+over the roots of the least class of an isomorphism invariant (label, vertex
+degree, face degree), each code built with an early stop against the best so
+far.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import (
     Disconnected,
@@ -29,8 +36,10 @@ from .errors import (
 BLACK = "black"
 WHITE = "white"
 
-# A dart is (arc id, end) with end "b" at the black vertex, "w" at the white.
+# A dart at the edges is (arc id, end), with end "b" at the black vertex and
+# "w" at the white; inside MixedAngulation it is 2 * arc + (end == "w").
 Dart = tuple[int, str]
+END = ("b", "w")  # END[d & 1] is the end of int dart d
 
 
 def opposite(dart: Dart) -> Dart:
@@ -41,8 +50,10 @@ def opposite(dart: Dart) -> Dart:
 class MixedAngulation:
     """Validated bi-colored embedded graph with derived face data.
 
-    Instances are immutable; all surgery happens on :class:`MapBuilder` and
-    produces fresh objects.
+    ``sigma``, ``sigma_inv`` and ``face_of_dart`` are lists indexed by int
+    dart, and each of ``faces`` is a tuple of int darts; ``rotations`` and
+    ``face_keys`` hold (arc, end) pairs.  Instances are immutable; all
+    surgery happens on :class:`MapBuilder` and produces fresh objects.
     """
 
     __slots__ = (
@@ -62,11 +73,71 @@ class MixedAngulation:
     def __init__(self, colors, arcs, rotations, *, _allow_degenerate=False):
         colors = tuple(colors)
         arcs = tuple((int(b), int(w)) for b, w in arcs)
-        rotations = tuple(tuple((int(a), e) for a, e in rot) for rot in rotations)
-        _check_structure(colors, arcs, rotations)
-        _check_connected(colors, arcs)
-        sigma, sigma_inv = _rotation_maps(rotations)
-        faces = _face_orbits(len(arcs), sigma_inv)
+        rotations = tuple(rotations)
+        n = len(colors)
+        num_arcs = len(arcs)
+        for c in colors:
+            if c not in (BLACK, WHITE):
+                raise NotBipartite(f"unknown color {c!r}")
+        if len(rotations) != n:
+            raise NotBipartite("rotation table does not match the vertex set")
+        for a, (b, w) in enumerate(arcs):
+            if not (0 <= b < n and 0 <= w < n):
+                raise NotBipartite(f"arc {a} has a dangling end")
+            if colors[b] != BLACK or colors[w] != WHITE:
+                raise NotBipartite(f"arc {a} does not join black to white")
+        home = [v for arc in arcs for v in arc]  # the vertex of each dart
+
+        # one pass over the rotations: each pair becomes an int dart, checked
+        # against its home vertex, and sigma^-1 links it to its predecessor
+        num_darts = 2 * num_arcs
+        sigma = [0] * num_darts
+        sigma_inv = [-1] * num_darts  # -1 marks a dart not listed yet
+        pair_rows = []
+        for v, rot in enumerate(rotations):
+            row = []
+            pairs = []
+            for a, e in rot:
+                a = int(a)
+                dart = (a, e)
+                if e not in END or not (0 <= a < num_arcs):
+                    raise NotBipartite(f"malformed dart {dart!r}")
+                d = 2 * a + (e == "w")
+                if home[d] != v:
+                    raise NotBipartite(f"dart {dart!r} listed at the wrong vertex")
+                if sigma_inv[d] >= 0:
+                    raise NotBipartite(f"dart {dart!r} appears twice")
+                sigma_inv[d] = d
+                row.append(d)
+                pairs.append(dart)
+            if not row:
+                raise Disconnected(f"vertex {v} is isolated")
+            prev = row[-1]
+            for d in row:
+                sigma[prev] = d
+                sigma_inv[d] = prev
+                prev = d
+            pair_rows.append(tuple(pairs))
+        if -1 in sigma_inv:
+            raise NotBipartite("some arc-end is missing from the rotation system")
+
+        # connectivity: a union-find over the vertices, joined along the arcs
+        if not n:
+            raise Disconnected("empty graph")
+        root = list(range(n))
+        parts = n
+        for b, w in arcs:
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            while root[w] != w:
+                root[w] = w = root[root[w]]
+            if b != w:
+                root[b] = w
+                parts -= 1
+        if parts != 1:
+            raise Disconnected("graph is not connected")
+
+        faces, face_of_dart = _trace_faces(sigma_inv)
         degenerate = False
         for walk in faces:
             deg = len(walk)
@@ -76,24 +147,22 @@ class MixedAngulation:
                 if not _allow_degenerate:
                     raise OddFaceDegree(f"face of degree {deg} < 4")
                 degenerate = True
-        euler = len(colors) - len(arcs) + len(faces)
+        euler = n - num_arcs + len(faces)
         if euler % 2 != 0 or euler > 2:
             raise NonIntegerGenus(f"Euler count {euler} is not 2 - 2g")
 
         self.colors = colors
         self.arcs = arcs
-        # each walk starts at its minimal dart, the face's canonical key, and
-        # the walks come in key order (see _face_orbits)
-        self.faces = tuple(faces)
-        self.face_keys = tuple(walk[0] for walk in faces)
-        self.face_of_dart = {
-            d: i for i, walk in enumerate(self.faces) for d in walk
-        }
-        self.rotations = rotations
+        # each walk starts at its least dart, the face's canonical key, and
+        # the walks come in key order (see _trace_faces)
+        self.faces = faces
+        self.face_keys = tuple((walk[0] >> 1, END[walk[0] & 1]) for walk in faces)
+        self.face_of_dart = face_of_dart
+        self.rotations = tuple(pair_rows)
         self.sigma = sigma
         self.sigma_inv = sigma_inv
         self.genus = (2 - euler) // 2
-        self.order_vector = tuple(sorted(len(w) - 2 for w in self.faces))
+        self.order_vector = tuple(sorted(len(w) - 2 for w in faces))
         self.degenerate = degenerate
 
     # -- basic queries ------------------------------------------------------
@@ -126,16 +195,10 @@ class MixedAngulation:
 
     def face_left(self, arc: int) -> int:
         """Face on the left of the arc directed black -> white."""
-        return self.face_of_dart[(arc, "b")]
+        return self.face_of_dart[2 * arc]
 
     def face_right(self, arc: int) -> int:
-        return self.face_of_dart[(arc, "w")]
-
-    def rotation_next(self, dart: Dart) -> Dart:
-        return self.sigma[dart]
-
-    def rotation_prev(self, dart: Dart) -> Dart:
-        return self.sigma_inv[dart]
+        return self.face_of_dart[2 * arc + 1]
 
     # -- equivalence ---------------------------------------------------------
 
@@ -155,27 +218,19 @@ class MixedAngulation:
         same position.  Only orientation-preserving bijections are
         considered; mirror images stay distinct.
         """
-        # dart (a, e) is 2a for e = "b" and 2a + 1 for e = "w", so alpha is d ^ 1
-        n = 2 * len(self.arcs)
-        succ = [0] * n
-        vertex_degree = [0] * n
-        for rot in self.rotations:
-            prev = 2 * rot[-1][0] + (rot[-1][1] == "w")
-            for a, e in rot:
-                d = 2 * a + (e == "w")
-                succ[prev] = d
-                vertex_degree[d] = len(rot)
-                prev = d
+        succ = self.sigma
+        n = len(succ)
+        degree = [len(rot) for rot in self.rotations]
+        vertex_degree = [degree[v] for arc in self.arcs for v in arc]
         labels = [None] * n
         face_degree = [0] * n
         for f, walk in enumerate(self.faces):
-            for a, e in walk:
-                label = (e,)
+            for d in walk:
+                label = (END[d & 1],)
                 if arc_labels is not None:
-                    label += (arc_labels[a],)
+                    label += (arc_labels[d >> 1],)
                 if face_labels is not None:
                     label += (face_labels[f],)
-                d = 2 * a + (e == "w")
                 labels[d] = label
                 face_degree[d] = len(walk)
         classes = {}
@@ -215,90 +270,27 @@ class MixedAngulation:
 # -- internals ---------------------------------------------------------------
 
 
-def _check_structure(colors, arcs, rotations):
-    n = len(colors)
-    for c in colors:
-        if c not in (BLACK, WHITE):
-            raise NotBipartite(f"unknown color {c!r}")
-    if len(rotations) != n:
-        raise NotBipartite("rotation table does not match the vertex set")
-    for a, (b, w) in enumerate(arcs):
-        if not (0 <= b < n and 0 <= w < n):
-            raise NotBipartite(f"arc {a} has a dangling end")
-        if colors[b] != BLACK or colors[w] != WHITE:
-            raise NotBipartite(f"arc {a} does not join black to white")
-    seen = set()
-    for v, rot in enumerate(rotations):
-        if len(rot) < 1:
-            raise Disconnected(f"vertex {v} is isolated")
-        for dart in rot:
-            arc, end = dart
-            if end not in ("b", "w") or not (0 <= arc < len(arcs)):
-                raise NotBipartite(f"malformed dart {dart!r}")
-            home = arcs[arc][0] if end == "b" else arcs[arc][1]
-            if home != v:
-                raise NotBipartite(f"dart {dart!r} listed at the wrong vertex")
-            if dart in seen:
-                raise NotBipartite(f"dart {dart!r} appears twice")
-            seen.add(dart)
-    if len(seen) != 2 * len(arcs):
-        raise NotBipartite("some arc-end is missing from the rotation system")
+def _trace_faces(sigma_inv):
+    """Face walks d -> sigma_inv[d ^ 1] and the face index of each dart.
 
-
-def _check_connected(colors, arcs):
-    if not colors:
-        raise Disconnected("empty graph")
-    adj = [[] for _ in colors]
-    for b, w in arcs:
-        adj[b].append(w)
-        adj[w].append(b)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != len(colors):
-        raise Disconnected("graph is not connected")
-
-
-def _rotation_maps(rotations):
-    """sigma and sigma^-1 as dart -> dart maps, in one pass over the rotations."""
-    sigma = {}
-    sigma_inv = {}
-    for rot in rotations:
-        prev = rot[-1] if rot else None
-        for d in rot:
-            sigma[prev] = d
-            sigma_inv[d] = prev
-            prev = d
-    return sigma, sigma_inv
-
-
-def _face_orbits(num_arcs, sigma_inv):
-    """Face walks d -> sigma^-1(opposite(d)), each from its first unvisited
-    dart in (arc, end) order.  A walk's other darts were all unvisited when
-    it started, so each walk starts at its least dart, and the walks come in
-    the order of those darts."""
+    Each walk starts at its first unvisited dart in increasing order.  A
+    walk's other darts were all unvisited when it started, so each walk
+    starts at its least dart, and the walks come in the order of those darts.
+    """
+    face_of_dart = [-1] * len(sigma_inv)
     walks = []
-    visited = set()
-    for a in range(num_arcs):
-        for end in ("b", "w"):
-            d0 = (a, end)
-            if d0 in visited:
-                continue
-            walk = []
-            d = d0
-            while True:
-                walk.append(d)
-                visited.add(d)
-                d = sigma_inv[opposite(d)]
-                if d == d0:
-                    break
-            walks.append(tuple(walk))
-    return walks
+    for d0 in range(len(sigma_inv)):
+        if face_of_dart[d0] >= 0:
+            continue
+        f = len(walks)
+        walk = []
+        d = d0
+        while face_of_dart[d] < 0:
+            face_of_dart[d] = f
+            walk.append(d)
+            d = sigma_inv[d ^ 1]
+        walks.append(tuple(walk))
+    return tuple(walks), face_of_dart
 
 
 # -- mutable construction ----------------------------------------------------
@@ -330,8 +322,14 @@ class MapBuilder:
         return self.arcs[arc][0] if end == "b" else self.arcs[arc][1]
 
     def trace(self):
-        """Every face walk, as :class:`MixedAngulation` traces them."""
-        return _face_orbits(len(self.arcs), _rotation_maps(self.rot)[1])
+        """Every face walk, as :class:`MixedAngulation` traces them, in pairs."""
+        sigma_inv = [0] * (2 * len(self.arcs))
+        for rot in self.rot:
+            darts = [2 * a + (e == "w") for a, e in rot]
+            for i, d in enumerate(darts):
+                sigma_inv[d] = darts[i - 1]
+        walks, _ = _trace_faces(sigma_inv)
+        return [tuple((d >> 1, END[d & 1]) for d in walk) for walk in walks]
 
     def face_walk_of_dart(self, dart: Dart):
         """Boundary walk of the face on the left of ``dart``, from ``dart``.

@@ -23,6 +23,7 @@ from .constraints import (
 )
 from .dataset import DataSet
 from .errors import (
+    AssertionFailure,
     BadOrder,
     BadOrderVector,
     EmptySpace,
@@ -206,7 +207,7 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
             builder.add_leaf_in_face(walk, t, WHITE)
     subdivide_face(builder, inside, w)
     ma = builder.freeze()
-    assert ma.genus == g and ma.num_faces == len(w)
+    _expect_shape(ma, g, len(w))
 
     blacks = sorted(v for v in range(ma.num_vertices) if ma.colors[v] == BLACK)
     whites = [v for v in range(ma.num_vertices) if ma.colors[v] == WHITE]
@@ -216,17 +217,29 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
         if i not in Z and alpha[i - 1] != 0
     ]
     beta = sorted(non_saddle + [Fraction(1)] * int(m), reverse=True)
+    want_whites = max(q, 1)
+    if (len(blacks), len(whites)) != (a - want_whites, want_whites):
+        raise AssertionFailure(
+            f"map has {len(blacks)} blacks and {len(whites)} whites, "
+            f"expected a - {want_whites} = {a - want_whites} and {want_whites}"
+        )
     if q > 0:
-        assert len(whites) == q and len(blacks) == a - q
         ratio = Fraction(0)
     else:
-        assert len(whites) == 1 and len(blacks) == a - 1
         beta_min = beta.pop()  # smallest expected angle goes to the white vertex
         ratio = beta_min / sum(beta)
     assigned = dict(zip(blacks, beta))
     weights = [assigned[bk] / ma.degree(bk) for bk, _ in ma.arcs]
-    assert len(weights) == b_count
+    if len(weights) != b_count:
+        raise AssertionFailure(f"map has {len(weights)} arcs, expected b = {b_count}")
     return DataSet(ma, k0, ratio, weights, [Fraction(level)] * ma.num_faces)
+
+
+def _expect_shape(ma: MixedAngulation, g: int, faces: int):
+    if (ma.genus, ma.num_faces) != (g, faces):
+        raise AssertionFailure(
+            f"map has genus {ma.genus} and {ma.num_faces} faces, expected {g} and {faces}"
+        )
 
 
 # -- weighted bi-colored trees ---------------------------------------------
@@ -292,7 +305,8 @@ def build_coprime_tree(p: int, q: int) -> WeightedTree:
         edges.append((i, j))
         weights.append(min((j + 1) * p - total, (i + 1) * q - total))
         total += weights[-1]
-    assert total == p * q
+    if total != p * q:
+        raise AssertionFailure(f"tree weights sum to {total}, expected p * q = {p * q}")
     return WeightedTree(p, q, tuple(edges), tuple(weights))
 
 
@@ -395,7 +409,9 @@ def build_tree(p: int, q: int) -> WeightedTree:
     edges, weights = base.edges, base.weights
     for _ in range(lam - 1):
         edges, weights = _duplicate(edges, weights, base.q)
-    assert len({bk for bk, _ in edges}) == p and len({wh for _, wh in edges}) == q
+    blacks, whites = len({bk for bk, _ in edges}), len({wh for _, wh in edges})
+    if (blacks, whites) != (p, q):
+        raise AssertionFailure(f"tree has {blacks} blacks and {whites} whites, expected {p} and {q}")
     return WeightedTree(p, q, edges, tuple(w * lam for w in weights))
 
 
@@ -416,8 +432,12 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
         ds = _one_cone_genus_tree(g, p, q, k0, level)
     else:
         ds = _one_cone_genus_stars(g, p, q, k0, level)
-    assert ds.angulation.num_faces == 1
-    assert ds.angulation.face_degree(0) == 2 * alpha
+    ma = ds.angulation
+    if (ma.num_faces, ma.face_degree(0)) != (1, 2 * alpha):
+        raise AssertionFailure(
+            f"map has {ma.num_faces} faces, the first of degree {ma.face_degree(0)}, "
+            f"expected one face of degree 2 * alpha = {2 * alpha}"
+        )
     return ds
 
 
@@ -455,7 +475,7 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     rot_y = builder.rot[1]
     builder.rot[1] = rot_y[:1] + glue_block + rot_y[1:]
     ma = builder.freeze()
-    assert ma.genus == g and ma.num_faces == 1
+    _expect_shape(ma, g, 1)
     weights = [arc_weights[a] / q for a in range(ma.num_arcs)]
     return DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
 
@@ -493,7 +513,9 @@ def _one_cone_genus_stars(g, p, q, k0, level):
         for i in range(1, k):
             builder.rot[xs[j][i]] = [(star[j][i], "b")]
         builder.rot[ys[j]] = [(star[j][i], "w") for i in range(k)] + [(conn[j], "w")]
-    assert len(builder.trace()) == 2  # chained stars are planar
+    faces = len(builder.trace())
+    if faces != 2:
+        raise AssertionFailure(f"the chained stars have {faces} faces, expected 2 on the sphere")
 
     u = xs[0][k - 1]
     v = ys[0]
@@ -502,13 +524,14 @@ def _one_cone_genus_stars(g, p, q, k0, level):
         face_u = set(builder.face_walk_of_dart(builder.rot[u][-1]))
         want_merge = step % 2 == 1
         anchor = next((d for d in builder.rot[v] if (d not in face_u) == want_merge), None)
-        assert anchor is not None
+        if anchor is None:
+            raise AssertionFailure(f"no gap at white vertex {v} for handle arc {step}")
         a = new_arc(u, v, Fraction(1, 2 * g - 1))
         builder.rot[u].append((a, "b"))
         # insert into the chosen gap, right after the anchor dart at v
         builder.rot[v].insert(builder.rot[v].index(anchor) + 1, (a, "w"))
 
     ma = builder.freeze()
-    assert ma.genus == g and ma.num_faces == 1
+    _expect_shape(ma, g, 1)
     w_list = [weights[a] / q for a in range(ma.num_arcs)]
     return DataSet(ma, k0, Fraction(q, p), w_list, [Fraction(level)])

@@ -3,8 +3,9 @@
 Thin shell over the library: every subcommand is one library call plus
 formatting.  Exit codes: 0 on success, 1 on domain infeasibility (empty
 moduli space, inadmissible parameters, non-generic twist), 2 on input or
-usage errors, 3 on an internal error (an exception outside the package's
-own error classes, i.e. a bug).  All output is deterministic.
+usage errors, 3 on an internal error (a failed theory identity,
+``AssertionFailure``, or an exception outside the package's own error
+classes: a bug either way).  All output is deterministic.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .dimension import dimension as moduli_dimension
 from .dimension import dimension_refined
 from .dataset import census
 from .errors import (
+    AssertionFailure,
     CutOnBoundary,
     CuspVertex,
     EmptySpace,
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     except INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
+    except AssertionFailure as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (HcmuError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -157,8 +157,8 @@ def _case_a(a, m, alpha: AngleVector, Z) -> ExistenceResult:
     if a == 2 and m == 1:
         return ExistenceResult(True, "A.2")
     if a == 2 and m == 0:
+        # a - m = n - |Z|, so exactly two entries lie outside Z
         non_z = [alpha[i - 1] for i in range(1, alpha.n + 1) if i not in Z]
-        assert len(non_z) == 2
         if non_z[0] != non_z[1]:
             return ExistenceResult(True, "A.3")
     return EMPTY

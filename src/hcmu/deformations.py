@@ -63,7 +63,7 @@ def circles_at_level(ds: DataSet, c) -> list:
     ma = ds.angulation
     sigma, sigma_inv, face_of_dart = ma.sigma, ma.sigma_inv, ma.face_of_dart
     nxt = [
-        sigma[(a, "b")][0] if above[face_of_dart[(a, "b")]] else sigma_inv[(a, "w")][0]
+        sigma[2 * a] >> 1 if above[face_of_dart[2 * a]] else sigma_inv[2 * a + 1] >> 1
         for a in range(ma.num_arcs)
     ]
     dw, weights = ds.grid.dw, ds.grid.weights
@@ -104,10 +104,12 @@ def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
         gate = ma.face_left(arc)
         kind = "black" if levels[gate] * d > x else "white"
         nxt = circle.members[(i + 1) % k]
-        if kind == "black":
-            assert ma.arcs[arc][0] == ma.arcs[nxt][0]
-        else:
-            assert ma.arcs[arc][1] == ma.arcs[nxt][1]
+        side = kind == "white"
+        if ma.arcs[arc][side] != ma.arcs[nxt][side]:
+            raise AssertionFailure(
+                f"level circle turns at a {kind} cut from arc {arc} (vertex "
+                f"{ma.arcs[arc][side]}) to arc {nxt} (vertex {ma.arcs[nxt][side]})"
+            )
         cuts.append({"pos": pos, "gate": gate, "kind": kind})
     return cuts
 
@@ -136,42 +138,46 @@ def _kept(ds: DataSet, dropped, vmap=None):
     order, with its ends renumbered by ``vmap`` when one is given.
 
     Returns the old-to-new arc map, the kept arcs, their weights, and the
-    claims of their darts: each one borders the same old face as before.
+    claims of their darts, a list indexed by new int dart: each one borders
+    the same old face as before.
     """
     ma = ds.angulation
+    face_of_dart = ma.face_of_dart
     arc_map = {}
     arcs = []
     weights = []
-    claims = {}
+    claims = []
     for a, (b, w) in enumerate(ma.arcs):
         if a in dropped:
             continue
-        na = len(arcs)
-        arc_map[a] = na
+        arc_map[a] = len(arcs)
         arcs.append((b, w) if vmap is None else (vmap[b], vmap[w]))
         weights.append(ds.weights[a])
-        claims[(na, "b")] = ma.face_left(a)
-        claims[(na, "w")] = ma.face_right(a)
+        claims += face_of_dart[2 * a : 2 * a + 2]
     return arc_map, arcs, weights, claims
 
 
 def _rebuild(ds: DataSet, colors, arcs, weights, rotations, claims, new_level=None) -> DataSet:
     """The data set that a surgery on ``ds`` produces.
 
-    ``claims`` maps darts of the new map to the old face each one borders,
-    or to ``NEW_FACE``.  The claims must agree on every new face, and each
+    ``claims[d]`` is the old face that int dart d of the new map borders,
+    or ``NEW_FACE``.  The claims must agree on every new face, and each
     old face must be claimed by exactly one new face, of the same degree,
     which keeps its level; new faces get ``new_level``.
     """
     ma = ds.angulation
     new_ma = MixedAngulation(colors, arcs, rotations)
-    old_of = {}
-    for dart, of in claims.items():
-        if old_of.setdefault(new_ma.face_of_dart[dart], of) != of:
+    if len(claims) != len(new_ma.face_of_dart):
+        raise AssertionFailure(
+            f"{len(claims)} face claims for the {len(new_ma.face_of_dart)} darts after a surgery"
+        )
+    old_of = [None] * new_ma.num_faces
+    for nf, of in zip(new_ma.face_of_dart, claims):
+        if old_of[nf] is None:
+            old_of[nf] = of
+        elif old_of[nf] != of:
             raise AssertionFailure("inconsistent face claims after a surgery")
-    if len(old_of) != new_ma.num_faces or sorted(
-        of for of in old_of.values() if of != NEW_FACE
-    ) != list(range(ma.num_faces)):
+    if None in old_of or sorted(of for of in old_of if of != NEW_FACE) != list(range(ma.num_faces)):
         raise AssertionFailure("faces were not matched bijectively after a surgery")
     levels = []
     for nf in range(new_ma.num_faces):
@@ -182,9 +188,9 @@ def _rebuild(ds: DataSet, colors, arcs, weights, rotations, claims, new_level=No
             raise AssertionFailure("a surgery changed a saddle angle")
         else:
             levels.append(ds.face_levels[of])
-    out = DataSet(new_ma, ds.k0, ds.ratio, weights, levels)
-    assert new_ma.genus == ma.genus
-    return out
+    if new_ma.genus != ma.genus:
+        raise AssertionFailure(f"a surgery changed the genus from {ma.genus} to {new_ma.genus}")
+    return DataSet(new_ma, ds.k0, ds.ratio, weights, levels)
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,6 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
         return TwistOutcome(None, tuple(sorted(clashes)))
 
     lines.sort(key=lambda ln: ln["tau"])
-    assert len(lines) == k
     taus = [ln["tau"] for ln in lines]
     widths = [
         (taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi for t in range(k)
@@ -265,14 +270,12 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
         )
 
     # -- assemble the new angulation ----------------------------------------
-    member_set = set(members)
-    arc_map, new_arcs, new_weights, claims = _kept(ds, member_set)
+    arc_map, new_arcs, new_weights, claims = _kept(ds, set(members))
     base = len(new_arcs)  # strip t becomes arc base + t
     for t, st in enumerate(strips):
         new_arcs.append((st["top"], st["bottom"]))
         new_weights.append(Fraction(st["width"], unit))
-        claims[(base + t, "b")] = st["right_gate"]
-        claims[(base + t, "w")] = st["left_gate"]
+        claims += (st["right_gate"], st["left_gate"])
 
     line_of_cut = {ln["cut"]: t for t, ln in enumerate(lines)}
 
@@ -309,7 +312,8 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
         cycle = rot[vertex]
         i = cycle.index(block[0])
         rolled = cycle[i:] + cycle[:i]
-        assert rolled[: len(block)] == block, "run is not rotation-consecutive"
+        if rolled[: len(block)] != block:
+            raise AssertionFailure(f"run {block} is not consecutive in the rotation of vertex {vertex}")
         rot[vertex] = replacement + rolled[len(block):]
 
     # strips enter the rotations as ("s", t) markers so their ids cannot
@@ -317,7 +321,6 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
         for i, j, run in runs(kind):
             x = ma.arcs[run[0]][side]
-            assert all(ma.arcs[a][side] == x for a in run)
             ts = list(range(k)) if i is None else run_strips(i, j)
             if side:  # a white vertex meets the circle in reverse order
                 run, ts = run[::-1], ts[::-1]
@@ -330,12 +333,14 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
             if isinstance(a, tuple):
                 row.append((base + a[1], e))
             else:
-                assert a not in member_set, "member dart survived the splice"
                 row.append((arc_map[a], e))
         final_rot.append(row)
 
     out = _rebuild(ds, ma.colors, new_arcs, new_weights, final_rot, claims)
-    assert out.total_weight() == ds.total_weight()
+    if out.total_weight() != ds.total_weight():
+        raise AssertionFailure(
+            f"twist changed the total weight from {ds.total_weight()} to {out.total_weight()}"
+        )
     return TwistOutcome(out)
 
 
@@ -381,7 +386,11 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     for a, _ in rot_x:
         bounds.append(bounds[-1] + ds.grid.weights[a] * scale)
     total = bounds[-1]
-    assert total == alpha * step
+    if total != alpha * step:
+        raise AssertionFailure(
+            f"weights around vertex {vertex} sum to {total}/{unit}, expected angle {alpha} "
+            f"times the spacing, {alpha * step}/{unit}"
+        )
     cuts = [first.numerator * (unit // first.denominator) + j * step for j in range(alpha)]
     if offset == 0 or not set(bounds).isdisjoint(cuts):
         raise CutOnBoundary("a cut position hits a sector boundary")
@@ -412,22 +421,19 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
             else:
                 new_arcs.append((vmap[far], q_base + owner))
             new_weights.append(Fraction(b_s - a_s, unit))
+            claims += (NEW_FACE, NEW_FACE)
             subs.append(na)
             q_members[owner].append(((a_s - cuts[0]) % total, na))
         sub_lists.append(subs)
         if not inner:
-            claims[(subs[0], "b")] = ma.face_left(a)
-            claims[(subs[0], "w")] = ma.face_right(a)
+            claims[2 * subs[0]] = ma.face_left(a)
+            claims[2 * subs[0] + 1] = ma.face_right(a)
+        elif color == BLACK:
+            claims[2 * subs[0] + 1] = ma.face_right(a)
+            claims[2 * subs[-1]] = ma.face_left(a)
         else:
-            for na in subs:
-                claims[(na, "b")] = NEW_FACE
-                claims[(na, "w")] = NEW_FACE
-            if color == BLACK:
-                claims[(subs[0], "w")] = ma.face_right(a)
-                claims[(subs[-1], "b")] = ma.face_left(a)
-            else:
-                claims[(subs[0], "b")] = ma.face_left(a)
-                claims[(subs[-1], "w")] = ma.face_right(a)
+            claims[2 * subs[0]] = ma.face_left(a)
+            claims[2 * subs[-1] + 1] = ma.face_right(a)
 
     end_here = "b" if color == BLACK else "w"
     rot = []
@@ -448,9 +454,7 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
 
     out = _rebuild(ds, colors, new_arcs, new_weights, rot, claims, new_level)
     new_ma = out.angulation
-    new_faces = {new_ma.face_of_dart[d] for d, of in claims.items() if of == NEW_FACE}
+    new_faces = {f for f, of in zip(new_ma.face_of_dart, claims) if of == NEW_FACE}
     if len(new_faces) != 1 or new_ma.face_degree(new_faces.pop()) != 2 * alpha:
         raise AssertionFailure("split did not produce one new 2*alpha-gon")
-    assert new_ma.num_arcs == ma.num_arcs + alpha
-    assert new_ma.num_vertices == ma.num_vertices - 1 + alpha
     return out

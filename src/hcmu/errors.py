@@ -67,8 +67,11 @@ class NotATree(HcmuError):
     pass
 
 
-class AssertionFailure(HcmuError):
-    """An identity the theory guarantees failed; indicates a model bug."""
+class AssertionFailure(HcmuError, AssertionError):
+    """An identity the theory guarantees failed; indicates a model bug.
+
+    It stays raised under ``python -O``, unlike an ``assert`` statement, and
+    is an ``AssertionError`` for callers that catch those."""
 
 
 class CensusInconsistent(AssertionFailure):

@@ -42,7 +42,8 @@ def make_two_level() -> DataSet:
     ]
     ma = MixedAngulation(colors, arcs, rot)
     levels = {
-        f: (F(1, 3) if (1, "b") in ma.faces[f] else F(2, 3)) for f in range(2)
+        # int dart 2 is the black end of arc 1
+        f: (F(1, 3) if 2 in ma.faces[f] else F(2, 3)) for f in range(2)
     }
     return DataSet(ma, 1.0, F(1, 2), [F(1, 2), F(1), F(1, 2), F(1, 2)], levels)
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import make_calabi, make_two_level, random_bicolored_angulation
+from conftest import FIXTURES, make_calabi, make_two_level, random_bicolored_angulation
 from hcmu.angulation import (
     BLACK,
     WHITE,
@@ -15,7 +15,20 @@ from hcmu.angulation import (
 from hcmu.builders import build_one_cone, build_surface, canonical_angulation
 from hcmu.dataset import DataSet
 from hcmu.deformations import circles_at_level, split, twist
-from hcmu.errors import Disconnected, HcmuError, NotBipartite, OddFaceDegree
+from hcmu.errors import (
+    Disconnected,
+    HcmuError,
+    NonIntegerGenus,
+    NotBipartite,
+    OddFaceDegree,
+)
+from hcmu.serialization import load
+from test_deformation_stress import deformed_walk
+
+
+def pair(d):
+    """The (arc, end) pair of int dart d."""
+    return (d >> 1, "bw"[d & 1])
 
 
 def star_angulation(p):
@@ -122,21 +135,21 @@ def test_faces_start_at_their_least_dart_in_key_order():
     maps += [build_one_cone(1, 4, 3).angulation, build_one_cone(2, 6, 3).angulation]
     for ma in maps:
         keyed = sorted((min(walk), walk) for walk in ma.faces)
-        assert ma.face_keys == tuple(k for k, _ in keyed)
+        assert ma.face_keys == tuple(pair(k) for k, _ in keyed)
         assert ma.faces == tuple(w for _, w in keyed)
-        assert all(walk[0] == key for key, walk in zip(ma.face_keys, ma.faces))
+        assert all(pair(walk[0]) == key for key, walk in zip(ma.face_keys, ma.faces))
 
 
 def test_builder_face_walk_reads_only_the_rotation_lists(monkeypatch):
     # sigma^-1 over the whole map must not be rebuilt for one face walk
     import hcmu.angulation as angulation
 
-    rotation_maps = angulation._rotation_maps
+    trace_faces = angulation._trace_faces
     walking = []
 
-    def guarded(rotations):
+    def guarded(sigma_inv):
         assert not walking, "face_walk_of_dart rebuilt sigma^-1"
-        return rotation_maps(rotations)
+        return trace_faces(sigma_inv)
 
     face_walk_of_dart = MapBuilder.face_walk_of_dart
 
@@ -147,10 +160,135 @@ def test_builder_face_walk_reads_only_the_rotation_lists(monkeypatch):
         finally:
             walking.pop()
 
-    monkeypatch.setattr(angulation, "_rotation_maps", guarded)
+    monkeypatch.setattr(angulation, "_trace_faces", guarded)
     monkeypatch.setattr(MapBuilder, "face_walk_of_dart", walk)
     ds = build_surface(0, [3] * 30, range(1, 31))
     assert ds.angulation.num_faces == 30
+
+
+# -- the constructor's rejections ----------------------------------------------
+
+B, W = BLACK, WHITE
+FOUR_GON = ([B, W], [(0, 1), (0, 1)], [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")]])
+
+
+@pytest.mark.parametrize(
+    "colors, arcs, rotations, error, message",
+    [
+        ([B, "red"], [(0, 1)], [[(0, "b")], [(0, "w")]], NotBipartite, "unknown color 'red'"),
+        ([B, W], [(0, 1)], [[(0, "b")]], NotBipartite, "rotation table does not match the vertex set"),
+        ([B, W], [(0, 5)], [[(0, "b")], [(0, "w")]], NotBipartite, "arc 0 has a dangling end"),
+        ([B, W], [(1, 0)], [[(0, "b")], [(0, "w")]], NotBipartite, "arc 0 does not join black to white"),
+        ([B, W], [(0, 1)], [[(0, "x")], [(0, "w")]], NotBipartite, "malformed dart (0, 'x')"),
+        ([B, W], [(0, 1)], [[(7, "b")], [(0, "w")]], NotBipartite, "malformed dart (7, 'b')"),
+        ([B, W], [(0, 1)], [[(0, "w")], [(0, "b")]], NotBipartite, "dart (0, 'w') listed at the wrong vertex"),
+        ([B, W], [(0, 1)], [[(0, "b"), (0, "b")], [(0, "w")]], NotBipartite, "dart (0, 'b') appears twice"),
+        (
+            [B, W], [(0, 1), (0, 1)], [[(0, "b")], [(0, "w"), (1, "w")]],
+            NotBipartite, "some arc-end is missing from the rotation system",
+        ),
+        ([B, W, B], [(0, 1)], [[(0, "b")], [(0, "w")], []], Disconnected, "vertex 2 is isolated"),
+        ([], [], [], Disconnected, "empty graph"),
+        (
+            [B, W, B, W], [(0, 1), (0, 1), (2, 3), (2, 3)],
+            [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")], [(2, "b"), (3, "b")], [(2, "w"), (3, "w")]],
+            Disconnected, "graph is not connected",
+        ),
+        ([B, W], [(0, 1)], [[(0, "b")], [(0, "w")]], OddFaceDegree, "face of degree 2 < 4"),
+    ],
+)
+def test_constructor_rejections(colors, arcs, rotations, error, message):
+    with pytest.raises(error) as caught:
+        MixedAngulation(colors, arcs, rotations)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "walks, error, message",
+    [
+        # a bipartite map's face walks alternate colors and a connected map's
+        # Euler count is 2 - 2g, so these two checks need a broken tracer
+        (((0, 1, 2), (3,)), OddFaceDegree, "face of odd degree 3"),
+        (((0, 1, 2, 3),) * 3, NonIntegerGenus, "Euler count 3 is not 2 - 2g"),
+        (((0, 1, 2, 3),) * 4, NonIntegerGenus, "Euler count 4 is not 2 - 2g"),
+    ],
+)
+def test_constructor_rejects_what_a_broken_tracer_returns(monkeypatch, walks, error, message):
+    import hcmu.angulation as angulation
+
+    monkeypatch.setattr(angulation, "_trace_faces", lambda sigma_inv: (walks, [0] * len(sigma_inv)))
+    with pytest.raises(error) as caught:
+        MixedAngulation(*FOUR_GON)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+# -- oracle: the (arc, end) pair maps and face walks ------------------------------
+#
+# sigma, sigma^-1 and the face walks computed on (arc, end) pairs with dicts,
+# the reference for MixedAngulation's int permutations and faces.
+
+
+def pair_rotation_maps(rotations):
+    """sigma and sigma^-1 as dart -> dart maps, in one pass over the rotations."""
+    sigma = {}
+    sigma_inv = {}
+    for rot in rotations:
+        prev = rot[-1] if rot else None
+        for d in rot:
+            sigma[prev] = d
+            sigma_inv[d] = prev
+            prev = d
+    return sigma, sigma_inv
+
+
+def pair_face_orbits(num_arcs, sigma_inv):
+    """Face walks d -> sigma^-1(opposite(d)), each from its first unvisited
+    dart in (arc, end) order."""
+    walks = []
+    visited = set()
+    for a in range(num_arcs):
+        for end in ("b", "w"):
+            d0 = (a, end)
+            if d0 in visited:
+                continue
+            walk = []
+            d = d0
+            while True:
+                walk.append(d)
+                visited.add(d)
+                d = sigma_inv[opposite(d)]
+                if d == d0:
+                    break
+            walks.append(tuple(walk))
+    return walks
+
+
+def assert_matches_pair_oracle(ma):
+    sigma, sigma_inv = pair_rotation_maps(ma.rotations)
+    assert {pair(d): pair(s) for d, s in enumerate(ma.sigma)} == sigma
+    assert {pair(d): pair(s) for d, s in enumerate(ma.sigma_inv)} == sigma_inv
+    walks = pair_face_orbits(ma.num_arcs, sigma_inv)
+    assert [tuple(pair(d) for d in walk) for walk in ma.faces] == walks
+    assert ma.face_keys == tuple(walk[0] for walk in walks)
+    assert {pair(d): f for d, f in enumerate(ma.face_of_dart)} == {
+        d: f for f, walk in enumerate(walks) for d in walk
+    }
+    builder = MapBuilder.from_angulation(ma)
+    assert builder.trace() == walks
+
+
+def test_int_faces_match_the_pair_oracle():
+    surfaces = [make_calabi(), make_two_level()] + [load(path) for path in sorted(FIXTURES.glob("*.json"))]
+    surfaces += [build_surface(0, [3] * n, range(1, n + 1)) for n in range(4, 65, 6)]
+    surfaces += [build_surface(2, [7], {1}), build_one_cone(0, 7, 3), build_one_cone(2, 6, 3)]
+    for seed in range(8):
+        surfaces += deformed_walk(seed)
+    assert len(surfaces) > 50
+    for ds in surfaces:
+        assert_matches_pair_oracle(ds.angulation)
+    rng = random.Random(11)
+    for _ in range(40):
+        assert_matches_pair_oracle(random_bicolored_angulation(rng))
 
 
 def test_order_vector_compatibility_identity():
@@ -165,7 +303,7 @@ def test_face_walk_alternates_colors():
     for _ in range(25):
         ma = random_bicolored_angulation(rng)
         for walk in ma.faces:
-            corners = [ma.vertex_of_dart(opposite(d)) for d in walk]
+            corners = [ma.vertex_of_dart(opposite(pair(d))) for d in walk]
             for i, v in enumerate(corners):
                 w = corners[(i + 1) % len(corners)]
                 assert ma.colors[v] != ma.colors[w]
@@ -286,20 +424,20 @@ def relabeled(ma, weights, levels, rng):
         new_weights[pa[a]] = weights[a]
     new = MixedAngulation(colors, arcs, rot, _allow_degenerate=True)
     new_levels = [None] * new.num_faces
-    for (a, e), f in ma.face_of_dart.items():
-        new_levels[new.face_of_dart[(pa[a], e)]] = levels[f]
+    for d, f in enumerate(ma.face_of_dart):
+        new_levels[new.face_of_dart[2 * pa[d >> 1] + (d & 1)]] = levels[f]
     return new, tuple(new_weights), tuple(new_levels)
 
 
 def mirrored(ma, weights, levels):
     """Every rotation reversed; the face of d takes the level of the old face
-    of opposite(d)."""
+    of d ^ 1, the other end of its arc."""
     new = MixedAngulation(
         ma.colors, ma.arcs, [r[::-1] for r in ma.rotations], _allow_degenerate=True
     )
     new_levels = [None] * new.num_faces
-    for d, f in new.face_of_dart.items():
-        new_levels[f] = levels[ma.face_of_dart[opposite(d)]]
+    for d, f in enumerate(new.face_of_dart):
+        new_levels[f] = levels[ma.face_of_dart[d ^ 1]]
     return new, tuple(weights), tuple(new_levels)
 
 

@@ -9,6 +9,7 @@ from hcmu import cli
 from hcmu import serialization as ser
 from hcmu.balance import HallCut, SolutionSpace
 from hcmu.cli import main
+from hcmu.errors import AssertionFailure, CensusInconsistent
 
 
 def run(capsys, *argv):
@@ -221,6 +222,18 @@ def test_internal_error_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
+@pytest.mark.parametrize("error", [AssertionFailure, CensusInconsistent])
+def test_failed_identity_exits_three(capsys, monkeypatch, error):
+    def broken(args):
+        raise error("tree has 6 blacks, expected 9")
+
+    monkeypatch.setattr(cli, "cmd_one_cone", broken)
+    code, out, err = run(capsys, "one-cone", "--genus", "0", "-p", "9", "-q", "6")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: tree has 6 blacks, expected 9\n"
 
 
 def test_solve_prints_the_obstruction(capsys, monkeypatch):

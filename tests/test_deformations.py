@@ -305,8 +305,8 @@ def test_rebuild_of_the_identity_surgery_is_the_surface(calabi, two_level):
 
 def test_rebuild_refuses_disagreeing_claims(two_level):
     _, _, _, claims = _kept(two_level, ())
-    face = claims[(0, "b")]
-    claims[(0, "b")] = 1 - face
+    face = claims[0]
+    claims[0] = 1 - face
     with pytest.raises(AssertionFailure, match="inconsistent"):
         rebuild_unchanged(two_level, claims)
 
@@ -314,12 +314,12 @@ def test_rebuild_refuses_disagreeing_claims(two_level):
 def test_rebuild_refuses_a_missing_old_face(calabi):
     _, _, _, claims = _kept(calabi, ())
     # every new face agrees with itself, but old face 1 is claimed by no one
-    claims = {d: (0 if f == 1 else f) for d, f in claims.items()}
+    claims = [0 if f == 1 else f for f in claims]
     with pytest.raises(AssertionFailure, match="bijectively"):
         rebuild_unchanged(calabi, claims)
-    # and a face that nobody claims
+    # and a face that nobody claims: its darts claim no old face
     _, _, _, claims = _kept(calabi, ())
-    claims = {d: f for d, f in claims.items() if f != 2}
+    claims = [None if f == 2 else f for f in claims]
     with pytest.raises(AssertionFailure, match="bijectively"):
         rebuild_unchanged(calabi, claims)
 
@@ -334,8 +334,10 @@ def test_rebuild_refuses_a_missing_old_face(calabi):
 def oracle_successor(ds, c, arc):
     ma = ds.angulation
     if c < ds.face_levels[ma.face_left(arc)]:
-        return ma.rotation_next((arc, "b"))[0]
-    return ma.rotation_prev((arc, "w"))[0]
+        rot = ma.rotations[ma.arcs[arc][0]]
+        return rot[(rot.index((arc, "b")) + 1) % len(rot)][0]
+    rot = ma.rotations[ma.arcs[arc][1]]
+    return rot[rot.index((arc, "w")) - 1][0]
 
 
 def oracle_circles(ds, c):
@@ -389,8 +391,7 @@ def oracle_twist(ds, c, index, psi):
     for t in range(k):
         arcs.append((ma.arcs[owner_after(taus[t])][0], ma.arcs[owner_after(taus[t] - psi)][1]))
         weights.append((taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi)
-        claims[(base + t, "b")] = lines[(t + 1) % k][1]
-        claims[(base + t, "w")] = lines[t][1]
+        claims += (lines[(t + 1) % k][1], lines[t][1])
     line_of_cut = {ln[3]: t for t, ln in enumerate(lines)}
     rot = [list(r) for r in ma.rotations]
     for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
@@ -451,14 +452,13 @@ def oracle_split(ds, vertex, offset, new_level):
             sectors[owner].append(((lo - cuts[0]) % total, na))
         sub_lists.append(subs)
         if len(subs) == 1:
-            claims[(subs[0], "b")] = ma.face_left(a)
-            claims[(subs[0], "w")] = ma.face_right(a)
+            claims += (ma.face_left(a), ma.face_right(a))
         else:
-            for na in subs:
-                claims[(na, "b")] = claims[(na, "w")] = NEW_FACE
-            first, last = ("w", "b") if color == BLACK else ("b", "w")
-            claims[(subs[0], first)] = ma.face_of_dart[(a, first)]
-            claims[(subs[-1], last)] = ma.face_of_dart[(a, last)]
+            claims += [NEW_FACE] * (2 * len(subs))
+            # int dart 2a + e is arc a's black end for e = 0, its white end for e = 1
+            first, last = (1, 0) if color == BLACK else (0, 1)
+            claims[2 * subs[0] + first] = ma.face_of_dart[2 * a + first]
+            claims[2 * subs[-1] + last] = ma.face_of_dart[2 * a + last]
     end = "b" if color == BLACK else "w"
     rot = [
         [d for a, e in ma.rotations[v] for d in (

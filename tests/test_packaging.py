@@ -118,3 +118,14 @@ def test_no_unused_import_outside_the_package_init():
                 continue
             unused += [f"{name}:{b}" for b in bound if b not in read]
     assert unused == []
+
+
+def test_no_assert_statement_in_the_package():
+    # an assert vanishes under python -O; a failed identity raises AssertionFailure
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
