@@ -13,20 +13,16 @@ from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from .balance import (
     SolutionSpace,
     balance_rank,
-    divisibility_check,
     solve_balance,
     solve_tree,
-    weight_space_dimension,
 )
 from .builders import (
-    PolygonFragment,
     WeightedTree,
     build_coprime_tree,
     build_one_cone,
     build_surface,
     build_tree,
     canonical_angulation,
-    subdivide_polygon,
 )
 from .constraints import (
     AngleVector,

@@ -1,11 +1,12 @@
 """Exact balance equations as graph algorithms on the bi-colored map.
 
-Everything here runs over ``Fraction``; no floating point enters this module.
-The connection matrix of a bi-colored angulation has one row per vertex
-(black rows first) and one column per arc, with exactly two ones per column.
-Scaling the white rows by the ratio R gives the balance matrix whose affine
-solution set is the space of weight functions realizing prescribed cone
-angles.
+No floating point enters this module.  :func:`solve_balance` scales the
+demands once to integers over one denominator, works on those, and builds
+its ``Fraction`` results at the end, one per distinct value.  The connection
+matrix of a bi-colored angulation has one row per vertex (black rows first)
+and one column per arc, with exactly two ones per column.  Scaling the white
+rows by the ratio R gives the balance matrix whose affine solution set is
+the space of weight functions realizing prescribed cone angles.
 
 For R > 0 the system is the vertex/arc incidence system of a connected
 bipartite graph with demand t at black vertices and t / R at white ones, so
@@ -56,7 +57,7 @@ from .errors import (
     NotATree,
 )
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,34 @@ def solve_balance(ma: MixedAngulation, ratio, targets) -> SolutionSpace:
         raise BadRatio(f"ratio {ratio} outside [0, 1)")
     # demand per vertex in weight units; None for the vanished white rows
     demand = []
-    for v in range(ma.num_vertices):
-        t = Fraction(targets[v])
-        if ma.colors[v] == WHITE:
-            if ratio == 0:
-                if t != 0:
+    for v, color in enumerate(ma.colors):
+        t = targets[v] if type(targets[v]) is Fraction else Fraction(targets[v])
+        if color == WHITE:
+            if not ratio:
+                if t:
                     raise BadTargets(f"cusp system with nonzero white target at {v}")
                 t = None
             else:
                 t /= ratio
         demand.append(t)
-    if ratio == 0:
-        particular, basis = _star_solution(ma, demand)
+    # from here on each demand is an integer in units of 1 / scale
+    scale = math.lcm(*(t.denominator for t in demand if t is not None))
+    demand = [None if t is None else t.numerator * (scale // t.denominator) for t in demand]
+    if ratio:
+        particular, basis = _tree_solution(ma, demand, scale)
     else:
-        particular, basis = _tree_solution(ma, demand)
+        particular, basis = _star_solution(ma, demand)
+    exact = _over(particular, scale)
     if all(x > 0 for x in particular):
-        return SolutionSpace(particular, basis, particular)
-    witness, obstruction = _positive_solution(ma, demand)
-    return SolutionSpace(particular, basis, witness, obstruction)
+        return SolutionSpace(exact, basis, exact)
+    witness, obstruction = _positive_solution(ma, demand, scale)
+    return SolutionSpace(exact, basis, witness, obstruction)
+
+
+def _over(numerators, den):
+    """The Fractions n / ``den`` of ``numerators``, one per distinct n."""
+    made = {n: Fraction(n, den) for n in set(numerators)}
+    return tuple(map(made.__getitem__, numerators))
 
 
 def _other_end(ma, a, v):
@@ -162,7 +173,7 @@ def _peel(ma, order, parent_arc, demand):
     the root, which vanishes exactly when the system is consistent.
     """
     residual = list(demand)
-    weights = [_ZERO] * ma.num_arcs
+    weights = [0] * ma.num_arcs
     for v in reversed(order[1:]):
         a = parent_arc[v]
         weights[a] = residual[v]
@@ -170,12 +181,12 @@ def _peel(ma, order, parent_arc, demand):
     return weights, residual[order[0]]
 
 
-def _tree_solution(ma, demand):
+def _tree_solution(ma, demand, scale):
     """Particular solution by the tree peel, kernel by fundamental cycles."""
     order, parent_arc = _spanning_tree(ma)
     particular, residual = _peel(ma, order, parent_arc, demand)
     if residual != 0:
-        raise Infeasible(f"balance system is inconsistent: residual {residual} at the root")
+        raise Infeasible(f"balance system is inconsistent: residual {Fraction(residual, scale)} at the root")
     depth = [0] * ma.num_vertices
     for v in order[1:]:
         depth[v] = depth[_other_end(ma, parent_arc[v], v)] + 1
@@ -190,20 +201,20 @@ def _tree_solution(ma, demand):
         vec = [_ZERO] * ma.num_arcs
         vec[a] = _ONE
         ends = list(ma.arcs[a])
-        signs = [-_ONE, -_ONE]
+        signs = [_MINUS_ONE, _MINUS_ONE]
         while ends[0] != ends[1]:
             i = 0 if depth[ends[0]] > depth[ends[1]] else 1
             t = parent_arc[ends[i]]
             vec[t] = signs[i]
-            signs[i] = -signs[i]
+            signs[i] = _ONE if signs[i] is _MINUS_ONE else _MINUS_ONE
             ends[i] = _other_end(ma, t, ends[i])
         basis.append(tuple(vec))
-    return tuple(particular), basis
+    return particular, basis
 
 
 def _star_solution(ma, demand):
     """R = 0: each black target sits on the smallest arc of its star."""
-    particular = [_ZERO] * ma.num_arcs
+    particular = [0] * ma.num_arcs
     first = {}
     basis = []
     for a, (b, _) in enumerate(ma.arcs):
@@ -212,29 +223,29 @@ def _star_solution(ma, demand):
             particular[a] = demand[b]
         else:
             vec = [_ZERO] * ma.num_arcs
-            vec[a], vec[first[b]] = _ONE, -_ONE
+            vec[a], vec[first[b]] = _ONE, _MINUS_ONE
             basis.append(tuple(vec))
-    return tuple(particular), basis
+    return particular, basis
 
 
-def _positive_solution(ma, demand):
-    """(strictly positive solution, None) or (None, HallCut)."""
+def _positive_solution(ma, demand, scale):
+    """(strictly positive solution, None) or (None, HallCut) for the
+    integer ``demand`` in units of 1 / ``scale``."""
     nv, colors = ma.num_vertices, ma.colors
     for v, d in enumerate(demand):
         if d is not None and d <= 0:
             # a vertex with no positive share for its arcs
             reach = {v} if colors[v] == WHITE else set(range(nv)) - {v}
-            return None, _hall_cut(ma, demand, reach)
+            return None, _hall_cut(ma, demand, scale, reach)
     if any(d is None for d in demand):
         degree = [0] * nv
         for b, _ in ma.arcs:
             degree[b] += 1
-        return tuple(demand[b] / degree[b] for b, _ in ma.arcs), None
+        return tuple(Fraction(demand[b], scale * degree[b]) for b, _ in ma.arcs), None
 
     # maximum flow in integer units: supply left at the blacks, room left at
     # the whites; each black in turn sends along shortest residual paths
-    scale = math.lcm(*(d.denominator for d in demand))
-    left = [int(d * scale) for d in demand]  # exact: scale clears every denominator
+    left = list(demand)
     incident = [[] for _ in range(nv)]
     for a, (b, w) in enumerate(ma.arcs):
         incident[b].append((a, w))
@@ -260,18 +271,21 @@ def _positive_solution(ma, demand):
     # an unsaturated black: the source side of a minimum cut violates Hall
     short = [v for v in blacks if left[v]]
     if short:
-        return None, _hall_cut(ma, demand, _search(colors, incident, flow, short)[0])
+        return None, _hall_cut(ma, demand, scale, _search(colors, incident, flow, short)[0])
 
-    witness = [Fraction(f, scale) for f in flow]
     zero = [a for a in range(ma.num_arcs) if not flow[a]]
     if not zero:
-        return tuple(witness), None
-    delta = Fraction(min(f for f in flow if f), scale * 2 * len(zero))
+        return _over(flow, scale), None
+    # push the least flow / parts around one cycle per zero arc, in units of
+    # 1 / (scale * parts)
+    parts = 2 * len(zero)
+    witness = [f * parts for f in flow]
+    delta = min(f for f in flow if f)
     for a in zero:
         b, w = ma.arcs[a]
         via, end = _search(colors, incident, flow, [w], lambda v: v == b)
         if end is None:
-            return None, _hall_cut(ma, demand, via)
+            return None, _hall_cut(ma, demand, scale, via)
         # raise a and the arcs walked black -> white, lower those walked back
         witness[a] += delta
         v = b
@@ -279,7 +293,7 @@ def _positive_solution(ma, demand):
             e = via[v]
             witness[e] += delta if colors[v] == WHITE else -delta
             v = _other_end(ma, e, v)
-    return tuple(witness), None
+    return _over(witness, scale * parts), None
 
 
 def _search(colors, incident, flow, starts, stop=None):
@@ -304,7 +318,7 @@ def _search(colors, incident, flow, starts, stop=None):
     return via, None
 
 
-def _hall_cut(ma, demand, reach):
+def _hall_cut(ma, demand, scale, reach):
     """The cut made of the vertices outside ``reach``, a set closed under
     black -> white arcs."""
     blacks = frozenset(
@@ -314,7 +328,7 @@ def _hall_cut(ma, demand, reach):
         v for v in range(ma.num_vertices) if ma.colors[v] == WHITE and v not in reach
     )
     crossing = tuple(a for a, (b, w) in enumerate(ma.arcs) if b in blacks and w in reach)
-    gap = sum(demand[b] for b in blacks) - sum(demand[w] for w in whites)
+    gap = Fraction(sum(demand[b] for b in blacks) - sum(demand[w] for w in whites), scale)
     if gap > 0 or not crossing:
         raise AssertionFailure(f"cut with gap {gap} over arcs {crossing} proves nothing")
     return HallCut(blacks, whites, crossing, gap)
@@ -331,10 +345,15 @@ def solve_tree(ma: MixedAngulation, p: int, q: int):
     Raises ``Infeasible`` if a forced weight is <= 0 or the residual left at
     the root is nonzero.
     """
+    return tuple(map(Fraction, tree_weights(ma, p, q)))
+
+
+def tree_weights(ma: MixedAngulation, p: int, q: int) -> list:
+    """:func:`solve_tree`'s weights as ints, which the builders divide by q."""
     nv, na = ma.num_vertices, ma.num_arcs
     if na != nv - 1:
         raise NotATree(f"{na} arcs on {nv} vertices")
-    demand = [Fraction(q) if ma.colors[v] == BLACK else Fraction(p) for v in range(nv)]
+    demand = [q if color == BLACK else p for color in ma.colors]
     order, parent_arc = _spanning_tree(ma)
     weights, residual = _peel(ma, order, parent_arc, demand)
     for v in reversed(order[1:]):
@@ -343,12 +362,7 @@ def solve_tree(ma: MixedAngulation, p: int, q: int):
             raise Infeasible(f"forced weight {w} <= 0 at vertex {v}")
     if residual != 0:
         raise Infeasible(f"residual {residual} at final vertex {order[0]}")
-    return tuple(weights)
-
-
-def divisibility_check(weights, lam: int) -> bool:
-    """Every tree weight is a multiple of the common divisor ``lam``."""
-    return all(Fraction(w) % lam == 0 for w in weights)
+    return weights
 
 
 # -- rank ---------------------------------------------------------------------
@@ -375,24 +389,12 @@ def balance_rank(ma: MixedAngulation, ratio) -> int:
             v = parent[v]
         return v
 
+    cusp = ratio == 0
     rank = 0
     for b, w in ma.arcs:
-        x, y = find(b), find(w if ratio != 0 else ground)
+        x, y = find(b), find(ground if cusp else w)
         if x != y:
             parent[x] = y
             rank += 1
     return rank
 
-
-def weight_space_dimension(dataset) -> int:
-    """Kernel dimension of the balance matrix; must equal 2g + j0 - 1."""
-    if dataset.ratio == 0:
-        raise BadRatio("weight space dimension is defined for R > 0")
-    ma = dataset.angulation
-    dim = ma.num_arcs - balance_rank(ma, dataset.ratio)
-    expected = 2 * ma.genus + ma.num_faces - 1
-    if dim != expected:
-        raise AssertionFailure(
-            f"kernel dimension {dim} != 2g + j0 - 1 = {expected}"
-        )
-    return dim

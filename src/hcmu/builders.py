@@ -14,7 +14,7 @@ from math import gcd
 from typing import Sequence
 
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation, opposite
-from .balance import solve_tree
+from .balance import tree_weights
 from .constraints import (
     as_angle_vector,
     check_refined,
@@ -123,60 +123,6 @@ def _subdivide_rec(builder, walk, w, stats):
         _subdivide_rec(builder, _rooted_walk(builder, walk[0]), rest, stats)
 
 
-@dataclass
-class PolygonFragment:
-    """A subdivided 2K-gon, modeled as a sphere map with an outer face."""
-
-    angulation: MixedAngulation
-    outer_dart: tuple
-    boundary: tuple  # boundary vertex ids, alternating colors
-    diagonals: tuple
-    leaves: tuple  # (vertex id, arc id) of the added black leaves
-
-
-def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
-    """Subdivide a 2K-gon into faces of degrees w[i] + 2.
-
-    The polygon is modeled as the 2K-cycle on the sphere with the outer face
-    left untouched.  Requires 2L := sum(w) - (2K - 2) >= 0; the subdivision
-    adds len(w) - 1 diagonal arcs, L interior black vertices and L
-    self-folded arcs.
-    """
-    if K < 1:
-        raise Incompatible("K must be >= 1")
-    wl = [int(x) for x in w]
-    for x in wl:
-        if x < 2 or x % 2 != 0:
-            raise BadOrderVector(f"order {x} must be even and >= 2")
-    if sum(wl) < 2 * K - 2:
-        raise Incompatible(f"2L = {sum(wl) - (2 * K - 2)} < 0")
-    b = MapBuilder()
-    for i in range(2 * K):
-        b.add_vertex(BLACK if i % 2 == 0 else WHITE)
-    if K == 1:
-        b.arcs = [[0, 1], [0, 1]]
-        b.rot = [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")]]
-    else:
-        for i in range(2 * K):
-            u, v = i, (i + 1) % (2 * K)
-            b.arcs.append([u, v] if u % 2 == 0 else [v, u])
-        for v in range(2 * K):
-            end = "b" if v % 2 == 0 else "w"
-            b.rot[v] = [(v, end), ((v - 1) % (2 * K), end)]
-    inner = (0, "b")
-    inner_walk = set(b.face_walk_of_dart(inner))
-    outer = min(d for wk in b.trace() for d in wk if d not in inner_walk)
-    stats = subdivide_face(b, inner, wl)
-    ma = b.freeze(allow_degenerate=True)
-    return PolygonFragment(
-        angulation=ma,
-        outer_dart=outer,
-        boundary=tuple(range(2 * K)),
-        diagonals=tuple(stats.diagonals),
-        leaves=tuple(stats.leaves),
-    )
-
-
 # -- existence witnesses -------------------------------------------------------
 
 
@@ -192,7 +138,7 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     Z = frozenset(Z)
     if not check_refined(g, alpha, Z):
         raise EmptySpace(
-            f"no surface with genus {g}, angles {list(alpha)}, Z={sorted(Z)}"
+            f"no surface with genus {g}, angles [{', '.join(map(str, alpha))}], Z={sorted(Z)}"
         )
     m, a, b_count = invariants_m_a(g, alpha, Z)
     q = alpha.q_zeros
@@ -216,7 +162,7 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
         for i in range(1, alpha.n + 1)
         if i not in Z and alpha[i - 1] != 0
     ]
-    beta = sorted(non_saddle + [Fraction(1)] * int(m), reverse=True)
+    beta = sorted(non_saddle + [1] * int(m), reverse=True)  # m smooth points of angle 1
     want_whites = max(q, 1)
     if (len(blacks), len(whites)) != (a - want_whites, want_whites):
         raise AssertionFailure(
@@ -227,9 +173,10 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
         ratio = Fraction(0)
     else:
         beta_min = beta.pop()  # smallest expected angle goes to the white vertex
-        ratio = beta_min / sum(beta)
-    assigned = dict(zip(blacks, beta))
-    weights = [assigned[bk] / ma.degree(bk) for bk, _ in ma.arcs]
+        ratio = Fraction(beta_min) / (sum(non_saddle) + int(m) - beta_min)
+    # one weight per black vertex, its angle spread evenly over its arcs
+    share = {bk: Fraction(x.numerator, x.denominator * ma.degree(bk)) for bk, x in zip(blacks, beta)}
+    weights = [share[bk] for bk, _ in ma.arcs]
     if len(weights) != b_count:
         raise AssertionFailure(f"map has {len(weights)} arcs, expected b = {b_count}")
     return DataSet(ma, k0, ratio, weights, [Fraction(level)] * ma.num_faces)
@@ -426,7 +373,7 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")
     if g == 0:
         ma = build_tree(p, q).as_angulation()
-        weights = [Fraction(w, q) for w in solve_tree(ma, p, q)]
+        weights = [Fraction(w, q) for w in tree_weights(ma, p, q)]
         ds = DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
     elif q == 1 or p % q != 0:
         ds = _one_cone_genus_tree(g, p, q, k0, level)
@@ -445,7 +392,7 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     """Merge the pruned planar tree into the canonical angulation at its
     white vertex; canonical arcs carry weight q / (2g+1)."""
     tree = build_tree(p, q)
-    tree_weights = solve_tree(tree.as_angulation(), p, q)
+    weights_on_tree = tree_weights(tree.as_angulation(), p, q)
     x_drop = tree.degree_one_black_with_weight_q()
     e_drop = next(i for i, (bk, _) in enumerate(tree.edges) if bk == x_drop)
     y_glue = tree.edges[e_drop][1]
@@ -459,14 +406,14 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     for wh in range(tree.q):
         if wh != y_glue:
             wmap[wh] = builder.add_vertex(WHITE)
-    arc_weights = {a: Fraction(q, n_canon) for a in range(n_canon)}
+    arc_weights = dict.fromkeys(range(n_canon), Fraction(1, n_canon))
     glue_block = []
     for i, (bk, wh) in enumerate(tree.edges):
         if i == e_drop:
             continue
         a = len(builder.arcs)
         builder.arcs.append([bmap[bk], wmap[wh]])
-        arc_weights[a] = Fraction(tree_weights[i])
+        arc_weights[a] = Fraction(weights_on_tree[i], q)
         builder.rot[bmap[bk]].append((a, "b"))
         if wh == y_glue:
             glue_block.append((a, "w"))
@@ -476,7 +423,7 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     builder.rot[1] = rot_y[:1] + glue_block + rot_y[1:]
     ma = builder.freeze()
     _expect_shape(ma, g, 1)
-    weights = [arc_weights[a] / q for a in range(ma.num_arcs)]
+    weights = [arc_weights[a] for a in range(ma.num_arcs)]
     return DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
 
 
@@ -488,12 +435,12 @@ def _one_cone_genus_stars(g, p, q, k0, level):
     builder = MapBuilder()
     xs = [[builder.add_vertex(BLACK) for _ in range(k)] for _ in range(q)]
     ys = [builder.add_vertex(WHITE) for _ in range(q)]
-    weights = {}
+    weights = {}  # arc -> weight, already divided by q
 
     def new_arc(bk, wh, wt):
         a = len(builder.arcs)
         builder.arcs.append([bk, wh])
-        weights[a] = Fraction(wt)
+        weights[a] = wt
         return a
 
     star = [
@@ -501,13 +448,13 @@ def _one_cone_genus_stars(g, p, q, k0, level):
             new_arc(
                 xs[j][i],
                 ys[j],
-                Fraction(q, 2) if i == 0 else (q - 1 if (i, j) == (k - 1, 0) else q),
+                Fraction(1, 2) if i == 0 else Fraction(q - 1 if (i, j) == (k - 1, 0) else q, q),
             )
             for i in range(k)
         ]
         for j in range(q)
     ]
-    conn = [new_arc(xs[(j + 1) % q][0], ys[j], Fraction(q, 2)) for j in range(q)]
+    conn = [new_arc(xs[(j + 1) % q][0], ys[j], Fraction(1, 2)) for j in range(q)]
     for j in range(q):
         builder.rot[xs[j][0]] = [(star[j][0], "b"), (conn[(j - 1) % q], "b")]
         for i in range(1, k):
@@ -526,12 +473,12 @@ def _one_cone_genus_stars(g, p, q, k0, level):
         anchor = next((d for d in builder.rot[v] if (d not in face_u) == want_merge), None)
         if anchor is None:
             raise AssertionFailure(f"no gap at white vertex {v} for handle arc {step}")
-        a = new_arc(u, v, Fraction(1, 2 * g - 1))
+        a = new_arc(u, v, Fraction(1, (2 * g - 1) * q))
         builder.rot[u].append((a, "b"))
         # insert into the chosen gap, right after the anchor dart at v
         builder.rot[v].insert(builder.rot[v].index(anchor) + 1, (a, "w"))
 
     ma = builder.freeze()
     _expect_shape(ma, g, 1)
-    w_list = [weights[a] / q for a in range(ma.num_arcs)]
+    w_list = [weights[a] for a in range(ma.num_arcs)]
     return DataSet(ma, k0, Fraction(q, p), w_list, [Fraction(level)])

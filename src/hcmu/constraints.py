@@ -17,10 +17,11 @@ from .errors import BadAngleVector, BadGenus, BadTypePartition, EmptySpace
 
 
 def _to_fraction(x) -> Fraction:
-    f = Fraction(x)
-    if f < 0:
+    f = x if type(x) is Fraction else Fraction(x)
+    n, d = f.numerator, f.denominator
+    if n < 0:
         raise BadAngleVector(f"negative angle {f}")
-    if f == 1:
+    if n == d:
         raise BadAngleVector("angle 1 (a smooth point) cannot be prescribed")
     return f
 
@@ -34,7 +35,7 @@ def _check_genus(g) -> None:
 
 
 def _is_saddle_angle(f: Fraction) -> bool:
-    return f.denominator == 1 and f > 1
+    return f.denominator == 1 and f.numerator > 1
 
 
 class AngleVector:
@@ -43,18 +44,18 @@ class AngleVector:
     Integer entries > 1 come first, then the remaining nonzero entries, then
     the zeros; the given order is kept within each group, so indices of an
     already convention-ordered vector are unchanged.  ``k`` counts the
-    integer entries, ``q_zeros`` the cusps.
+    integer entries, ``q_zeros`` the cusps.  An entry that is already a
+    ``Fraction`` is kept as it is.
     """
 
     __slots__ = ("entries", "k", "q_zeros")
 
     def __init__(self, entries: Sequence):
-        vals = [_to_fraction(x) for x in entries]
-        if not vals:
+        ints, rest, zeros = [], [], []
+        for f in map(_to_fraction, entries):
+            (ints if _is_saddle_angle(f) else rest if f.numerator else zeros).append(f)
+        if not (ints or rest or zeros):
             raise BadAngleVector("empty angle vector")
-        ints = [v for v in vals if _is_saddle_angle(v)]
-        zeros = [v for v in vals if v == 0]
-        rest = [v for v in vals if v != 0 and not _is_saddle_angle(v)]
         self.entries = tuple(ints + rest + zeros)
         self.k = len(ints)
         self.q_zeros = len(zeros)

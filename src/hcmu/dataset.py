@@ -16,11 +16,12 @@ form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .angulation import BLACK, MixedAngulation
+from .angulation import BLACK, WHITE, MixedAngulation
 from .constraints import AngleVector
 from .errors import CensusInconsistent, ValidationError
 
@@ -58,12 +59,13 @@ class DataSet:
     angulation's canonical face order, and ``grid`` holds both on integer
     grids.  The canonical form and its hash are computed on first use and
     cached, so equality and hashing cost at most one code.  A weight or
-    level given as a ``Fraction`` is kept as it is.
+    level given as a ``Fraction`` is kept as it is, and so is ``_grid``, the
+    loader's grid of the weights and levels.
     """
 
     __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash")
 
-    def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels):
+    def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels, *, _grid=None):
         self.angulation = angulation
         self.k0 = float(k0)
         self.ratio = Fraction(ratio)
@@ -73,7 +75,7 @@ class DataSet:
         else:
             levels = list(face_levels)
         self.face_levels = tuple(s if type(s) is Fraction else Fraction(s) for s in levels)
-        self.grid = Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
+        self.grid = _grid or Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
         self._form = None
         self._hash = None
         issues = validate_dataset(self)
@@ -96,17 +98,11 @@ class DataSet:
         The weight sums are read off the grid; one Fraction is built per
         vertex.
         """
-        ma = self.angulation
-        den, numerators = self.grid.dw, self.grid.weights
-        sums = [0] * ma.num_vertices
-        for (b, w), x in zip(ma.arcs, numerators):
-            sums[b] += x
-            sums[w] += x
-        r = self.ratio
+        den, r = self.grid.dw, self.ratio
         white_den = r.denominator * den
         return [
             Fraction(s, den) if c == BLACK else Fraction(r.numerator * s, white_den)
-            for c, s in zip(ma.colors, sums)
+            for c, s in zip(self.angulation.colors, _grid_sums(self))
         ]
 
     def face_angle(self, f: int) -> Fraction:
@@ -182,6 +178,28 @@ class ConePoint:
     smooth: bool
 
 
+def _grid_sums(ds) -> list:
+    """Per vertex, the numerator of its weight sum over ``ds.grid.dw``."""
+    sums = [0] * ds.angulation.num_vertices
+    for (b, w), x in zip(ds.angulation.arcs, ds.grid.weights):
+        sums[b] += x
+        sums[w] += x
+    return sums
+
+
+def _extremal_sums(ds):
+    """Weight sums over dw of the singular vertices, and the number of the
+    smooth ones (angle 1: sum = dw if black, R * sum = 1 if white), by color."""
+    dw, rn, rd = ds.grid.dw, ds.ratio.numerator, ds.ratio.denominator
+    singular, smooth = {BLACK: [], WHITE: []}, {BLACK: 0, WHITE: 0}
+    for c, s in zip(ds.angulation.colors, _grid_sums(ds)):
+        if s == dw if c == BLACK else rn * s == rd * dw:
+            smooth[c] += 1
+        else:
+            singular[c].append(s)
+    return singular, smooth
+
+
 def cone_points(ds: DataSet):
     """One cone point per vertex and per face; smooth means angle exactly 1."""
     ma = ds.angulation
@@ -212,30 +230,25 @@ class ExtremalCensus:
 
 
 def census(ds: DataSet) -> ExtremalCensus:
-    """Counts of extremal points, checked against the index identities."""
-    ma = ds.angulation
-    pts = cone_points(ds)
-    maxima = [c for c in pts if c.kind == "maximum"]
-    minima = [c for c in pts if c.kind == "minimum"]
-    saddles = [c for c in pts if c.kind == "saddle"]
-    m_plus = sum(1 for c in maxima if c.smooth)
-    m_minus = sum(1 for c in minima if c.smooth)
-    a_plus = sum((c.angle for c in maxima if not c.smooth), Fraction(0))
-    a_minus = sum((c.angle for c in minima if not c.smooth), Fraction(0))
+    """Counts of extremal points, checked against the index identities; a
+    saddle's angle is half its face degree, an int on a bipartite map."""
+    ma, dw, r = ds.angulation, ds.grid.dw, ds.ratio
+    singular, smooth = _extremal_sums(ds)
+    p = len(singular[BLACK]) + smooth[BLACK]
     cs = ExtremalCensus(
-        p=len(maxima),
-        q=len(minima),
-        m_plus=m_plus,
-        m_minus=m_minus,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        a=len(maxima) + len(minima),
-        m=m_plus + m_minus,
+        p=p,
+        q=ma.num_vertices - p,
+        m_plus=smooth[BLACK],
+        m_minus=smooth[WHITE],
+        a_plus=Fraction(sum(singular[BLACK]), dw),
+        a_minus=Fraction(r.numerator * sum(singular[WHITE]), r.denominator * dw),
+        a=ma.num_vertices,
+        m=smooth[BLACK] + smooth[WHITE],
         b=ma.num_arcs,
     )
-    saddle_angle = sum((c.angle for c in saddles), Fraction(0))
+    saddle_angle = sum(map(len, ma.faces)) // 2
     # index identity for the curvature gradient field
-    total = len(saddles) - saddle_angle + cs.a
+    total = ma.num_faces - saddle_angle + cs.a
     if total != 2 - 2 * ma.genus:
         raise CensusInconsistent(f"index sum {total} != {2 - 2 * ma.genus}")
     if cs.b != saddle_angle:
@@ -244,10 +257,15 @@ def census(ds: DataSet) -> ExtremalCensus:
 
 
 def realized_angle_vector(ds: DataSet):
-    """Multiset of (kind, angle) over the non-smooth points."""
-    return sorted(
-        ((c.kind, c.angle) for c in cone_points(ds) if not c.smooth),
-        key=lambda t: (t[0], t[1]),
+    """Multiset of (kind, angle) over the non-smooth points, sorted; the
+    angles grow with their weight sums."""
+    ma, dw, r = ds.angulation, ds.grid.dw, ds.ratio
+    singular, _ = _extremal_sums(ds)
+    halves = {d: Fraction(d, 2) for d in set(map(len, ma.faces))}
+    return (
+        [("maximum", Fraction(s, dw)) for s in sorted(singular[BLACK])]
+        + [("minimum", Fraction(r.numerator * s, r.denominator * dw)) for s in sorted(singular[WHITE])]
+        + [("saddle", halves[d]) for d in sorted(map(len, ma.faces))]
     )
 
 
@@ -256,21 +274,18 @@ def realized_prescription(ds: DataSet):
 
     Saddle angles claim the leading integer slots of the angle vector; ties
     with integer-angle extremal points are resolved by the equal-angle
-    convention, so any consistent choice is returned.
+    convention, so any consistent choice is returned.  One pass over the
+    slots gives each saddle the first free slot of its angle.
     """
     pts = realized_angle_vector(ds)
     alpha = AngleVector([ang for _, ang in pts])
-    saddle_angles = sorted(
-        (ang for kind, ang in pts if kind == "saddle"), reverse=True
-    )
+    wanted = Counter(ang.numerator for kind, ang in pts if kind == "saddle")
     Z = []
-    used = set()
-    for ang in saddle_angles:
-        for i in range(1, alpha.k + 1):
-            if i not in used and alpha[i - 1] == ang:
-                used.add(i)
-                Z.append(i)
-                break
-        else:
-            raise CensusInconsistent("saddle angle missing from prescription")
+    for i in range(alpha.k):
+        ang = alpha[i].numerator  # the first k entries are integers
+        if wanted[ang]:
+            wanted[ang] -= 1
+            Z.append(i + 1)
+    if len(Z) != sum(kind == "saddle" for kind, _ in pts):
+        raise CensusInconsistent("saddle angle missing from prescription")
     return ds.angulation.genus, alpha, frozenset(Z)

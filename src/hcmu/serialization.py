@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .angulation import BLACK, WHITE, MixedAngulation
-from .dataset import DataSet
+from .dataset import DataSet, Grid
 from .errors import HcmuError, ParseError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -54,20 +54,20 @@ def dart_token(dart) -> str:
     return f"{dart[0]}:{dart[1]}"
 
 
-def _short_id(digits: str, count: int):
-    """The natural number ``digits``, or None if it has more digits than
-    ``count``: such an id is out of range, and it is refused unread, since
-    int() refuses long digit strings with a ValueError of its own."""
-    return int(digits) if len(digits) <= len(str(count)) else None
+def _short_id(digits: str, limit: int):
+    """The natural number ``digits``, or None if it has more digits than the
+    id count (``limit`` of them): such an id is out of range, and it is
+    refused unread, since int() refuses long digit strings with a ValueError."""
+    return int(digits) if len(digits) <= limit else None
 
 
-def parse_dart(token, arc_count: int, pointer=""):
-    """The dart of ``token``; an arc id with more digits than ``arc_count``
-    is refused."""
+def parse_dart(token, arc_count: int, limit: int, pointer=""):
+    """The dart of ``token``; an arc id with more than ``limit`` digits,
+    the length of ``arc_count``, is refused."""
     arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
     if end not in ("b", "w") or not NATURAL.fullmatch(arc):
         raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
-    arc_id = _short_id(arc, arc_count)
+    arc_id = _short_id(arc, limit)
     if arc_id is None:
         raise ParseError(f"arc id of {token!r:.80} is not below the arc count {arc_count}", pointer)
     return (arc_id, end)
@@ -75,6 +75,22 @@ def parse_dart(token, arc_count: int, pointer=""):
 
 def face_key_token(ma: MixedAngulation, face_index: int) -> str:
     return dart_token(ma.face_keys[face_index])
+
+
+def _rational(text, parsed, pointer):
+    """(Fraction, numerator, denominator) of ``text`` as :func:`parse_fraction`
+    reads it; ``parsed`` holds each distinct text of a document read so far."""
+    hit = parsed.get(text) if type(text) is str else None
+    if hit is None:
+        value = parse_fraction(text, pointer)
+        hit = parsed[text] = (value, value.numerator, value.denominator)
+    return hit
+
+
+def _parsed_grid(parsed):
+    """(lcm of the denominators, each numerator over it) of parsed rationals."""
+    den = math.lcm(*{d for _, _, d in parsed})
+    return den, tuple(n * (den // d) for _, n, d in parsed)
 
 
 def save(ds: DataSet) -> dict:
@@ -199,7 +215,8 @@ def load_document(doc: dict) -> DataSet:
 
     Every object may hold only its schema's keys.  Inside an entry, checks
     raise with pointers relative to the entry, and the entry's own pointer
-    is formatted only when one of them refuses it.
+    is formatted only when one of them refuses it.  Each distinct rational
+    is parsed once, and the grid is built from the parsed integers.
     """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
@@ -235,6 +252,7 @@ def load_document(doc: dict) -> DataSet:
     arc_entries = _require(doc, "arcs", "/arcs", list)
     arcs = [None] * len(arc_entries)
     weights = [None] * len(arc_entries)
+    parsed = {}
     for i, item in enumerate(arc_entries):
         try:
             aid = _index(_require(item, "id", ""), len(arc_entries), "arc id", "")
@@ -244,17 +262,18 @@ def load_document(doc: dict) -> DataSet:
                 _index(_require(item, "black", ""), len(vertices), "black end", "/black"),
                 _index(_require(item, "white", ""), len(vertices), "white end", "/white"),
             )
-            weights[aid] = parse_fraction(_require(item, "weight", ""), "/weight")
+            weights[aid] = _rational(_require(item, "weight", ""), parsed, "/weight")
             _known_keys(item, ARC_KEYS)
         except ParseError as exc:
             raise _within(exc, f"/arcs/{i}") from None
 
     rotations = [None] * len(vertices)
     rot_doc = _require(doc, "rotations", "/rotations", dict)
+    vertex_digits, arc_digits = len(str(len(vertices))), len(str(len(arc_entries)))
     for key, row in rot_doc.items():
         if not NATURAL.fullmatch(key):
             raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
-        v = _short_id(key, len(vertices))
+        v = _short_id(key, vertex_digits)
         if v is None or v >= len(vertices) or rotations[v] is not None:
             raise ParseError(f"bad or duplicate rotation key {key:.80}", f"/rotations/{key}")
         if not isinstance(row, list):
@@ -262,7 +281,7 @@ def load_document(doc: dict) -> DataSet:
         darts = []
         try:
             for token in row:
-                darts.append(parse_dart(token, len(arc_entries)))
+                darts.append(parse_dart(token, len(arc_entries), arc_digits))
         except ParseError as exc:
             raise _within(exc, f"/rotations/{key}/{len(darts)}") from None
         rotations[v] = darts
@@ -281,13 +300,14 @@ def load_document(doc: dict) -> DataSet:
         if key not in keys:
             raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{_token(key)}")
         try:
-            levels[keys[key]] = parse_fraction(text)
+            levels[keys[key]] = _rational(text, parsed, "")
         except ParseError as exc:
             raise _within(exc, f"/face_levels/{_token(key)}") from None
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 
-    return DataSet(ma, k0, ratio, weights, levels)
+    grid = Grid(*_parsed_grid(weights), *_parsed_grid(levels))
+    return DataSet(ma, k0, ratio, [w for w, _, _ in weights], [s for s, _, _ in levels], _grid=grid)
 
 
 def load(source) -> DataSet:

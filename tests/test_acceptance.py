@@ -13,7 +13,7 @@ import pytest
 from conftest import FIXTURES, make_calabi, make_two_level, random_bicolored_angulation
 from hcmu import serialization as ser
 from hcmu.angulation import BLACK
-from hcmu.balance import solve_balance, solve_tree, weight_space_dimension
+from hcmu.balance import solve_balance, solve_tree
 from hcmu.builders import (
     build_one_cone,
     build_surface,
@@ -30,7 +30,7 @@ from hcmu.geometry import (
     k1_from_ratio,
     solve_profile,
 )
-from test_balance import connection_matrix, matrix_rank
+from test_balance import connection_matrix, matrix_rank, weight_space_dimension
 from test_builders import brute_force_trees
 from test_geometry import fd_derivative, warped_integral
 

@@ -6,16 +6,18 @@ from typing import NamedTuple
 import networkx as nx
 import pytest
 
-from conftest import make_calabi, random_bicolored_angulation
+from conftest import FIXTURES, make_calabi, random_bicolored_angulation
 from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.balance import (
     HallCut,
+    SolutionSpace,
+    _other_end,
     _positive_solution,
+    _search,
+    _spanning_tree,
     balance_rank,
-    divisibility_check,
     solve_balance,
     solve_tree,
-    weight_space_dimension,
 )
 from hcmu.builders import (
     build_coprime_tree,
@@ -24,7 +26,16 @@ from hcmu.builders import (
     build_tree,
     tree_angulation,
 )
-from hcmu.errors import BadTargets, Infeasible, NotATree
+from hcmu.constraints import one_cone_admissible
+from hcmu.errors import (
+    AssertionFailure,
+    BadRatio,
+    BadTargets,
+    HcmuError,
+    Infeasible,
+    NotATree,
+)
+from hcmu.serialization import load
 from test_builders import brute_force_trees
 
 RATIOS = (F(0), F(1, 3), F(2, 5), F(3, 4))
@@ -215,7 +226,8 @@ def check_flow(ma, ratio, targets, rows, rhs):
         F(targets[v]) if ma.colors[v] == BLACK else F(targets[v]) / ratio
         for v in range(ma.num_vertices)
     ]
-    witness, obstruction = _positive_solution(ma, demand)
+    scale = math.lcm(*(d.denominator for d in demand))
+    witness, obstruction = _positive_solution(ma, [int(d * scale) for d in demand], scale)
     value, cut = networkx_decision(ma, demand)
     # a maximum flow saturates the demands or leaves a cut of its own value
     total = sum(d for v, d in enumerate(demand) if ma.colors[v] == BLACK)
@@ -227,7 +239,9 @@ def check_flow(ma, ratio, targets, rows, rhs):
 
 
 def check_space(ma, ratio, targets):
-    """solve_balance against the elimination oracle; returns the space."""
+    """solve_balance against the elimination oracle and the Fraction solve;
+    returns the space."""
+    assert_matches_the_fraction_solve(ma, ratio, targets)
     rows, rhs = system_rows(ma, ratio, targets)
     oracle, _ = solve_affine(rows, rhs)
     if oracle is None:
@@ -396,6 +410,23 @@ def test_solve_tree_rejects_non_tree(calabi):
         solve_tree(calabi.angulation, 3, 2)
 
 
+def divisibility_check(weights, lam: int) -> bool:
+    """Every tree weight is a multiple of the common divisor ``lam``."""
+    return all(F(w) % lam == 0 for w in weights)
+
+
+def weight_space_dimension(dataset) -> int:
+    """Kernel dimension of the balance matrix; must equal 2g + j0 - 1."""
+    if dataset.ratio == 0:
+        raise BadRatio("weight space dimension is defined for R > 0")
+    ma = dataset.angulation
+    dim = ma.num_arcs - balance_rank(ma, dataset.ratio)
+    expected = 2 * ma.genus + ma.num_faces - 1
+    if dim != expected:
+        raise AssertionFailure(f"kernel dimension {dim} != 2g + j0 - 1 = {expected}")
+    return dim
+
+
 def test_divisibility():
     tree = build_tree(14, 6)
     assert divisibility_check(tree.weights, 2)
@@ -425,27 +456,201 @@ def test_dataset_weights_solve_their_own_balance(calabi):
         assert sum(x * y for x, y in zip(row, ds.weights)) == targets[v]
 
 
+# -- the Fraction solve, oracle for the integer one ------------------------------
+
+
+def fraction_solve_balance(ma, ratio, targets):
+    """solve_balance as it ran over Fraction: the peel, the residual, the
+    fundamental cycles, the witness with its exact delta and the Hall cut
+    gap all computed on Fractions."""
+    ratio = F(ratio)
+    if not (0 <= ratio < 1):
+        raise BadRatio(f"ratio {ratio} outside [0, 1)")
+    demand = []
+    for v in range(ma.num_vertices):
+        t = F(targets[v])
+        if ma.colors[v] == WHITE:
+            if ratio == 0:
+                if t != 0:
+                    raise BadTargets(f"cusp system with nonzero white target at {v}")
+                t = None
+            else:
+                t /= ratio
+        demand.append(t)
+    if ratio == 0:
+        particular, basis = fraction_star_solution(ma, demand)
+    else:
+        particular, basis = fraction_tree_solution(ma, demand)
+    if all(x > 0 for x in particular):
+        return SolutionSpace(particular, basis, particular)
+    witness, obstruction = fraction_positive_solution(ma, demand)
+    return SolutionSpace(particular, basis, witness, obstruction)
+
+
+def fraction_tree_solution(ma, demand):
+    order, parent_arc = _spanning_tree(ma)
+    residual = list(demand)
+    particular = [F(0)] * ma.num_arcs
+    for v in reversed(order[1:]):
+        a = parent_arc[v]
+        particular[a] = residual[v]
+        residual[_other_end(ma, a, v)] -= residual[v]
+    if residual[order[0]] != 0:
+        raise Infeasible(f"balance system is inconsistent: residual {residual[order[0]]} at the root")
+    depth = [0] * ma.num_vertices
+    for v in order[1:]:
+        depth[v] = depth[_other_end(ma, parent_arc[v], v)] + 1
+    tree = set(parent_arc)
+    basis = []
+    for a in range(ma.num_arcs):
+        if a in tree:
+            continue
+        vec = [F(0)] * ma.num_arcs
+        vec[a] = F(1)
+        ends = list(ma.arcs[a])
+        signs = [-F(1), -F(1)]
+        while ends[0] != ends[1]:
+            i = 0 if depth[ends[0]] > depth[ends[1]] else 1
+            t = parent_arc[ends[i]]
+            vec[t] = signs[i]
+            signs[i] = -signs[i]
+            ends[i] = _other_end(ma, t, ends[i])
+        basis.append(tuple(vec))
+    return tuple(particular), basis
+
+
+def fraction_star_solution(ma, demand):
+    particular = [F(0)] * ma.num_arcs
+    first = {}
+    basis = []
+    for a, (b, _) in enumerate(ma.arcs):
+        if b not in first:
+            first[b] = a
+            particular[a] = demand[b]
+        else:
+            vec = [F(0)] * ma.num_arcs
+            vec[a], vec[first[b]] = F(1), -F(1)
+            basis.append(tuple(vec))
+    return tuple(particular), basis
+
+
+def fraction_positive_solution(ma, demand):
+    nv, colors = ma.num_vertices, ma.colors
+    for v, d in enumerate(demand):
+        if d is not None and d <= 0:
+            reach = {v} if colors[v] == WHITE else set(range(nv)) - {v}
+            return None, fraction_hall_cut(ma, demand, reach)
+    if any(d is None for d in demand):
+        degree = [0] * nv
+        for b, _ in ma.arcs:
+            degree[b] += 1
+        return tuple(demand[b] / degree[b] for b, _ in ma.arcs), None
+    scale = math.lcm(*(d.denominator for d in demand))
+    left = [int(d * scale) for d in demand]
+    incident = [[] for _ in range(nv)]
+    for a, (b, w) in enumerate(ma.arcs):
+        incident[b].append((a, w))
+        incident[w].append((a, b))
+    flow = [0] * ma.num_arcs
+    blacks = [v for v in range(nv) if colors[v] == BLACK]
+    for source in blacks:
+        while left[source]:
+            via, end = _search(colors, incident, flow, [source],
+                               lambda v: colors[v] == WHITE and left[v])
+            if end is None:
+                break
+            path, v = [], end
+            while v != source:
+                path.append((via[v], colors[v] == WHITE))
+                v = _other_end(ma, via[v], v)
+            push = min([left[source], left[end]] + [flow[a] for a, up in path if not up])
+            for a, up in path:
+                flow[a] += push if up else -push
+            left[source] -= push
+            left[end] -= push
+    short = [v for v in blacks if left[v]]
+    if short:
+        return None, fraction_hall_cut(ma, demand, _search(colors, incident, flow, short)[0])
+    witness = [F(f, scale) for f in flow]
+    zero = [a for a in range(ma.num_arcs) if not flow[a]]
+    if not zero:
+        return tuple(witness), None
+    delta = F(min(f for f in flow if f), scale * 2 * len(zero))
+    for a in zero:
+        b, w = ma.arcs[a]
+        via, end = _search(colors, incident, flow, [w], lambda v: v == b)
+        if end is None:
+            return None, fraction_hall_cut(ma, demand, via)
+        witness[a] += delta
+        v = b
+        while v != w:
+            e = via[v]
+            witness[e] += delta if colors[v] == WHITE else -delta
+            v = _other_end(ma, e, v)
+    return tuple(witness), None
+
+
+def fraction_hall_cut(ma, demand, reach):
+    colors = ma.colors
+    blacks = frozenset(v for v in range(ma.num_vertices) if colors[v] == BLACK and v not in reach)
+    whites = frozenset(v for v in range(ma.num_vertices) if colors[v] == WHITE and v not in reach)
+    crossing = tuple(a for a, (b, w) in enumerate(ma.arcs) if b in blacks and w in reach)
+    gap = sum(demand[b] for b in blacks) - sum(demand[w] for w in whites)
+    assert gap <= 0 and crossing
+    return HallCut(blacks, whites, crossing, gap)
+
+
+def outcome(solve, ma, ratio, targets):
+    """The space ``solve`` returns, or the class and message it raises."""
+    try:
+        return solve(ma, ratio, targets)
+    except HcmuError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_the_fraction_solve(ma, ratio, targets):
+    """solve_balance equals the Fraction oracle field by field, as values
+    and as printed text; a refusal has the oracle's class and message."""
+    got = outcome(solve_balance, ma, ratio, targets)
+    want = outcome(fraction_solve_balance, ma, ratio, targets)
+    if not isinstance(want, SolutionSpace):
+        assert got == want
+        return
+    for field in ("particular", "kernel_basis", "positive_witness", "obstruction"):
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine == theirs and str(mine) == str(theirs), field
+    assert all(type(x) is F for x in got.particular)
+    assert all(type(x) is F for vec in got.kernel_basis for x in vec)
+    assert got.positive_witness is None or all(type(x) is F for x in got.positive_witness)
+    assert got.obstruction is None or type(got.obstruction.gap) is F
+
+
 # -- the graph algorithms against the elimination oracle -------------------------
 
 
-def test_random_angulations_match_the_oracle():
+def random_systems():
+    """200 seeded (map, ratio, weights, noise targets).  The weights have
+    zeros and negatives, so some systems have no positive point; the
+    independent noise targets are almost never consistent."""
     rng = random.Random(7001)
-    found = blocked = inconsistent = 0
     for _ in range(200):
         ma = random_bicolored_angulation(rng)
-        for r in RATIOS:
-            assert balance_rank(ma, r) == dense_rank(ma, r)
         ratio = rng.choice(RATIOS)
-        # weights with zeros and negatives: some systems have no positive point
         weights = [F(rng.randint(-1, 9), rng.randint(1, 3)) for _ in range(ma.num_arcs)]
-        targets = angles_of(ma, ratio, weights)
-        space = check_space(ma, ratio, targets)
-        found += space.positive_witness is not None
-        blocked += space.positive_witness is None
-        # independent targets are almost never consistent
         noise = {v: F(rng.randint(1, 9), rng.randint(1, 4)) for v in range(ma.num_vertices)}
         if ratio == 0:
             noise.update({v: F(0) for v in range(ma.num_vertices) if ma.colors[v] == WHITE})
+        yield ma, ratio, weights, noise
+
+
+def test_random_angulations_match_the_oracle():
+    found = blocked = inconsistent = 0
+    for ma, ratio, weights, noise in random_systems():
+        for r in RATIOS:
+            assert balance_rank(ma, r) == dense_rank(ma, r)
+        space = check_space(ma, ratio, angles_of(ma, ratio, weights))
+        found += space.positive_witness is not None
+        blocked += space.positive_witness is None
         inconsistent += check_space(ma, ratio, noise) is None
     assert found >= 40 and blocked >= 60 and inconsistent >= 75  # 80 / 120 / 150
 
@@ -526,3 +731,83 @@ def test_witness_of_the_calabi_surface_is_exact():
     space = solve_balance(make_calabi().angulation, F(2, 3), {v: F(1) for v in range(5)})
     assert space.obstruction is None
     assert all(isinstance(x, F) and x > 0 for x in space.positive_witness)
+
+
+# -- the integer solve against the Fraction solve -------------------------------
+
+
+def fixture_outputs():
+    return [load(FIXTURES / name) for name in ("calabi.json", "two_level.json")]
+
+
+def ladder_outputs():
+    """build_surface(0, [3] * n) for n = 4..64."""
+    return [build_surface(0, [F(3)] * n, range(1, n + 1)) for n in range(4, 65)]
+
+
+def one_cone_outputs():
+    """build_one_cone on every admissible triple with g <= 2 and p <= 20, and
+    on a few q for each of a ladder of p up to 301.  Triples that fail to
+    build today (an internal identity fails when gcd(p, q) >= 3 and q does
+    not divide p) are left out."""
+    triples = [(g, p, q) for g in range(3) for p in range(2, 21) for q in range(1, p)]
+    triples += [
+        (g, p, q)
+        for g in (0, 1)
+        for p in (41, 60, 97, 120, 200, 301)
+        for q in sorted({1, 2, 3, 7, 17, p // 2, p - 1})
+    ]
+    out = []
+    for g, p, q in triples:
+        if one_cone_admissible(g, p + q + 2 * g - 1, p, q):
+            try:
+                out.append(build_one_cone(g, p, q))
+            except AssertionFailure:
+                continue
+    return out
+
+
+def own_targets(ds):
+    return dict(enumerate(ds.vertex_angles()))
+
+
+def test_the_fixtures_solve_as_over_fractions():
+    for ds in fixture_outputs():
+        assert_matches_the_fraction_solve(ds.angulation, ds.ratio, own_targets(ds))
+        # a nonzero ratio and a cusp system on the same map
+        black = {v: t for v, t in own_targets(ds).items() if ds.angulation.colors[v] == BLACK}
+        cusp = {v: black.get(v, F(0)) for v in range(ds.angulation.num_vertices)}
+        assert_matches_the_fraction_solve(ds.angulation, F(0), cusp)
+
+
+def test_the_ladder_solves_as_over_fractions():
+    for ds in ladder_outputs():
+        assert_matches_the_fraction_solve(ds.angulation, ds.ratio, own_targets(ds))
+
+
+def test_one_cone_outputs_solve_as_over_fractions():
+    outputs = one_cone_outputs()
+    assert len(outputs) >= 500 and max(ds.angulation.colors.count(BLACK) for ds in outputs) == 301
+    for ds in outputs:
+        assert_matches_the_fraction_solve(ds.angulation, ds.ratio, own_targets(ds))
+
+
+def test_the_integer_solve_builds_one_fraction_per_distinct_value(monkeypatch):
+    ds = build_surface(0, [F(3)] * 64, range(1, 65))
+    targets = own_targets(ds)
+    calls = []
+    fraction_new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert F(1, 3) and calls  # construction sees the patch
+    calls.clear()
+    space = solve_balance(ds.angulation, ds.ratio, targets)
+    # the ratio, a demand t / R per white vertex, then one per distinct value
+    # of the particular solution and of the witness, which the flow found
+    assert space.obstruction is None and set(space.particular) != set(space.positive_witness)
+    whites = ds.angulation.colors.count(WHITE)
+    assert len(calls) == 1 + whites + len(set(space.particular)) + len(set(space.positive_witness))

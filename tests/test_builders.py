@@ -1,9 +1,11 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import Sequence
 
 import networkx as nx
 import pytest
 
-from hcmu.angulation import BLACK
+from hcmu.angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from hcmu.balance import solve_tree
 from hcmu.builders import (
     WeightedTree,
@@ -12,13 +14,14 @@ from hcmu.builders import (
     build_surface,
     build_tree,
     canonical_angulation,
-    subdivide_polygon,
+    subdivide_face,
     tree_angulation,
 )
 from hcmu.constraints import check_refined, invariants_m_a, one_cone_admissible
 from hcmu.dataset import census, realized_angle_vector, validate_dataset
 from hcmu.errors import (
     BadOrder,
+    BadOrderVector,
     EmptySpace,
     Inadmissible,
     Incompatible,
@@ -69,6 +72,63 @@ def test_canonical_counts():
         assert ma.num_faces == 1
         assert ma.face_degree(0) == 4 * g + 2
         assert ma.genus == g
+
+
+# -- a 2K-gon subdivided on its own, the lemma behind build_surface's faces ------
+
+
+@dataclass
+class PolygonFragment:
+    """A subdivided 2K-gon, modeled as a sphere map with an outer face."""
+
+    angulation: MixedAngulation
+    outer_dart: tuple
+    boundary: tuple  # boundary vertex ids, alternating colors
+    diagonals: tuple
+    leaves: tuple  # (vertex id, arc id) of the added black leaves
+
+
+def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
+    """Subdivide a 2K-gon into faces of degrees w[i] + 2.
+
+    The polygon is modeled as the 2K-cycle on the sphere with the outer face
+    left untouched.  Requires 2L := sum(w) - (2K - 2) >= 0; the subdivision
+    adds len(w) - 1 diagonal arcs, L interior black vertices and L
+    self-folded arcs.
+    """
+    if K < 1:
+        raise Incompatible("K must be >= 1")
+    wl = [int(x) for x in w]
+    for x in wl:
+        if x < 2 or x % 2 != 0:
+            raise BadOrderVector(f"order {x} must be even and >= 2")
+    if sum(wl) < 2 * K - 2:
+        raise Incompatible(f"2L = {sum(wl) - (2 * K - 2)} < 0")
+    b = MapBuilder()
+    for i in range(2 * K):
+        b.add_vertex(BLACK if i % 2 == 0 else WHITE)
+    if K == 1:
+        b.arcs = [[0, 1], [0, 1]]
+        b.rot = [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")]]
+    else:
+        for i in range(2 * K):
+            u, v = i, (i + 1) % (2 * K)
+            b.arcs.append([u, v] if u % 2 == 0 else [v, u])
+        for v in range(2 * K):
+            end = "b" if v % 2 == 0 else "w"
+            b.rot[v] = [(v, end), ((v - 1) % (2 * K), end)]
+    inner = (0, "b")
+    inner_walk = set(b.face_walk_of_dart(inner))
+    outer = min(d for wk in b.trace() for d in wk if d not in inner_walk)
+    stats = subdivide_face(b, inner, wl)
+    ma = b.freeze(allow_degenerate=True)
+    return PolygonFragment(
+        angulation=ma,
+        outer_dart=outer,
+        boundary=tuple(range(2 * K)),
+        diagonals=tuple(stats.diagonals),
+        leaves=tuple(stats.leaves),
+    )
 
 
 def test_subdivide_polygon_example():

@@ -82,6 +82,15 @@ def test_build_empty_space(capsys, tmp_path):
     assert "infeasible" in err
 
 
+def test_empty_space_writes_the_angles_as_the_command_line_does(capsys, tmp_path):
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, "build", "--genus", "1", "--angles", "3", "--saddles", "1", "-o", str(target))
+    assert (code, out, err) == (1, "", "infeasible: no surface with genus 1, angles [3], Z=[1]\n")
+    code, _, err = run(capsys, "build", "--genus", "2", "--angles", "1/2,3,0", "--saddles", "1")
+    assert (code, err) == (1, "infeasible: no surface with genus 2, angles [3, 1/2, 0], Z=[1]\n")
+    assert not target.exists()
+
+
 def test_ratios_output(capsys):
     code, out, _ = run(
         capsys, "ratios", "--genus", "0", "--angles", "2,2,2", "--saddles", "1,2,3"

@@ -6,16 +6,20 @@ import pytest
 from conftest import make_calabi, make_two_level
 from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.builders import build_one_cone, build_surface
+from hcmu.constraints import AngleVector
 from hcmu.dataset import (
+    ConePoint,
     DataSet,
+    ExtremalCensus,
     census,
     cone_points,
     realized_angle_vector,
     realized_prescription,
     validate_dataset,
 )
-from hcmu.errors import HcmuError, ValidationError
+from hcmu.errors import CensusInconsistent, HcmuError, ValidationError
 from test_angulation import relabeled
+from test_balance import fixture_outputs, ladder_outputs, one_cone_outputs, random_systems
 
 
 def test_calabi_is_valid(calabi):
@@ -233,3 +237,115 @@ def test_census_and_prescription_do_not_depend_on_the_angle_pass(monkeypatch):
     fast = summary()
     monkeypatch.setattr(DataSet, "vertex_angles", per_vertex_angles)
     assert summary() == fast
+
+
+# -- the integer census against the Fraction census -------------------------------
+
+
+def fraction_cone_points(ds):
+    """cone_points as it ran over Fraction: smooth means angle == 1."""
+    ma = ds.angulation
+    out = []
+    for v in range(ma.num_vertices):
+        ang = ds.vertex_angle(v)
+        kind = "maximum" if ma.colors[v] == BLACK else "minimum"
+        out.append(ConePoint(kind, ang, v, ang == 1))
+    for f in range(ma.num_faces):
+        out.append(ConePoint("saddle", F(ma.face_degree(f), 2), ma.face_keys[f], False))
+    return out
+
+
+def fraction_census(ds):
+    ma = ds.angulation
+    pts = fraction_cone_points(ds)
+    maxima = [c for c in pts if c.kind == "maximum"]
+    minima = [c for c in pts if c.kind == "minimum"]
+    saddles = [c for c in pts if c.kind == "saddle"]
+    m_plus = sum(1 for c in maxima if c.smooth)
+    m_minus = sum(1 for c in minima if c.smooth)
+    cs = ExtremalCensus(
+        p=len(maxima),
+        q=len(minima),
+        m_plus=m_plus,
+        m_minus=m_minus,
+        a_plus=sum((c.angle for c in maxima if not c.smooth), F(0)),
+        a_minus=sum((c.angle for c in minima if not c.smooth), F(0)),
+        a=len(maxima) + len(minima),
+        m=m_plus + m_minus,
+        b=ma.num_arcs,
+    )
+    saddle_angle = sum((c.angle for c in saddles), F(0))
+    total = len(saddles) - saddle_angle + cs.a
+    if total != 2 - 2 * ma.genus:
+        raise CensusInconsistent(f"index sum {total} != {2 - 2 * ma.genus}")
+    if cs.b != saddle_angle:
+        raise CensusInconsistent("arc count differs from total saddle angle")
+    return cs
+
+
+def fraction_angle_vector(ds):
+    return sorted(
+        ((c.kind, c.angle) for c in fraction_cone_points(ds) if not c.smooth),
+        key=lambda t: (t[0], t[1]),
+    )
+
+
+def fraction_prescription(ds):
+    """realized_prescription as it ran: a rescan of the slots per saddle."""
+    pts = fraction_angle_vector(ds)
+    alpha = AngleVector([ang for _, ang in pts])
+    Z = []
+    used = set()
+    for ang in sorted((ang for kind, ang in pts if kind == "saddle"), reverse=True):
+        for i in range(1, alpha.k + 1):
+            if i not in used and alpha[i - 1] == ang:
+                used.add(i)
+                Z.append(i)
+                break
+        else:
+            raise CensusInconsistent("saddle angle missing from prescription")
+    return ds.angulation.genus, alpha, frozenset(Z)
+
+
+def random_surfaces():
+    """Data sets on the random maps of the balance tests, with their
+    weights made positive and every face at level 1/2."""
+    return [
+        DataSet(ma, 1.0, ratio, [F(abs(w.numerator) + 1, w.denominator) for w in weights],
+                [F(1, 2)] * ma.num_faces)
+        for ma, ratio, weights, _ in random_systems()
+    ]
+
+
+def assert_counts_as_over_fractions(ds):
+    assert cone_points(ds) == fraction_cone_points(ds)
+    points = realized_angle_vector(ds)
+    assert points == fraction_angle_vector(ds) and all(type(ang) is F for _, ang in points)
+    cs = census(ds)
+    assert cs == fraction_census(ds) and repr(cs) == repr(fraction_census(ds))
+    assert type(cs.a_plus) is F and type(cs.a_minus) is F
+    g, alpha, Z = realized_prescription(ds)
+    want = fraction_prescription(ds)
+    assert (g, alpha, Z) == want and repr(alpha) == repr(want[1])
+    assert all(type(x) is F for x in alpha)
+
+
+def test_census_matches_the_fraction_census():
+    # integer extremal angles that tie with saddle angles
+    ties = [
+        build_surface(0, [3, 3, 3], {1, 2}),
+        build_surface(1, [2, 2, 3], {1, 3}),
+        build_surface(0, [4, 4, 2, 2], {1, 3}),
+    ]
+    assert all(len(realized_prescription(ds)[2]) < realized_prescription(ds)[1].k for ds in ties)
+    corpus = ties + fixture_outputs() + ladder_outputs() + one_cone_outputs() + vertex_angle_corpus()
+    for ds in corpus:
+        assert_counts_as_over_fractions(ds)
+    assert any(census(ds).m_minus for ds in corpus)
+
+
+def test_random_surfaces_count_as_over_fractions():
+    surfaces = random_surfaces()
+    assert any(ds.ratio == 0 for ds in surfaces)
+    for ds in surfaces:
+        assert_counts_as_over_fractions(ds)

@@ -129,3 +129,38 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# -- the Python floor: pyproject.toml promises 3.10 ------------------------------
+
+# Fraction's private constructors differ between versions: the _normalize
+# keyword exists up to 3.11, _from_coprime_ints from 3.12 on.
+PRIVATE_FRACTION_NAMES = {"_normalize", "_from_coprime_ints"}
+
+
+def test_the_package_parses_as_python_3_10():
+    with pytest.raises(SyntaxError):  # except* came with 3.11
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(ROOT.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def private_fraction_uses(tree):
+    """Line numbers of attributes, names and keywords that are one of
+    Fraction's private constructors."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_FRACTION_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in PRIVATE_FRACTION_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg in PRIVATE_FRACTION_NAMES:
+            found.append(node.value.lineno)
+    return found
+
+
+def test_no_private_fraction_constructor_in_the_package():
+    assert private_fraction_uses(ast.parse("Fraction(1, 2, _normalize=False)")) == [1]
+    assert private_fraction_uses(ast.parse("x = Fraction._from_coprime_ints(1, 2)")) == [1]
+    found = {name: private_fraction_uses(tree) for name, tree in package_trees().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES, make_calabi, make_two_level
 from hcmu import serialization as ser
 from hcmu.builders import build_one_cone, build_surface
-from hcmu.dataset import census
+from hcmu.dataset import Grid, _on_grid, census
 from hcmu.deformations import split, twist
 from hcmu.errors import ParseError, ValidationError
 from hcmu.geometry import solve_profile
@@ -351,3 +351,163 @@ def test_arc_id_longer_than_the_arc_count_is_refused_unread(digits):
     doc["rotations"]["0"][1] = token
     err = refused(doc, "/rotations/0/1")
     assert err.message == f"arc id of {token!r:.80} is not below the arc count 6"
+
+
+# -- the loader's integer grid against the Fraction loader ------------------------
+
+
+def set_at(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def first_level(doc):
+    return sorted(doc["face_levels"])[0]
+
+
+def every_weight(doc, text):
+    for arc in doc["arcs"]:
+        arc["weight"] = text
+    return doc
+
+
+LOWEST = "is not in lowest terms; write"
+NOT_RATIONAL = "not a rational p or p/q in lowest terms:"
+
+# label -> (mutation of a fixture document, what the Fraction loader raised:
+# class, message with "{arcs}" standing for the arc count, pointer)
+LOADER_MUTATIONS = {
+    "ratio 4/6": (lambda d: set_at(d, ["ratio"], "4/6"), (ParseError, f"'4/6' {LOWEST} 2/3", "/ratio")),
+    "ratio -0": (lambda d: set_at(d, ["ratio"], "-0"), (ParseError, f"{NOT_RATIONAL} '-0'", "/ratio")),
+    "weight 2/4": (
+        lambda d: set_at(d, ["arcs", 0, "weight"], "2/4"),
+        (ParseError, f"'2/4' {LOWEST} 1/2", "/arcs/0/weight"),
+    ),
+    "weight -0": (
+        lambda d: set_at(d, ["arcs", 3, "weight"], "-0"),
+        (ParseError, f"{NOT_RATIONAL} '-0'", "/arcs/3/weight"),
+    ),
+    "weight 1/1": (
+        lambda d: set_at(d, ["arcs", 1, "weight"], "1/1"),
+        (ParseError, f"'1/1' {LOWEST} 1", "/arcs/1/weight"),
+    ),
+    "weight 0": (
+        lambda d: set_at(d, ["arcs", 1, "weight"], "0"),
+        (ValidationError, "/BadWeight: BadWeight(1): weight 0 must be > 0", "/BadWeight"),
+    ),
+    "weight -1/2": (
+        lambda d: set_at(d, ["arcs", 2, "weight"], "-1/2"),
+        (ValidationError, "/BadWeight: BadWeight(2): weight -1/2 must be > 0", "/BadWeight"),
+    ),
+    # the text read once per document is refused where it first occurs
+    "weight 3/6 on every arc": (
+        lambda d: every_weight(d, "3/6"),
+        (ParseError, f"'3/6' {LOWEST} 1/2", "/arcs/0/weight"),
+    ),
+    "weight 1/2, then 2/4": (
+        lambda d: set_at(set_at(d, ["arcs", 0, "weight"], "1/2"), ["arcs", 1, "weight"], "2/4"),
+        (ParseError, f"'2/4' {LOWEST} 1/2", "/arcs/1/weight"),
+    ),
+    "weight as a list": (
+        lambda d: set_at(d, ["arcs", 2, "weight"], ["1/2"]),
+        (ParseError, f"{NOT_RATIONAL} ['1/2']", "/arcs/2/weight"),
+    ),
+    "weight as an int": (
+        lambda d: set_at(d, ["arcs", 2, "weight"], 1),
+        (ParseError, f"{NOT_RATIONAL} 1", "/arcs/2/weight"),
+    ),
+    "level 2/4": (
+        lambda d: set_at(d, ["face_levels", first_level(d)], "2/4"),
+        (ParseError, f"'2/4' {LOWEST} 1/2", "/face_levels/0:b"),
+    ),
+    "level -0": (
+        lambda d: set_at(d, ["face_levels", first_level(d)], "-0"),
+        (ParseError, f"{NOT_RATIONAL} '-0'", "/face_levels/0:b"),
+    ),
+    "level 1/1": (
+        lambda d: set_at(d, ["face_levels", first_level(d)], "1/1"),
+        (ParseError, f"'1/1' {LOWEST} 1", "/face_levels/0:b"),
+    ),
+    "level 1": (
+        lambda d: set_at(d, ["face_levels", first_level(d)], "1"),
+        (ValidationError, "/BadLevel: BadLevel(0): level 1 outside (0, 1)", "/BadLevel"),
+    ),
+    "level as an object": (
+        lambda d: set_at(d, ["face_levels", first_level(d)], {}),
+        (ParseError, f"{NOT_RATIONAL} {{}}", "/face_levels/0:b"),
+    ),
+    "rotation key of 2 digits": (
+        lambda d: renamed(d, "rotations", "0", "10"),
+        (ParseError, "bad or duplicate rotation key 10", "/rotations/10"),
+    ),
+    "rotation key of 40 digits": (
+        lambda d: renamed(d, "rotations", "0", "1" * 40),
+        (ParseError, f"bad or duplicate rotation key {'1' * 40}", f"/rotations/{'1' * 40}"),
+    ),
+    "arc id of 2 digits": (
+        lambda d: set_at(d, ["rotations", "0", 0], "11:b"),
+        (ParseError, "arc id of '11:b' is not below the arc count {arcs}", "/rotations/0/0"),
+    ),
+    "arc id of 40 digits": (
+        lambda d: set_at(d, ["rotations", "0", 0], "1" * 40 + ":b"),
+        (ParseError, f"arc id of '{'1' * 40}:b' is not below the arc count " + "{arcs}", "/rotations/0/0"),
+    ),
+    "arc id of 1 digit past the count": (
+        lambda d: set_at(d, ["rotations", "0", 0], "9:b"),
+        (ValidationError, "/rotations: malformed dart (9, 'b')", "/rotations"),
+    ),
+    "arc id with a leading zero": (
+        lambda d: set_at(d, ["rotations", "0", 0], "00:b"),
+        (ParseError, "malformed arc-end token '00:b'", "/rotations/0/0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LOADER_MUTATIONS))
+@pytest.mark.parametrize("name", ["calabi", "two_level"])
+def test_the_loader_refuses_as_the_fraction_loader_did(name, label):
+    mutate, (kind, message, pointer) = LOADER_MUTATIONS[label]
+    doc = mutate(json.loads((FIXTURES / f"{name}.json").read_text()))
+    with pytest.raises(kind) as err:
+        ser.load_document(doc)
+    got = err.value.message if kind is ParseError else str(err.value)
+    assert (got, err.value.pointer) == (message.replace("{arcs}", str(len(doc["arcs"]))), pointer)
+
+
+def test_the_loaded_grid_is_the_grid_of_the_parsed_fractions():
+    docs = emitter_corpus()
+    # a level text that is also a weight text, read once for both
+    shared = json.loads((FIXTURES / "calabi.json").read_text())
+    shared["face_levels"][first_level(shared)] = shared["arcs"][0]["weight"]
+    docs.append(shared)
+    for doc in docs:
+        ds = ser.load_document(doc)
+        weights = [ser.parse_fraction(a["weight"]) for a in sorted(doc["arcs"], key=lambda a: a["id"])]
+        levels = [ser.parse_fraction(doc["face_levels"][ser.face_key_token(ds.angulation, f)])
+                  for f in range(ds.angulation.num_faces)]
+        assert ds.weights == tuple(weights) and ds.face_levels == tuple(levels)
+        assert all(type(x) is F for x in ds.weights + ds.face_levels)
+        assert ds.grid == Grid(*_on_grid(weights), *_on_grid(levels))
+        assert ser.dumps(ser.save(ds)) == oracle(doc)
+    # weights over several denominators, and levels off 1/2
+    assert any(len({ser.parse_fraction(a["weight"]).denominator for a in doc["arcs"]}) >= 3 for doc in docs)
+    assert any(set(doc["face_levels"].values()) - {"1/2"} for doc in docs)
+
+
+def test_the_loader_parses_each_distinct_rational_once(monkeypatch):
+    doc = ser.save(build_surface(0, [F(3)] * 30, range(1, 31)))
+    texts = [a["weight"] for a in doc["arcs"]] + list(doc["face_levels"].values())
+    assert len(set(texts)) < len(texts) / 10
+    calls = []
+    parse = ser.parse_fraction
+
+    def counting(text, pointer=""):
+        calls.append(text)
+        return parse(text, pointer)
+
+    monkeypatch.setattr(ser, "parse_fraction", counting)
+    ser.load_document(doc)
+    assert sorted(calls) == sorted({doc["ratio"], *texts})
