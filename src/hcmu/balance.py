@@ -343,13 +343,8 @@ def solve_tree(ma: MixedAngulation, p: int, q: int):
     Black vertices must sum to ``q``, white ones to ``p``.  Peels the tree
     from its leaves up (the breadth-first order reversed is the leaf queue).
     Raises ``Infeasible`` if a forced weight is <= 0 or the residual left at
-    the root is nonzero.
+    the root is nonzero.  The weights are ints, by arc.
     """
-    return tuple(map(Fraction, tree_weights(ma, p, q)))
-
-
-def tree_weights(ma: MixedAngulation, p: int, q: int) -> list:
-    """:func:`solve_tree`'s weights as ints, which the builders divide by q."""
     nv, na = ma.num_vertices, ma.num_arcs
     if na != nv - 1:
         raise NotATree(f"{na} arcs on {nv} vertices")
@@ -362,7 +357,7 @@ def tree_weights(ma: MixedAngulation, p: int, q: int) -> list:
             raise Infeasible(f"forced weight {w} <= 0 at vertex {v}")
     if residual != 0:
         raise Infeasible(f"residual {residual} at final vertex {order[0]}")
-    return weights
+    return tuple(weights)
 
 
 # -- rank ---------------------------------------------------------------------

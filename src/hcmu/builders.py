@@ -14,7 +14,7 @@ from math import gcd
 from typing import Sequence
 
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation, opposite
-from .balance import tree_weights
+from .balance import solve_tree
 from .constraints import (
     as_angle_vector,
     check_refined,
@@ -373,7 +373,7 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")
     if g == 0:
         ma = build_tree(p, q).as_angulation()
-        weights = [Fraction(w, q) for w in tree_weights(ma, p, q)]
+        weights = [Fraction(w, q) for w in solve_tree(ma, p, q)]
         ds = DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
     elif q == 1 or p % q != 0:
         ds = _one_cone_genus_tree(g, p, q, k0, level)
@@ -392,7 +392,7 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     """Merge the pruned planar tree into the canonical angulation at its
     white vertex; canonical arcs carry weight q / (2g+1)."""
     tree = build_tree(p, q)
-    weights_on_tree = tree_weights(tree.as_angulation(), p, q)
+    weights_on_tree = solve_tree(tree.as_angulation(), p, q)
     x_drop = tree.degree_one_black_with_weight_q()
     e_drop = next(i for i, (bk, _) in enumerate(tree.edges) if bk == x_drop)
     y_glue = tree.edges[e_drop][1]

@@ -16,7 +16,6 @@ form.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,13 +58,12 @@ class DataSet:
     angulation's canonical face order, and ``grid`` holds both on integer
     grids.  The canonical form and its hash are computed on first use and
     cached, so equality and hashing cost at most one code.  A weight or
-    level given as a ``Fraction`` is kept as it is, and so is ``_grid``, the
-    loader's grid of the weights and levels.
+    level given as a ``Fraction`` is kept as it is.
     """
 
     __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash")
 
-    def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels, *, _grid=None):
+    def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels):
         self.angulation = angulation
         self.k0 = float(k0)
         self.ratio = Fraction(ratio)
@@ -75,7 +73,7 @@ class DataSet:
         else:
             levels = list(face_levels)
         self.face_levels = tuple(s if type(s) is Fraction else Fraction(s) for s in levels)
-        self.grid = _grid or Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
+        self.grid = Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
         self._form = None
         self._hash = None
         issues = validate_dataset(self)
@@ -279,11 +277,14 @@ def realized_prescription(ds: DataSet):
     """
     pts = realized_angle_vector(ds)
     alpha = AngleVector([ang for _, ang in pts])
-    wanted = Counter(ang.numerator for kind, ang in pts if kind == "saddle")
+    wanted = {}
+    for kind, ang in pts:
+        if kind == "saddle":
+            wanted[ang.numerator] = wanted.get(ang.numerator, 0) + 1
     Z = []
     for i in range(alpha.k):
         ang = alpha[i].numerator  # the first k entries are integers
-        if wanted[ang]:
+        if wanted.get(ang):
             wanted[ang] -= 1
             Z.append(i + 1)
     if len(Z) != sum(kind == "saddle" for kind, _ in pts):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .angulation import BLACK, WHITE, MixedAngulation
-from .dataset import DataSet, Grid
+from .dataset import DataSet
 from .errors import HcmuError, ParseError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -78,19 +78,12 @@ def face_key_token(ma: MixedAngulation, face_index: int) -> str:
 
 
 def _rational(text, parsed, pointer):
-    """(Fraction, numerator, denominator) of ``text`` as :func:`parse_fraction`
-    reads it; ``parsed`` holds each distinct text of a document read so far."""
+    """The Fraction of ``text`` as :func:`parse_fraction` reads it; ``parsed``
+    holds each distinct text of a document read so far."""
     hit = parsed.get(text) if type(text) is str else None
     if hit is None:
-        value = parse_fraction(text, pointer)
-        hit = parsed[text] = (value, value.numerator, value.denominator)
+        hit = parsed[text] = parse_fraction(text, pointer)  # refuses a text that is not a str
     return hit
-
-
-def _parsed_grid(parsed):
-    """(lcm of the denominators, each numerator over it) of parsed rationals."""
-    den = math.lcm(*{d for _, _, d in parsed})
-    return den, tuple(n * (den // d) for _, n, d in parsed)
 
 
 def save(ds: DataSet) -> dict:
@@ -216,7 +209,7 @@ def load_document(doc: dict) -> DataSet:
     Every object may hold only its schema's keys.  Inside an entry, checks
     raise with pointers relative to the entry, and the entry's own pointer
     is formatted only when one of them refuses it.  Each distinct rational
-    is parsed once, and the grid is built from the parsed integers.
+    is parsed once.
     """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
@@ -306,8 +299,7 @@ def load_document(doc: dict) -> DataSet:
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 
-    grid = Grid(*_parsed_grid(weights), *_parsed_grid(levels))
-    return DataSet(ma, k0, ratio, [w for w, _, _ in weights], [s for s, _, _ in levels], _grid=grid)
+    return DataSet(ma, k0, ratio, weights, levels)
 
 
 def load(source) -> DataSet:
