@@ -60,7 +60,6 @@ from .geometry import (
     football_area,
     k1_from_ratio,
     level_to_distance,
-    ratio_from_pair,
     solve_profile,
     surface_area,
 )

@@ -99,11 +99,18 @@ def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> Subdiv
 
 
 def _pad_with_leaves(builder, member_dart, count, stats):
+    """Add ``count`` black leaves at the first white corner of the face.
+
+    A leaf at corner t inserts its two darts after walk[t]; they are the
+    largest darts, so the root, the corners up to t and walk[t] stay, and
+    every leaf goes in at the same corner of the walk taken once.
+    """
+    if count <= 0:
+        return
+    walk = _rooted_walk(builder, member_dart)
+    t = _first_corner_of_color(builder, walk, WHITE)
     for _ in range(count):
-        walk = _rooted_walk(builder, member_dart)
-        t = _first_corner_of_color(builder, walk, WHITE)
-        z, arc = builder.add_leaf_in_face(walk, t, BLACK)
-        stats.leaves.append((z, arc))
+        stats.leaves.append(builder.add_leaf_in_face(walk, t, BLACK))
 
 
 def _subdivide_rec(builder, walk, w, stats):

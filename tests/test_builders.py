@@ -5,6 +5,7 @@ from typing import Sequence
 import networkx as nx
 import pytest
 
+from hcmu import builders
 from hcmu.angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from hcmu.balance import solve_tree
 from hcmu.builders import (
@@ -28,6 +29,7 @@ from hcmu.errors import (
     Infeasible,
     NotCoprime,
 )
+from hcmu.serialization import dumps, save
 
 
 # -- oracle: trees by exhaustive enumeration -------------------------------------
@@ -155,6 +157,30 @@ def test_subdivide_polygon_bare_quadrilateral():
 def test_subdivide_polygon_incompatible():
     with pytest.raises(Incompatible):
         subdivide_polygon(3, [2])  # 2L = 2 - 4 < 0
+
+
+def pad_leaf_by_leaf(builder, member_dart, count, stats):
+    """Oracle for the leaf padding: the face walked again for every leaf."""
+    for _ in range(count):
+        walk = builders._rooted_walk(builder, member_dart)
+        t = builders._first_corner_of_color(builder, walk, WHITE)
+        stats.leaves.append(builder.add_leaf_in_face(walk, t, BLACK))
+
+
+def test_leaves_padded_at_one_corner_match_leaf_by_leaf_padding(monkeypatch):
+    # a leaf's darts are the largest and go in after walk[t], so the root
+    # and the first white corner stay; 1 to 6 leaves per face below
+    cases = [(0, [F(3)] * n, range(1, n + 1)) for n in (4, 9, 16)] + [
+        (0, [F(5), F(2), F(2)], {1}),
+        (1, [F(6)], {1}),
+        (0, [F(7), F(1, 2), F(1, 2)], {1}),
+        (2, [F(9)], {1}),
+        (1, [F(4), F(3)], {1, 2}),
+        (0, [F(4), F(2), F(2), F(1, 3)], {1}),
+    ]
+    once = [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
+    monkeypatch.setattr(builders, "_pad_with_leaves", pad_leaf_by_leaf)
+    assert once == [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
 
 
 def test_build_surface_calabi_prescription():

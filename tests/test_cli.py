@@ -118,6 +118,19 @@ def test_profile_csv(capsys, tmp_path):
     assert len(lines) == 65
 
 
+def test_profile_sample_count_above_the_maximum_exits_two(capsys, tmp_path):
+    # refused before anything is allocated, so no output file appears
+    target = tmp_path / "p.csv"
+    for n in (2**20 + 1, 100000000000):
+        code, out, err = run(
+            capsys, "profile", "--k0", "1", "--ratio", "1/2", "--samples", str(n),
+            "-o", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: need at most {2**20} samples, got {n}\n"
+    assert not target.exists()
+
+
 def test_twist_roundtrip(capsys, tmp_path):
     target = tmp_path / "t.json"
     code, _, _ = run(

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,15 +15,19 @@ import hcmu
 from hcmu.errors import BadRatio
 from hcmu.geometry import (
     DEFAULT_CUSP_SMAX,
+    MAX_SAMPLES,
     CurvaturePair,
-    _h_of_s,
+    _moduli,
     _rf,
+    _rf_block,
+    _sample,
+    _scaled,
+    _workspace,
     cusp_profile_closed_form,
     element_length,
     football_area,
     k1_from_ratio,
     level_to_distance,
-    ratio_from_pair,
     solve_profile,
     surface_area,
 )
@@ -118,6 +123,78 @@ def fd_derivative(v, y, order=1):
         "ij,ij->i", w, y[idx[:, None] + np.arange(-2, 3)[None, :]]
     )
     return out
+
+
+def ratio_from_pair(k0, k1):
+    """R = (K0 + 2 K1)/(2 K0 + K1), the bottom/top angle ratio: the inverse
+    of k1_from_ratio."""
+    CurvaturePair(k0, k1)
+    return (k0 + 2 * k1) / (2 * k0 + k1)
+
+
+RF_Q = (3.0 * 2.0**-53) ** (-1.0 / 6.0)  # Carlson's (3 r)^(-1/6) for r = 2^-53
+
+
+def halves(u):
+    """Veltkamp's split of u into two 26-bit halves."""
+    t = 134217729.0 * u
+    hi = t - (t - u)
+    return hi, u - hi
+
+
+def oracle_rf(x, y, z):
+    """R_F over whole arrays by the expressions solve_profile evaluated
+    before it worked block by block in place: Carlson's duplication with
+    array temporaries, its series and the exact-rounding (Dekker) tail."""
+    x, y, z = np.broadcast_arrays(x, y, z)
+    a = (x + y + z) / 3.0
+    q = RF_Q * np.maximum(np.maximum(abs(a - x), abs(a - y)), abs(a - z))
+    steps = 0
+    while (going := q >= a).any():
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = (sx * (sy + sz) + sy * sz) * going
+        x, y, z, a = x + lam, y + lam, z + lam, a + lam
+        steps = steps + going
+    X, Y = (a - x) / a, (a - y) / a
+    xy, s = X * Y, X + Y
+    e2 = xy - s * s
+    e3 = -(xy * s)
+    tail = e2 * (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) + e3 / 14.0
+    root = np.sqrt(a)
+    inverse = 1.0 / root
+    rh, rl = halves(root)
+    ih, il = halves(inverse)
+    square, one = root * root, inverse * root
+    eta = ((a - square) - (((rh * rh - square) + 2.0 * rh * rl) + rl * rl)) / a
+    rho = (1.0 - one) - (((ih * rh - one) + ih * rl + il * rh) + il * rl)
+    return np.ldexp(inverse + inverse * (rho + tail - 0.5 * eta), np.asarray(steps, dtype=np.intc))
+
+
+def oracle_profile(k0, k1, s):
+    """(v, K, h) at the levels s by whole-array expressions."""
+    c, m1 = _moduli(k0, k1)
+    t = 1.0 - s
+    if m1 == 0:
+        with np.errstate(divide="ignore"):
+            v = c * np.arcsinh(np.sqrt(s) / np.sqrt(t))
+    else:
+        v = c * np.sqrt(s) * oracle_rf(t, t + s * m1, 1.0)
+    K = k0 - s * (k0 - k1)
+    j, k0, k1 = _scaled(k0, k1)
+    a, b = k0 + 2 * k1, k0 - k1
+    u = (1.0 - s) * b
+    prod = (s * b) * u * (a + u)
+    cbar = b * (2 * k0 + k1) / 6.0
+    h = np.ldexp(np.sqrt(np.maximum(prod, 0.0) / 3.0) / cbar, -j)
+    return v, K, h
+
+
+def sampled(k0, k1, levels):
+    """(v, K, h) at any levels, through solve_profile's block filler."""
+    s = np.asarray(levels, dtype=float)
+    v, K, h = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    _sample(k0, k1, s, v, K, h, _workspace(len(s)))
+    return v, K, h
 
 
 # -- conversions ----------------------------------------------------------------
@@ -305,7 +382,10 @@ def test_carlson_rf_matches_scipy(m1):
     t = 1.0 - s
     y = t + s * m1
     want = special.elliprf(t, y, 1.0)
-    assert np.max(np.abs(_rf(t, y, 1.0) - want) / want) < 2e-15
+    x, n = t.copy(), len(t)
+    work = np.empty((8, n)), np.empty(n, dtype=bool), np.empty(n, dtype=np.intc)
+    _rf_block(x, y.copy(), np.ones(n), *work)  # leaves R_F in x
+    assert np.max(np.abs(x - want) / want) < 2e-15
     for i in range(0, 65536, 1021):
         got = _rf(float(t[i]), float(y[i]), 1.0)
         assert type(got) is float and abs(got - want[i]) / want[i] < 2e-15
@@ -319,6 +399,41 @@ def test_profile_samples_are_level_to_distance_bit_for_bit():
             p = solve_profile(1.3, r, n)
             for s, v in list(zip(p.s, p.v))[::61]:
                 assert level_to_distance(p.k0, p.k1, float(s)) == v
+
+
+@pytest.mark.parametrize("n", [16, 8191, 8192, 8193, 10000, 65536])
+def test_profile_is_the_whole_array_oracle_bit_for_bit(n):
+    # block by block, in place: every sample goes through the operations of
+    # the whole-array expressions in their order, on both sides of a block
+    # boundary (8192) and at the cusp
+    for r in (F(1, 3), F(299, 300), F(1, 10**9), F(0)):
+        for k0 in (1e-300, 1.3, 1e100):
+            p = solve_profile(k0, r, n)
+            for got, want in zip((p.v, p.K, p.h), oracle_profile(p.k0, p.k1, p.s)):
+                assert np.array_equal(got, want)
+
+
+def test_profile_working_memory_does_not_grow_with_the_samples():
+    # beyond its four arrays (32 n bytes) a profile allocates one workspace
+    # of one block, whatever the sample count
+    def extra(ratio, n):
+        tracemalloc.start()
+        try:
+            solve_profile(1.7, ratio, n)
+            return tracemalloc.get_traced_memory()[1] - 32 * n
+        finally:
+            tracemalloc.stop()
+
+    for r in (F(1, 3), F(0)):
+        small, large = extra(r, 32768), extra(r, 131072)
+        assert abs(large - small) <= 64 * 1024, (r, small, large)
+
+
+def test_profile_sample_count_above_the_maximum_is_refused():
+    # refused before anything is allocated: 10^11 samples would take 3.2 TB
+    for n in (MAX_SAMPLES + 1, 10**11):
+        with pytest.raises(BadRatio, match=f"at most {MAX_SAMPLES} samples"):
+            solve_profile(1.0, F(1, 2), n)
 
 
 def test_carlson_rf_matches_mpmath():
@@ -340,14 +455,14 @@ def test_h_is_zero_at_the_bottom_and_matches_mpmath_near_it():
     for k0 in GRID_K0:
         for r in GRID_R:
             k1 = k1_from_ratio(k0, r)
-            assert _h_of_s([1.0], k0, k1)[0] == 0.0
+            assert sampled(k0, k1, [1.0])[2][0] == 0.0
             with mpmath.workdps(40):
                 K0, K1 = mpmath.mpf(k0), mpmath.mpf(k1)
                 cbar = (K0 - K1) * (2 * K0 + K1) / 6
                 for s in (1 - 1e-3, 1 - 1e-6, 1 - 1e-9, DEFAULT_CUSP_SMAX):
                     K = K0 - mpmath.mpf(s) * (K0 - K1)
                     want = mpmath.sqrt((K0 - K) * (K - K1) * (K + K0 + K1) / 3) / abs(cbar)
-                    got = _h_of_s([s], k0, k1)[0]
+                    got = sampled(k0, k1, [s])[2][0]
                     assert abs(got - want) / want < 1e-13
 
 
