@@ -63,6 +63,6 @@ from .geometry import (
     solve_profile,
     surface_area,
 )
-from .serialization import export_dot, export_profile_csv, load, save, save_path
+from .serialization import export_dot, export_profile_csv, load, save
 
 __version__ = "0.1.0"

@@ -12,11 +12,12 @@ boundary with the face on the left; genus comes from the Euler count.  A
 mixed-angulation additionally requires every face degree to be even and at
 least 4.
 
-At the edges of the map a dart is written as the pair ``(arc, "b")`` or
-``(arc, "w")``: the constructor reads its rotations in pairs, ``rotations``
-and ``face_keys`` (the file format's face names) stay in pairs, and
-:class:`MapBuilder`'s surgeries work on pairs.  Since (a, "b") < (a, "w")
-exactly when 2a < 2a + 1, both numberings order the darts alike.
+Each vertex's rotation ``darts[v]`` lists its int darts counterclockwise,
+and a face is keyed by its least dart.  Only at the edge of the package is a
+dart written as the pair ``(arc, "b")`` or ``(arc, "w")``: the constructor
+also takes rotations in pairs, and ``rotations`` shows ``darts`` in pairs.
+Since (a, "b") < (a, "w") exactly when 2a < 2a + 1, both numberings order
+the darts alike.
 
 Two maps are isomorphic when a dart bijection commutes with sigma and alpha
 and keeps the labels; the canonical form is the least dart-numbering code
@@ -36,30 +37,28 @@ from .errors import (
 BLACK = "black"
 WHITE = "white"
 
-# A dart at the edges is (arc id, end), with end "b" at the black vertex and
-# "w" at the white; inside MixedAngulation it is 2 * arc + (end == "w").
-Dart = tuple[int, str]
-END = ("b", "w")  # END[d & 1] is the end of int dart d
+END = ("b", "w")  # END[d & 1] is the end of int dart d: "b" black, "w" white
 
 
-def opposite(dart: Dart) -> Dart:
-    arc, end = dart
-    return (arc, "w" if end == "b" else "b")
+def _pair(d: int):
+    """The (arc, end) pair of int dart d."""
+    return (d >> 1, END[d & 1])
 
 
 class MixedAngulation:
     """Validated bi-colored embedded graph with derived face data.
 
+    The constructor reads each dart of a rotation as an int or an (arc, end)
+    pair.  ``darts`` (the rotations) and ``faces`` hold tuples of int darts,
     ``sigma``, ``sigma_inv`` and ``face_of_dart`` are lists indexed by int
-    dart, and each of ``faces`` is a tuple of int darts; ``rotations`` and
-    ``face_keys`` hold (arc, end) pairs.  Instances are immutable; all
-    surgery happens on :class:`MapBuilder` and produces fresh objects.
+    dart, and ``face_keys[f]`` is ``faces[f][0]``.  Instances are immutable;
+    all surgery happens on :class:`MapBuilder` and produces fresh objects.
     """
 
     __slots__ = (
         "colors",
         "arcs",
-        "rotations",
+        "darts",
         "sigma",
         "sigma_inv",
         "faces",
@@ -88,28 +87,30 @@ class MixedAngulation:
                 raise NotBipartite(f"arc {a} does not join black to white")
         home = [v for arc in arcs for v in arc]  # the vertex of each dart
 
-        # one pass over the rotations: each pair becomes an int dart, checked
-        # against its home vertex, and sigma^-1 links it to its predecessor
+        # one pass over the rotations: each dart, an int or an (arc, end)
+        # pair, is checked against its home vertex, and sigma^-1 links it to
+        # its predecessor; errors name the dart as a pair
         num_darts = 2 * num_arcs
         sigma = [0] * num_darts
         sigma_inv = [-1] * num_darts  # -1 marks a dart not listed yet
-        pair_rows = []
+        rows = []
         for v, rot in enumerate(rotations):
             row = []
-            pairs = []
-            for a, e in rot:
-                a = int(a)
-                dart = (a, e)
-                if e not in END or not (0 <= a < num_arcs):
-                    raise NotBipartite(f"malformed dart {dart!r}")
-                d = 2 * a + (e == "w")
+            for d in rot:
+                if type(d) is not int:
+                    a, e = d
+                    a = int(a)
+                    if e not in END or not (0 <= a < num_arcs):
+                        raise NotBipartite(f"malformed dart {(a, e)!r}")
+                    d = 2 * a + (e == "w")
+                elif not (0 <= d < num_darts):
+                    raise NotBipartite(f"malformed dart {_pair(d)!r}")
                 if home[d] != v:
-                    raise NotBipartite(f"dart {dart!r} listed at the wrong vertex")
+                    raise NotBipartite(f"dart {_pair(d)!r} listed at the wrong vertex")
                 if sigma_inv[d] >= 0:
-                    raise NotBipartite(f"dart {dart!r} appears twice")
+                    raise NotBipartite(f"dart {_pair(d)!r} appears twice")
                 sigma_inv[d] = d
                 row.append(d)
-                pairs.append(dart)
             if not row:
                 raise Disconnected(f"vertex {v} is isolated")
             prev = row[-1]
@@ -117,7 +118,7 @@ class MixedAngulation:
                 sigma[prev] = d
                 sigma_inv[d] = prev
                 prev = d
-            pair_rows.append(tuple(pairs))
+            rows.append(tuple(row))
         if -1 in sigma_inv:
             raise NotBipartite("some arc-end is missing from the rotation system")
 
@@ -156,9 +157,9 @@ class MixedAngulation:
         # each walk starts at its least dart, the face's canonical key, and
         # the walks come in key order (see _trace_faces)
         self.faces = faces
-        self.face_keys = tuple((walk[0] >> 1, END[walk[0] & 1]) for walk in faces)
+        self.face_keys = tuple(walk[0] for walk in faces)
         self.face_of_dart = face_of_dart
-        self.rotations = tuple(pair_rows)
+        self.darts = tuple(rows)
         self.sigma = sigma
         self.sigma_inv = sigma_inv
         self.genus = (2 - euler) // 2
@@ -179,19 +180,22 @@ class MixedAngulation:
     def num_faces(self) -> int:
         return len(self.faces)
 
+    @property
+    def rotations(self):
+        """Each vertex's rotation in (arc, end) pairs, written from ``darts``."""
+        return tuple([tuple([(d >> 1, END[d & 1]) for d in row]) for row in self.darts])
+
     def degree(self, v: int) -> int:
-        return len(self.rotations[v])
+        return len(self.darts[v])
 
     def face_degree(self, f: int) -> int:
         return len(self.faces[f])
 
-    def vertex_of_dart(self, dart: Dart) -> int:
-        arc, end = dart
-        b, w = self.arcs[arc]
-        return b if end == "b" else w
+    def vertex_of_dart(self, d: int) -> int:
+        return self.arcs[d >> 1][d & 1]
 
     def arcs_at(self, v: int):
-        return [a for a, _ in self.rotations[v]]
+        return [d >> 1 for d in self.darts[v]]
 
     def face_left(self, arc: int) -> int:
         """Face on the left of the arc directed black -> white."""
@@ -220,7 +224,7 @@ class MixedAngulation:
         """
         succ = self.sigma
         n = len(succ)
-        degree = [len(rot) for rot in self.rotations]
+        degree = [len(rot) for rot in self.darts]
         vertex_degree = [degree[v] for arc in self.arcs for v in arc]
         labels = [None] * n
         face_degree = [0] * n
@@ -297,7 +301,7 @@ def _trace_faces(sigma_inv):
 
 
 class MapBuilder:
-    """Mutable rotation system used by the constructive procedures.
+    """Mutable rotation system of int darts used by the constructive procedures.
 
     Face surgery keeps the rotation system consistent; faces are re-traced on
     demand.  ``freeze`` validates and returns the immutable result.
@@ -310,28 +314,25 @@ class MapBuilder:
 
     @classmethod
     def from_angulation(cls, ma: MixedAngulation) -> "MapBuilder":
-        return cls(ma.colors, ma.arcs, ma.rotations)
+        return cls(ma.colors, ma.arcs, ma.darts)
 
     def add_vertex(self, color: str) -> int:
         self.colors.append(color)
         self.rot.append([])
         return len(self.colors) - 1
 
-    def vertex_of_dart(self, dart: Dart) -> int:
-        arc, end = dart
-        return self.arcs[arc][0] if end == "b" else self.arcs[arc][1]
+    def vertex_of_dart(self, d: int) -> int:
+        return self.arcs[d >> 1][d & 1]
 
     def trace(self):
-        """Every face walk, as :class:`MixedAngulation` traces them, in pairs."""
+        """Every face walk, as :class:`MixedAngulation` traces them."""
         sigma_inv = [0] * (2 * len(self.arcs))
         for rot in self.rot:
-            darts = [2 * a + (e == "w") for a, e in rot]
-            for i, d in enumerate(darts):
-                sigma_inv[d] = darts[i - 1]
-        walks, _ = _trace_faces(sigma_inv)
-        return [tuple((d >> 1, END[d & 1]) for d in walk) for walk in walks]
+            for i, d in enumerate(rot):
+                sigma_inv[d] = rot[i - 1]
+        return _trace_faces(sigma_inv)[0]
 
-    def face_walk_of_dart(self, dart: Dart):
+    def face_walk_of_dart(self, dart: int):
         """Boundary walk of the face on the left of ``dart``, from ``dart``.
 
         sigma^-1 of a dart is the entry before it in its vertex's rotation
@@ -341,13 +342,12 @@ class MapBuilder:
         d = dart
         while True:
             walk.append(d)
-            d = opposite(d)
-            rot = self.rot[self.vertex_of_dart(d)]
-            d = rot[rot.index(d) - 1]
+            rot = self.rot[self.vertex_of_dart(d ^ 1)]
+            d = rot[rot.index(d ^ 1) - 1]
             if d == dart:
                 return tuple(walk)
 
-    def _insert_before(self, v: int, anchor: Dart, new: Dart):
+    def _insert_before(self, v: int, anchor: int, new: int):
         self.rot[v].insert(self.rot[v].index(anchor), new)
 
     def add_arc_in_face(self, walk, i: int, j: int) -> int:
@@ -356,16 +356,16 @@ class MapBuilder:
         Corner ``t`` sits at the head of side ``walk[t]``.  The two corner
         vertices must carry opposite colors; the face splits in two.
         """
-        u = self.vertex_of_dart(opposite(walk[i]))
-        w = self.vertex_of_dart(opposite(walk[j]))
+        u = self.vertex_of_dart(walk[i] ^ 1)
+        w = self.vertex_of_dart(walk[j] ^ 1)
         if self.colors[u] == self.colors[w]:
             raise NotBipartite("diagonal endpoints have equal colors")
         if self.colors[u] == WHITE:
             u, w, i, j = w, u, j, i
         arc = len(self.arcs)
         self.arcs.append([u, w])
-        self._insert_before(u, opposite(walk[i]), (arc, "b"))
-        self._insert_before(w, opposite(walk[j]), (arc, "w"))
+        self._insert_before(u, walk[i] ^ 1, 2 * arc)
+        self._insert_before(w, walk[j] ^ 1, 2 * arc + 1)
         return arc
 
     def add_leaf_in_face(self, walk, i: int, leaf_color: str) -> tuple[int, int]:
@@ -373,19 +373,15 @@ class MapBuilder:
 
         Returns (new vertex id, new arc id); the face degree grows by 2.
         """
-        u = self.vertex_of_dart(opposite(walk[i]))
+        u = self.vertex_of_dart(walk[i] ^ 1)
         if self.colors[u] == leaf_color:
             raise NotBipartite("leaf color equals its anchor color")
         z = self.add_vertex(leaf_color)
         arc = len(self.arcs)
-        if leaf_color == BLACK:
-            self.arcs.append([z, u])
-            self._insert_before(u, opposite(walk[i]), (arc, "w"))
-            self.rot[z] = [(arc, "b")]
-        else:
-            self.arcs.append([u, z])
-            self._insert_before(u, opposite(walk[i]), (arc, "b"))
-            self.rot[z] = [(arc, "w")]
+        leaf = 2 * arc + (leaf_color == WHITE)  # the new arc's dart at z
+        self.arcs.append([u, z] if leaf & 1 else [z, u])
+        self._insert_before(u, walk[i] ^ 1, leaf ^ 1)
+        self.rot[z] = [leaf]
         return z, arc
 
     def freeze(self, *, allow_degenerate=False) -> MixedAngulation:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation, opposite
+from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from .balance import solve_tree
 from .constraints import (
     as_angle_vector,
@@ -44,12 +44,8 @@ def canonical_angulation(g: int) -> MixedAngulation:
     fragment.
     """
     n = 2 * g + 1
-    arcs = [(0, 1)] * n
-    rot_b = [(a, "b") for a in range(n)]
-    rot_w = [(a, "w") for a in range(n)]
-    return MixedAngulation(
-        [BLACK, WHITE], arcs, [rot_b, rot_w], _allow_degenerate=(g == 0)
-    )
+    rotations = [range(0, 2 * n, 2), range(1, 2 * n, 2)]  # the darts 2a, then 2a + 1
+    return MixedAngulation([BLACK, WHITE], [(0, 1)] * n, rotations, _allow_degenerate=(g == 0))
 
 
 # -- polygon subdivision -------------------------------------------------------
@@ -65,7 +61,7 @@ def _rooted_walk(builder: MapBuilder, member_dart):
 
 def _first_corner_of_color(builder, walk, color):
     for t in range(len(walk)):
-        v = builder.vertex_of_dart(opposite(walk[t]))
+        v = builder.vertex_of_dart(walk[t] ^ 1)
         if builder.colors[v] == color:
             return t
     raise BadOrderVector(f"no {color} corner on the face walk")
@@ -152,7 +148,7 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     w = [2 * int(alpha[i - 1]) - 2 for i in sorted(Z)]
 
     builder = MapBuilder.from_angulation(canonical_angulation(g))
-    inside = (0, "b")
+    inside = 0  # the black end of arc 0
     if q > 0:
         for _ in range(q - 1):
             walk = _rooted_walk(builder, inside)
@@ -223,8 +219,8 @@ def tree_angulation(p: int, q: int, edges) -> MixedAngulation:
     arcs = [(bk, p + wh) for bk, wh in edges]
     rot = [[] for _ in colors]
     for a, (bk, wh) in enumerate(edges):
-        rot[bk].append((a, "b"))
-        rot[p + wh].append((a, "w"))
+        rot[bk].append(2 * a)
+        rot[p + wh].append(2 * a + 1)
     return MixedAngulation(colors, arcs, rot, _allow_degenerate=True)
 
 
@@ -280,8 +276,8 @@ def _duplicate(edges, weights, qbar):
 
     adj = {}
     for i, (bk, wh) in enumerate(edges):
-        adj.setdefault(("b", bk), []).append(i)
-        adj.setdefault(("w", wh), []).append(i)
+        adj.setdefault((BLACK, bk), []).append(i)
+        adj.setdefault((WHITE, wh), []).append(i)
 
     def component(bridge):
         comp, stack = set(), [bridge]
@@ -291,8 +287,8 @@ def _duplicate(edges, weights, qbar):
                 continue
             comp.add(e)
             bk, wh = edges[e]
-            for node in (("b", bk), ("w", wh)):
-                if node == ("b", x_i):
+            for node in ((BLACK, bk), (WHITE, wh)):
+                if node == (BLACK, x_i):
                     continue
                 stack.extend(adj[node])
         comp.discard(bridge)
@@ -421,11 +417,11 @@ def _one_cone_genus_tree(g, p, q, k0, level):
         a = len(builder.arcs)
         builder.arcs.append([bmap[bk], wmap[wh]])
         arc_weights[a] = Fraction(weights_on_tree[i], q)
-        builder.rot[bmap[bk]].append((a, "b"))
+        builder.rot[bmap[bk]].append(2 * a)
         if wh == y_glue:
-            glue_block.append((a, "w"))
+            glue_block.append(2 * a + 1)
         else:
-            builder.rot[wmap[wh]].append((a, "w"))
+            builder.rot[wmap[wh]].append(2 * a + 1)
     rot_y = builder.rot[1]
     builder.rot[1] = rot_y[:1] + glue_block + rot_y[1:]
     ma = builder.freeze()
@@ -463,10 +459,10 @@ def _one_cone_genus_stars(g, p, q, k0, level):
     ]
     conn = [new_arc(xs[(j + 1) % q][0], ys[j], Fraction(1, 2)) for j in range(q)]
     for j in range(q):
-        builder.rot[xs[j][0]] = [(star[j][0], "b"), (conn[(j - 1) % q], "b")]
+        builder.rot[xs[j][0]] = [2 * star[j][0], 2 * conn[(j - 1) % q]]
         for i in range(1, k):
-            builder.rot[xs[j][i]] = [(star[j][i], "b")]
-        builder.rot[ys[j]] = [(star[j][i], "w") for i in range(k)] + [(conn[j], "w")]
+            builder.rot[xs[j][i]] = [2 * star[j][i]]
+        builder.rot[ys[j]] = [2 * star[j][i] + 1 for i in range(k)] + [2 * conn[j] + 1]
     faces = len(builder.trace())
     if faces != 2:
         raise AssertionFailure(f"the chained stars have {faces} faces, expected 2 on the sphere")
@@ -481,9 +477,9 @@ def _one_cone_genus_stars(g, p, q, k0, level):
         if anchor is None:
             raise AssertionFailure(f"no gap at white vertex {v} for handle arc {step}")
         a = new_arc(u, v, Fraction(1, (2 * g - 1) * q))
-        builder.rot[u].append((a, "b"))
+        builder.rot[u].append(2 * a)
         # insert into the chosen gap, right after the anchor dart at v
-        builder.rot[v].insert(builder.rot[v].index(anchor) + 1, (a, "w"))
+        builder.rot[v].insert(builder.rot[v].index(anchor) + 1, 2 * a + 1)
 
     ma = builder.freeze()
     _expect_shape(ma, g, 1)

@@ -142,8 +142,8 @@ class DataSet:
 def validate_dataset(ds) -> list:
     """All invariant violations, as a report (never raises)."""
     issues = []
-    if not ds.k0 > 0:
-        issues.append(ValidationIssue("BadK0", "k0", f"K0 = {ds.k0} must be > 0"))
+    if not 0 < ds.k0 < math.inf:
+        issues.append(ValidationIssue("BadK0", "k0", f"K0 = {ds.k0} must be finite and > 0"))
     if not (0 <= ds.ratio < 1):
         issues.append(ValidationIssue("BadRatio", "ratio", f"R = {ds.ratio} outside [0, 1)"))
     ma = ds.angulation
@@ -172,7 +172,7 @@ def validate_dataset(ds) -> list:
 class ConePoint:
     kind: str  # "maximum" | "minimum" | "saddle"
     angle: Fraction
-    carrier: object  # vertex id or face key
+    carrier: int  # vertex id, or a saddle's face key (its face's least int dart)
     smooth: bool
 
 

@@ -271,7 +271,7 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
 
     # -- assemble the new angulation ----------------------------------------
     arc_map, new_arcs, new_weights, claims = _kept(ds, set(members))
-    base = len(new_arcs)  # strip t becomes arc base + t
+    base = len(new_arcs)  # strip t enters as arc num_arcs + t, becomes arc base + t
     for t, st in enumerate(strips):
         new_arcs.append((st["top"], st["bottom"]))
         new_weights.append(Fraction(st["width"], unit))
@@ -306,7 +306,7 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
             out.append((i, j, run))
         return out
 
-    rot = [list(r) for r in ma.rotations]
+    rot = [list(r) for r in ma.darts]
 
     def splice(vertex, block, replacement):
         cycle = rot[vertex]
@@ -316,25 +316,17 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
             raise AssertionFailure(f"run {block} is not consecutive in the rotation of vertex {vertex}")
         rot[vertex] = replacement + rolled[len(block):]
 
-    # strips enter the rotations as ("s", t) markers so their ids cannot
-    # collide with old arc ids before the final renumbering
-    for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
+    # the dart of arc a at the side's end is 2 * a + side
+    for kind, side in (("black", 0), ("white", 1)):
         for i, j, run in runs(kind):
             x = ma.arcs[run[0]][side]
             ts = list(range(k)) if i is None else run_strips(i, j)
             if side:  # a white vertex meets the circle in reverse order
                 run, ts = run[::-1], ts[::-1]
-            splice(x, [(a, end) for a in run], [(("s", t), end) for t in ts])
+            splice(x, [2 * a + side for a in run], [2 * (ma.num_arcs + t) + side for t in ts])
 
-    final_rot = []
-    for v in range(ma.num_vertices):
-        row = []
-        for a, e in rot[v]:
-            if isinstance(a, tuple):
-                row.append((base + a[1], e))
-            else:
-                row.append((arc_map[a], e))
-        final_rot.append(row)
+    new_arc = [arc_map.get(a) for a in range(ma.num_arcs)] + list(range(base, base + k))
+    final_rot = [[2 * new_arc[d >> 1] + (d & 1) for d in row] for row in rot]
 
     out = _rebuild(ds, ma.colors, new_arcs, new_weights, final_rot, claims)
     if out.total_weight() != ds.total_weight():
@@ -379,11 +371,11 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     step = spacing.numerator * (unit // spacing.denominator)
     scale = unit // ds.grid.dw
 
-    rot_x = list(ma.rotations[vertex])
+    rot_x = [d >> 1 for d in ma.darts[vertex]]  # its arcs in rotation order
     start = rot_x.index(min(rot_x))
     rot_x = rot_x[start:] + rot_x[:start]
     bounds = [0]
-    for a, _ in rot_x:
+    for a in rot_x:
         bounds.append(bounds[-1] + ds.grid.weights[a] * scale)
     total = bounds[-1]
     if total != alpha * step:
@@ -401,11 +393,11 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     q_base = len(others)
     colors = [ma.colors[v] for v in others] + [color] * alpha
 
-    position = {a: r for r, (a, _) in enumerate(rot_x)}
+    position = {a: r for r, a in enumerate(rot_x)}
     arc_map, new_arcs, new_weights, claims = _kept(ds, position, vmap)
     sub_lists = []  # per rotation entry: new arc ids in position order
     q_members = {j: [] for j in range(alpha)}
-    for r, (a, _) in enumerate(rot_x):
+    for r, a in enumerate(rot_x):
         lo, hi = bounds[r], bounds[r + 1]
         inner = [p for p in cuts if lo < p < hi]
         pts = [lo] + inner + [hi]
@@ -435,22 +427,22 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
             claims[2 * subs[0]] = ma.face_left(a)
             claims[2 * subs[-1] + 1] = ma.face_right(a)
 
-    end_here = "b" if color == BLACK else "w"
+    side = color == WHITE  # the sector vertices' darts are 2 * na + side
     rot = []
     for v in range(ma.num_vertices):
         if v == vertex:
             continue
         row = []
-        for a, e in ma.rotations[v]:
+        for d in ma.darts[v]:
+            a, e = d >> 1, d & 1
             if a in arc_map:
-                row.append((arc_map[a], e))
+                row.append(2 * arc_map[a] + e)
             else:
                 # the far end of a split arc sees the sub-arcs reversed
-                row.extend((na, e) for na in reversed(sub_lists[position[a]]))
+                row.extend(2 * na + e for na in reversed(sub_lists[position[a]]))
         rot.append(row)
     for j in range(alpha):
-        row = [(na, end_here) for _, na in sorted(q_members[j])]
-        rot.append(row)
+        rot.append([2 * na + side for _, na in sorted(q_members[j])])
 
     out = _rebuild(ds, colors, new_arcs, new_weights, rot, claims, new_level)
     new_ma = out.angulation

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
-from .angulation import BLACK, WHITE, MixedAngulation
+from .angulation import BLACK, END, WHITE, MixedAngulation
 from .dataset import DataSet
 from .errors import HcmuError, ParseError, ValidationError
 
@@ -50,8 +50,9 @@ def parse_fraction(text, pointer="") -> Fraction:
     return value
 
 
-def dart_token(dart) -> str:
-    return f"{dart[0]}:{dart[1]}"
+def dart_token(d: int) -> str:
+    """The token "arc:end" of int dart d, end "b" or "w"."""
+    return f"{d >> 1}:{END[d & 1]}"
 
 
 def _short_id(digits: str, limit: int):
@@ -62,15 +63,15 @@ def _short_id(digits: str, limit: int):
 
 
 def parse_dart(token, arc_count: int, limit: int, pointer=""):
-    """The dart of ``token``; an arc id with more than ``limit`` digits,
+    """The int dart of ``token``; an arc id with more than ``limit`` digits,
     the length of ``arc_count``, is refused."""
     arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
-    if end not in ("b", "w") or not NATURAL.fullmatch(arc):
+    if end not in END or not NATURAL.fullmatch(arc):
         raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
     arc_id = _short_id(arc, limit)
     if arc_id is None:
         raise ParseError(f"arc id of {token!r:.80} is not below the arc count {arc_count}", pointer)
-    return (arc_id, end)
+    return 2 * arc_id + (end == "w")
 
 
 def face_key_token(ma: MixedAngulation, face_index: int) -> str:
@@ -87,9 +88,10 @@ def _rational(text, parsed, pointer):
 
 
 def save(ds: DataSet) -> dict:
-    """Canonical JSON document of a data set; its rationals are Fractions, so str formats them."""
+    """Canonical JSON document of a data set; its rationals are Fractions, so str formats them.
+    A rational longer than the loader reads is refused at its pointer."""
     ma = ds.angulation
-    return {
+    doc = {
         "version": SCHEMA_VERSION,
         "k0": repr(ds.k0),
         "ratio": str(ds.ratio),
@@ -106,7 +108,7 @@ def save(ds: DataSet) -> dict:
             for a in range(ma.num_arcs)
         ],
         "rotations": {
-            str(v): [dart_token(d) for d in ma.rotations[v]]
+            str(v): [dart_token(d) for d in ma.darts[v]]
             for v in range(ma.num_vertices)
         },
         "face_levels": {
@@ -114,6 +116,19 @@ def save(ds: DataSet) -> dict:
             for f in range(ma.num_faces)
         },
     }
+    _fits(doc["ratio"], "/ratio")
+    for a, arc in enumerate(doc["arcs"]):
+        _fits(arc["weight"], "/arcs/{}/weight", a)
+    for key, text in doc["face_levels"].items():
+        _fits(text, "/face_levels/{}", _token(key))
+    return doc
+
+
+def _fits(text, pointer, *where):
+    """Refuses ``text``, too long to load, at ``pointer`` formatted with ``where``."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        message = f"rational of {len(text)} characters; a document holds at most {MAX_RATIONAL_CHARS}"
+        raise ValidationError(message, pointer.format(*where))
 
 
 def _block(entries, brackets, indent):
@@ -314,11 +329,6 @@ def load(source) -> DataSet:
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", "/")
     return load_document(doc)
-
-
-def save_path(ds: DataSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(save(ds)))
 
 
 # -- exports ---------------------------------------------------------------

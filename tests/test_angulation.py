@@ -10,7 +10,6 @@ from hcmu.angulation import (
     WHITE,
     MapBuilder,
     MixedAngulation,
-    opposite,
 )
 from hcmu.builders import build_one_cone, build_surface, canonical_angulation
 from hcmu.dataset import DataSet
@@ -29,6 +28,18 @@ from test_deformation_stress import deformed_walk
 def pair(d):
     """The (arc, end) pair of int dart d."""
     return (d >> 1, "bw"[d & 1])
+
+
+def opposite(dart):
+    """The other end of the arc of an (arc, end) pair."""
+    arc, end = dart
+    return (arc, "w" if end == "b" else "b")
+
+
+def pair_vertex(ma, dart):
+    """The vertex of an (arc, end) pair."""
+    arc, end = dart
+    return ma.arcs[arc][0 if end == "b" else 1]
 
 
 def star_angulation(p):
@@ -135,9 +146,9 @@ def test_faces_start_at_their_least_dart_in_key_order():
     maps += [build_one_cone(1, 4, 3).angulation, build_one_cone(2, 6, 3).angulation]
     for ma in maps:
         keyed = sorted((min(walk), walk) for walk in ma.faces)
-        assert ma.face_keys == tuple(pair(k) for k, _ in keyed)
+        assert ma.face_keys == tuple(k for k, _ in keyed)
         assert ma.faces == tuple(w for _, w in keyed)
-        assert all(pair(walk[0]) == key for key, walk in zip(ma.face_keys, ma.faces))
+        assert all(walk[0] == key for key, walk in zip(ma.face_keys, ma.faces))
 
 
 def test_builder_face_walk_reads_only_the_rotation_lists(monkeypatch):
@@ -222,6 +233,56 @@ def test_constructor_rejects_what_a_broken_tracer_returns(monkeypatch, walks, er
     assert type(caught.value) is error and str(caught.value) == message
 
 
+# -- the constructor's two input forms -------------------------------------------
+
+
+def int_rows(rotations):
+    """Rotations in int darts 2a + (end == "w"); a pair with an end other than
+    "b" or "w" has no int dart and stays a pair."""
+    return [[2 * a + (e == "w") if e in ("b", "w") else (a, e) for a, e in rot] for rot in rotations]
+
+
+MAP_FIELDS = ("darts", "sigma", "sigma_inv", "faces", "face_of_dart", "face_keys", "genus", "degenerate")
+
+
+def test_int_rows_and_pair_rows_build_the_same_map():
+    surfaces = [make_calabi(), make_two_level()] + [load(path) for path in sorted(FIXTURES.glob("*.json"))]
+    surfaces += [build_surface(0, [3] * n, range(1, n + 1)) for n in (4, 17)]
+    surfaces += [build_surface(2, [7], {1}), build_surface(1, [4, 0, 0], {1})]
+    surfaces += [build_one_cone(0, 7, 3), build_one_cone(1, 4, 3), build_one_cone(2, 6, 2)]
+    for seed in range(6):
+        surfaces += deformed_walk(seed)
+    maps = [ds.angulation for ds in surfaces] + [canonical_angulation(0), star_angulation(4)]
+    rng = random.Random(12)
+    maps += [random_bicolored_angulation(rng) for _ in range(30)]
+    for ma in maps:
+        pairs = ma.rotations
+        assert pairs == tuple(tuple(pair(d) for d in row) for row in ma.darts)
+        by_pairs = MixedAngulation(ma.colors, ma.arcs, pairs, _allow_degenerate=ma.degenerate)
+        by_ints = MixedAngulation(ma.colors, ma.arcs, int_rows(pairs), _allow_degenerate=ma.degenerate)
+        for field in MAP_FIELDS:
+            assert getattr(by_pairs, field) == getattr(by_ints, field) == getattr(ma, field), field
+        assert by_ints.rotations == pairs
+
+
+@pytest.mark.parametrize(
+    "arcs, rotations, message",
+    [
+        ([(0, 1)], [[(0, "x")], [(0, "w")]], "malformed dart (0, 'x')"),
+        ([(0, 1)], [[(7, "b")], [(0, "w")]], "malformed dart (7, 'b')"),
+        ([(0, 1)], [[(-1, "w")], [(0, "w")]], "malformed dart (-1, 'w')"),
+        ([(0, 1)], [[(0, "b"), (0, "b")], [(0, "w")]], "dart (0, 'b') appears twice"),
+        ([(0, 1)], [[(0, "w")], [(0, "b")]], "dart (0, 'w') listed at the wrong vertex"),
+        ([(0, 1), (0, 1)], [[(0, "b")], [(0, "w"), (1, "w")]], "some arc-end is missing from the rotation system"),
+    ],
+)
+def test_int_rows_and_pair_rows_are_refused_alike(arcs, rotations, message):
+    for rows in (rotations, int_rows(rotations)):
+        with pytest.raises(NotBipartite) as caught:
+            MixedAngulation([BLACK, WHITE], arcs, rows)
+        assert type(caught.value) is NotBipartite and str(caught.value) == message
+
+
 # -- oracle: the (arc, end) pair maps and face walks ------------------------------
 #
 # sigma, sigma^-1 and the face walks computed on (arc, end) pairs with dicts,
@@ -269,12 +330,12 @@ def assert_matches_pair_oracle(ma):
     assert {pair(d): pair(s) for d, s in enumerate(ma.sigma_inv)} == sigma_inv
     walks = pair_face_orbits(ma.num_arcs, sigma_inv)
     assert [tuple(pair(d) for d in walk) for walk in ma.faces] == walks
-    assert ma.face_keys == tuple(walk[0] for walk in walks)
+    assert tuple(pair(k) for k in ma.face_keys) == tuple(walk[0] for walk in walks)
     assert {pair(d): f for d, f in enumerate(ma.face_of_dart)} == {
         d: f for f, walk in enumerate(walks) for d in walk
     }
     builder = MapBuilder.from_angulation(ma)
-    assert builder.trace() == walks
+    assert [tuple(pair(d) for d in walk) for walk in builder.trace()] == walks
 
 
 def test_int_faces_match_the_pair_oracle():
@@ -303,7 +364,7 @@ def test_face_walk_alternates_colors():
     for _ in range(25):
         ma = random_bicolored_angulation(rng)
         for walk in ma.faces:
-            corners = [ma.vertex_of_dart(opposite(pair(d))) for d in walk]
+            corners = [ma.vertex_of_dart(d ^ 1) for d in walk]
             for i, v in enumerate(corners):
                 w = corners[(i + 1) % len(corners)]
                 assert ma.colors[v] != ma.colors[w]
@@ -321,8 +382,8 @@ def test_isomorphism_detects_relabeling():
     for a, (b, w) in enumerate(ma.arcs):
         arcs[perm_a[a]] = (perm_v[b], perm_v[w])
     rot = [None] * 5
-    for v in range(5):
-        rot[perm_v[v]] = [(perm_a[a], e) for a, e in ma.rotations[v]]
+    for v, r in enumerate(ma.rotations):
+        rot[perm_v[v]] = [(perm_a[a], e) for a, e in r]
     other = MixedAngulation(colors, arcs, rot)
     assert ma.is_isomorphic(other)
 
@@ -365,13 +426,14 @@ def rooted_signature(ma, root, arc_label, face_label):
             vorder.append(v)
             entry[v] = d
 
-    see_vertex(ma.vertex_of_dart(root), root)
+    see_vertex(pair_vertex(ma, root), root)
+    rotations = ma.rotations  # written from ma.darts on every read
     out = []
     i = 0
     while i < len(vorder):
         v = vorder[i]
         i += 1
-        rot = ma.rotations[v]
+        rot = rotations[v]
         k = rot.index(entry[v])
         row = []
         for j in range(len(rot)):
@@ -380,7 +442,7 @@ def rooted_signature(ma, root, arc_label, face_label):
             if a not in amap:
                 amap[a] = len(amap)
             row.append(amap[a])
-            see_vertex(ma.vertex_of_dart(opposite(d)), opposite(d))
+            see_vertex(pair_vertex(ma, opposite(d)), opposite(d))
         out.append((ma.colors[v], tuple(row)))
     arcdata = []
     for a in sorted(amap, key=amap.get):

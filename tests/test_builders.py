@@ -84,7 +84,7 @@ class PolygonFragment:
     """A subdivided 2K-gon, modeled as a sphere map with an outer face."""
 
     angulation: MixedAngulation
-    outer_dart: tuple
+    outer_dart: int
     boundary: tuple  # boundary vertex ids, alternating colors
     diagonals: tuple
     leaves: tuple  # (vertex id, arc id) of the added black leaves
@@ -111,15 +111,15 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
         b.add_vertex(BLACK if i % 2 == 0 else WHITE)
     if K == 1:
         b.arcs = [[0, 1], [0, 1]]
-        b.rot = [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")]]
+        b.rot = [[0, 2], [1, 3]]
     else:
         for i in range(2 * K):
             u, v = i, (i + 1) % (2 * K)
             b.arcs.append([u, v] if u % 2 == 0 else [v, u])
         for v in range(2 * K):
-            end = "b" if v % 2 == 0 else "w"
-            b.rot[v] = [(v, end), ((v - 1) % (2 * K), end)]
-    inner = (0, "b")
+            # the arcs v and v - 1 meet at v, black at even v, white at odd
+            b.rot[v] = [2 * v + v % 2, 2 * ((v - 1) % (2 * K)) + v % 2]
+    inner = 0
     inner_walk = set(b.face_walk_of_dart(inner))
     outer = min(d for wk in b.trace() for d in wk if d not in inner_walk)
     stats = subdivide_face(b, inner, wl)

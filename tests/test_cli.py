@@ -152,6 +152,21 @@ def test_twist_non_generic(capsys, tmp_path):
     assert "non-generic" in out
 
 
+def test_twist_writes_no_weight_the_loader_refuses(capsys, tmp_path):
+    # a 256-character shift is read, but the twisted weight has 257 characters
+    b = 10**127 + 3
+    psi = f"{b // 3}/{b}"
+    assert len(psi) == ser.MAX_RATIONAL_CHARS
+    target = tmp_path / "t.json"
+    code, out, err = run(
+        capsys, "twist", str(FIXTURES / "two_level.json"),
+        "--level", "1/2", "--circle", "0", "--psi", psi, "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: /arcs/0/weight: rational of 257 characters; a document holds at most 256\n"
+    assert not target.exists()
+
+
 def test_split_command(capsys, tmp_path):
     src = tmp_path / "s.json"
     run(capsys, "build", "--genus", "0", "--angles", "2,3", "--saddles", "1",

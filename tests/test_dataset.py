@@ -42,6 +42,19 @@ def test_zero_weight_rejected(calabi):
     assert err.value.pointer == "/BadWeight"
 
 
+@pytest.mark.parametrize("k0", [0.0, -1.0, float("nan"), float("inf")])
+def test_k0_outside_the_positive_finite_floats_rejected(calabi, k0):
+    # a saved document must hold a finite k0, and the area scales with 1/K0
+    for make in (
+        lambda: DataSet(calabi.angulation, k0, F(2, 3), calabi.weights, calabi.face_levels),
+        lambda: build_surface(0, [2, 3], {1}, k0=k0),
+    ):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert err.value.pointer == "/BadK0"
+        assert f"K0 = {k0} must be finite and > 0" in str(err.value)
+
+
 def test_level_outside_interval_rejected(calabi):
     ma = calabi.angulation
     with pytest.raises(HcmuError, match="BadLevel"):

@@ -331,12 +331,12 @@ def test_rebuild_refuses_a_missing_old_face(calabi):
 # the same on integer grids.  The oracle surgeries share only the rebuild.
 
 
-def oracle_successor(ds, c, arc):
+def oracle_successor(ds, c, arc, rotations):
     ma = ds.angulation
     if c < ds.face_levels[ma.face_left(arc)]:
-        rot = ma.rotations[ma.arcs[arc][0]]
+        rot = rotations[ma.arcs[arc][0]]
         return rot[(rot.index((arc, "b")) + 1) % len(rot)][0]
-    rot = ma.rotations[ma.arcs[arc][1]]
+    rot = rotations[ma.arcs[arc][1]]
     return rot[rot.index((arc, "w")) - 1][0]
 
 
@@ -344,11 +344,12 @@ def oracle_circles(ds, c):
     """(members, circumference) of each circle at the non-critical level c."""
     seen = set()
     out = []
+    rotations = ds.angulation.rotations  # written from the int darts on every read
     for a0 in range(ds.angulation.num_arcs):
         if a0 in seen:
             continue
         orbit = [a0]
-        while (a := oracle_successor(ds, c, orbit[-1])) != a0:
+        while (a := oracle_successor(ds, c, orbit[-1], rotations)) != a0:
             orbit.append(a)
         seen.update(orbit)
         out.append((tuple(orbit), sum((ds.weights[a] for a in orbit), F(0))))
@@ -460,8 +461,9 @@ def oracle_split(ds, vertex, offset, new_level):
             claims[2 * subs[0] + first] = ma.face_of_dart[2 * a + first]
             claims[2 * subs[-1] + last] = ma.face_of_dart[2 * a + last]
     end = "b" if color == BLACK else "w"
+    rotations = ma.rotations
     rot = [
-        [d for a, e in ma.rotations[v] for d in (
+        [d for a, e in rotations[v] for d in (
             [(arc_map[a], e)] if a in arc_map else [(na, e) for na in reversed(sub_lists[position[a]])]
         )]
         for v in others

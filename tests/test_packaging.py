@@ -131,6 +131,44 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+# -- one dart representation: int darts, with (arc, end) pairs at the edge -------
+
+ENDS = {"b", "w"}
+
+
+def pair_uses(tree, allowed=()):
+    """Line numbers of tuple, list and set displays holding the constant "b"
+    or "w", other than those assigned to a module-level name in ``allowed``,
+    and of every use of the name ``opposite``."""
+    skip = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in allowed for t in node.targets)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and id(node) not in skip:
+            if any(isinstance(e, ast.Constant) and e.value in ENDS for e in node.elts):
+                found.append(node.lineno)
+        elif any(getattr(node, field, None) == "opposite" for field in ("name", "id", "attr")):
+            found.append(node.lineno)  # a definition, import, name or attribute
+    return sorted(found)
+
+
+def test_darts_are_ints_inside_the_package():
+    # only angulation.END spells the two ends; every other module uses int
+    # darts 2a and 2a + 1 and reads or writes pairs through angulation
+    assert pair_uses(ast.parse('x = (a, "b")\ny = [d, "w"]\nz = {"b"}')) == [1, 2, 3]
+    assert pair_uses(ast.parse('END = ("b", "w")'), {"END"}) == []
+    assert pair_uses(ast.parse("from m import opposite\ndef opposite(d):\n    pass\nm.opposite(0)")) == [1, 2, 4]
+    found = {
+        name: pair_uses(tree, {"END"} if name == "angulation.py" else ())
+        for name, tree in package_trees().items()
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # -- the Python floor: pyproject.toml promises 3.10 ------------------------------
 
 # Fraction's private constructors differ between versions: the _normalize

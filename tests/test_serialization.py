@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES, make_calabi, make_two_level
 from hcmu import serialization as ser
 from hcmu.builders import build_one_cone, build_surface
-from hcmu.dataset import Grid, _on_grid, census
+from hcmu.dataset import DataSet, Grid, _on_grid, census
 from hcmu.deformations import split, twist
 from hcmu.errors import ParseError, ValidationError
 from hcmu.geometry import solve_profile
@@ -44,10 +44,36 @@ def test_roundtrip_builder_outputs(tmp_path):
         build_one_cone(1, 4, 3),
     ):
         p = tmp_path / "ds.json"
-        ser.save_path(ds, p)
+        p.write_text(ser.dumps(ser.save(ds)), encoding="utf-8")
         loaded = ser.load(p)
         assert loaded == ds
         assert ser.dumps(ser.save(loaded)) == p.read_text()
+
+
+def test_save_refuses_a_rational_the_loader_refuses_at_its_pointer():
+    calabi = make_calabi()
+    ma = calabi.angulation
+    at_limit = F(1, 10**253)  # "1/1" and 253 zeros: the longest text the loader reads
+    too_long = F(1, 10**254)
+    assert len(str(at_limit)) == ser.MAX_RATIONAL_CHARS == len(str(too_long)) - 1
+
+    def surface(x, ratio=False, arc=None, face=None):
+        weights = [x if a == arc else w for a, w in enumerate(calabi.weights)]
+        levels = [x if f == face else s for f, s in enumerate(calabi.face_levels)]
+        return DataSet(ma, calabi.k0, x if ratio else calabi.ratio, weights, levels)
+
+    key = ser.face_key_token(ma, 1)
+    for where, pointer in [
+        ({"ratio": True}, "/ratio"),
+        ({"arc": 4}, "/arcs/4/weight"),
+        ({"face": 1}, f"/face_levels/{key}"),
+    ]:
+        text = ser.dumps(ser.save(surface(at_limit, **where)))
+        assert ser.dumps(ser.save(ser.load_document(json.loads(text)))) == text
+        with pytest.raises(ValidationError) as err:
+            ser.save(surface(too_long, **where))
+        assert err.value.pointer == pointer
+        assert str(err.value) == f"{pointer}: rational of 257 characters; a document holds at most 256"
 
 
 def test_load_from_stream():
