@@ -30,9 +30,16 @@ from .errors import (
     Inadmissible,
     Incompatible,
     NotCoprime,
+    TooLarge,
 )
 
 DEFAULT_LEVEL = Fraction(1, 2)
+MAX_ARCS = 2**13  # the most arcs a builder's map may have; construction time grows with them
+
+
+def _check_size(arcs: int):
+    if arcs > MAX_ARCS:
+        raise TooLarge(f"the map would have {arcs} arcs; a builder makes at most {MAX_ARCS}")
 
 
 def canonical_angulation(g: int) -> MixedAngulation:
@@ -144,6 +151,7 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
             f"no surface with genus {g}, angles [{', '.join(map(str, alpha))}], Z={sorted(Z)}"
         )
     m, a, b_count = invariants_m_a(g, alpha, Z)
+    _check_size(b_count)
     q = alpha.q_zeros
     w = [2 * int(alpha[i - 1]) - 2 for i in sorted(Z)]
 
@@ -374,6 +382,7 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
     alpha = p + q + 2 * g - 1
     if not one_cone_admissible(g, alpha, p, q):
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")
+    _check_size(alpha)  # the one face has degree 2 * alpha
     if g == 0:
         ma = build_tree(p, q).as_angulation()
         weights = [Fraction(w, q) for w in solve_tree(ma, p, q)]

@@ -6,8 +6,11 @@ the boundary's marked point lies below the circle (face level > c) and
 around the white end otherwise.  Twisting cuts along one circle and re-glues
 with a rational shift, redirecting every meridian ray that crosses it; split
 replaces an integer-angle extremal point by a saddle plus that many smooth
-extremal points.  All arithmetic in this module is exact and integer: the
-levels are compared on the data set's level grid, and positions along a
+extremal points.  Both rewrite the rotations alike: every dart of an arc
+that the surgery cuts is replaced in place by the darts of its pieces, and
+every other dart is renumbered, so a rotation row starts where it did unless
+its first dart was cut.  All arithmetic in this module is exact and integer:
+the levels are compared on the data set's level grid, and positions along a
 circle or around a vertex are integers in units of 1/D, D a multiple of the
 weight grid's denominator that also clears the shift or the cut spacing.
 Only the new weights are built as Fractions.
@@ -18,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .angulation import BLACK, WHITE, MixedAngulation
@@ -89,29 +93,25 @@ def circles_at_level(ds: DataSet, c) -> list:
 
 
 def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
-    """Per cut: position (cumulative weight in units of 1/``unit``, a
-    multiple of the weight grid's dw), gate face, black/white kind."""
+    """Per cut, at the end of each member's interval: its position
+    (cumulative weight in units of 1/``unit``, a multiple of the weight
+    grid's dw), its gate face, and whether the gate's level lies above c."""
     ma = ds.angulation
+    sigma = ma.sigma
     c = circle.level
     x, d = c.numerator * ds.grid.dl, c.denominator
     scale = unit // ds.grid.dw
-    weights, levels = ds.grid.weights, ds.grid.levels
-    pos = 0
-    cuts = []
-    k = len(circle.members)
-    for i, arc in enumerate(circle.members):
-        pos += weights[arc] * scale
-        gate = ma.face_left(arc)
-        kind = "black" if levels[gate] * d > x else "white"
-        nxt = circle.members[(i + 1) % k]
-        side = kind == "white"
-        if ma.arcs[arc][side] != ma.arcs[nxt][side]:
+    members = circle.members
+    gates = [ma.face_left(a) for a in members]
+    above = [ds.grid.levels[f] * d > x for f in gates]
+    # the circle turns around a's black end at a gate above c, its white end below
+    for a, nxt, up in zip(members, members[1:] + members[:1], above):
+        if not (sigma[2 * a] == 2 * nxt if up else sigma[2 * nxt + 1] == 2 * a + 1):
             raise AssertionFailure(
-                f"level circle turns at a {kind} cut from arc {arc} (vertex "
-                f"{ma.arcs[arc][side]}) to arc {nxt} (vertex {ma.arcs[nxt][side]})"
+                f"level circle leaves arc {a} for arc {nxt}, which does not follow it "
+                f"around its {'black' if up else 'white'} end"
             )
-        cuts.append({"pos": pos, "gate": gate, "kind": kind})
-    return cuts
+    return list(accumulate(ds.grid.weights[a] * scale for a in members)), gates, above
 
 
 def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
@@ -124,8 +124,8 @@ def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
 def twist_is_trivial(ds: DataSet, c, circle_index: int) -> bool:
     """True iff one side of the circle is a saddle-free disk, making every
     twist along it an isometry."""
-    kinds = {cut["kind"] for cut in _cut_data(ds, _circle(ds, c, circle_index), ds.grid.dw)}
-    return len(kinds) == 1
+    _, _, above = _cut_data(ds, _circle(ds, c, circle_index), ds.grid.dw)
+    return len(set(above)) == 1
 
 
 # -- rebuilding after a surgery ------------------------------------------------
@@ -155,6 +155,24 @@ def _kept(ds: DataSet, dropped, vmap=None):
         weights.append(ds.weights[a])
         claims += face_of_dart[2 * a : 2 * a + 2]
     return arc_map, arcs, weights, claims
+
+
+def _substitute(rows, arc_map, repl):
+    """The rotation rows after a surgery: a dart of a kept arc is renumbered
+    through ``arc_map``, and any other dart d is replaced in place by the
+    new darts ``repl[d]``, so a row starts where it did unless its first
+    dart was replaced."""
+    out = []
+    for row in rows:
+        new = []
+        for d in row:
+            a = arc_map.get(d >> 1)
+            if a is None:
+                new += repl[d]
+            else:
+                new.append(2 * a + (d & 1))
+        out.append(new)
+    return out
 
 
 def _rebuild(ds: DataSet, colors, arcs, weights, rotations, claims, new_level=None) -> DataSet:
@@ -212,123 +230,62 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     side, the result has a saddle-saddle meridian and is reported instead of
     returned.
 
+    The re-glued circle is cut by lines at coordinates tau: a cut whose
+    gate's level lies below c stays, one whose gate's level lies above c
+    moves by psi.  Each line and the next bound a strip, a new arc from the
+    black end of its top member (whose interval holds tau) to the white end
+    of its bottom member (whose interval holds tau - psi).  In every
+    rotation a member's black dart is replaced in place by its strips' black
+    darts in increasing tau, and its white dart by its strips' white darts
+    in decreasing tau - psi; a member with no strip at one end loses that
+    dart.
+
     Positions on the circle are integers in units of 1/D, D the lcm of the
     weight grid's dw and the denominator of ``psi``; the strip widths are
     the only Fractions built.
     """
     circle = _circle(ds, c, circle_index)
     ma = ds.angulation
-    members = list(circle.members)
+    members = circle.members
     k = len(members)
     psi = Fraction(psi)
     unit = math.lcm(ds.grid.dw, psi.denominator)
-    cuts = _cut_data(ds, circle, unit)
-    cut_pos = [cut["pos"] for cut in cuts]  # increasing, last == phi
-    phi = cut_pos[-1]
+    positions, gates, above = _cut_data(ds, circle, unit)
+    phi = positions[-1]
     psi = psi.numerator * (unit // psi.denominator) % phi
 
-    def owner_after(pos):
-        """Member whose open interval starts at or spans just after pos."""
-        pos = pos % phi
-        return members[bisect_right(cut_pos, pos) % k]
-
-    # new cut lines: white cuts stay, black cuts shift by +psi on top
-    lines = []
-    by_tau = {}
+    gate_at = {}  # line coordinate tau -> gate face
     clashes = []
-    for i, cut in enumerate(cuts):
-        tau = cut["pos"] % phi if cut["kind"] == "white" else (cut["pos"] + psi) % phi
-        line = {"tau": tau, "gate": cut["gate"], "kind": cut["kind"], "cut": i}
-        if tau in by_tau:
-            other = by_tau[tau]
-            above = line if line["kind"] == "white" else other
-            below = line if line["kind"] == "black" else other
-            clashes.append((ma.face_keys[above["gate"]], ma.face_keys[below["gate"]]))
+    for pos, gate, up in zip(positions, gates, above):
+        tau = (pos + psi if up else pos) % phi
+        if tau in gate_at:
+            low, high = (gate_at[tau], gate) if up else (gate, gate_at[tau])
+            clashes.append((ma.face_keys[low], ma.face_keys[high]))
         else:
-            by_tau[tau] = line
-            lines.append(line)
+            gate_at[tau] = gate
     if clashes:
         return TwistOutcome(None, tuple(sorted(clashes)))
 
-    lines.sort(key=lambda ln: ln["tau"])
-    taus = [ln["tau"] for ln in lines]
-    widths = [
-        (taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi for t in range(k)
-    ]
-    strips = []
-    for t in range(k):
-        top_owner = owner_after(taus[t])
-        bottom_owner = owner_after(taus[t] - psi)
-        strips.append(
-            {
-                "width": widths[t],
-                "top": ma.arcs[top_owner][0],
-                "bottom": ma.arcs[bottom_owner][1],
-                "left_gate": lines[t]["gate"],
-                "right_gate": lines[(t + 1) % k]["gate"],
-            }
-        )
-
-    # -- assemble the new angulation ----------------------------------------
+    taus = sorted(gate_at)
     arc_map, new_arcs, new_weights, claims = _kept(ds, set(members))
-    base = len(new_arcs)  # strip t enters as arc num_arcs + t, becomes arc base + t
-    for t, st in enumerate(strips):
-        new_arcs.append((st["top"], st["bottom"]))
-        new_weights.append(Fraction(st["width"], unit))
-        claims += (st["right_gate"], st["left_gate"])
+    base = len(new_arcs)  # strip t becomes arc base + t
+    repl = {d: [] for a in members for d in (2 * a, 2 * a + 1)}
+    bottoms = []
+    for t, tau in enumerate(taus):
+        nxt = taus[(t + 1) % k]
+        top = members[bisect_right(positions, tau)]
+        below = (tau - psi) % phi  # the line's position on the bottom side
+        bottom = members[bisect_right(positions, below)]
+        new_arcs.append((ma.arcs[top][0], ma.arcs[bottom][1]))
+        new_weights.append(Fraction((nxt - tau) % phi or phi, unit))
+        claims += (gate_at[nxt], gate_at[tau])
+        repl[2 * top].append(2 * (base + t))
+        bottoms.append((below, bottom, t))
+    for _, bottom, t in sorted(bottoms, reverse=True):
+        repl[2 * bottom + 1].append(2 * (base + t) + 1)
 
-    line_of_cut = {ln["cut"]: t for t, ln in enumerate(lines)}
-
-    def run_strips(start_cut, end_cut):
-        """Strips tiling the interval from line(start_cut) to line(end_cut)."""
-        t = line_of_cut[start_cut]
-        end = line_of_cut[end_cut]
-        out = [t]
-        while (out[-1] + 1) % k != end:
-            out.append((out[-1] + 1) % k)
-        return out
-
-    def runs(kind):
-        """Maximal member runs whose internal cuts have the given kind."""
-        boundary = [i for i in range(k) if cuts[i]["kind"] != kind]
-        if not boundary:
-            return [(None, None, members)]
-        out = []
-        for x, i in enumerate(boundary):
-            j = boundary[(x + 1) % len(boundary)]
-            run = []
-            t = (i + 1) % k
-            while True:
-                run.append(members[t])
-                if t == j:
-                    break
-                t = (t + 1) % k
-            out.append((i, j, run))
-        return out
-
-    rot = [list(r) for r in ma.darts]
-
-    def splice(vertex, block, replacement):
-        cycle = rot[vertex]
-        i = cycle.index(block[0])
-        rolled = cycle[i:] + cycle[:i]
-        if rolled[: len(block)] != block:
-            raise AssertionFailure(f"run {block} is not consecutive in the rotation of vertex {vertex}")
-        rot[vertex] = replacement + rolled[len(block):]
-
-    # the dart of arc a at the side's end is 2 * a + side
-    for kind, side in (("black", 0), ("white", 1)):
-        for i, j, run in runs(kind):
-            x = ma.arcs[run[0]][side]
-            ts = list(range(k)) if i is None else run_strips(i, j)
-            if side:  # a white vertex meets the circle in reverse order
-                run, ts = run[::-1], ts[::-1]
-            splice(x, [2 * a + side for a in run], [2 * (ma.num_arcs + t) + side for t in ts])
-
-    new_arc = [arc_map.get(a) for a in range(ma.num_arcs)] + list(range(base, base + k))
-    final_rot = [[2 * new_arc[d >> 1] + (d & 1) for d in row] for row in rot]
-
-    out = _rebuild(ds, ma.colors, new_arcs, new_weights, final_rot, claims)
+    rows = _substitute(ma.darts, arc_map, repl)
+    out = _rebuild(ds, ma.colors, new_arcs, new_weights, rows, claims)
     if out.total_weight() != ds.total_weight():
         raise AssertionFailure(
             f"twist changed the total weight from {ds.total_weight()} to {out.total_weight()}"
@@ -393,8 +350,7 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     q_base = len(others)
     colors = [ma.colors[v] for v in others] + [color] * alpha
 
-    position = {a: r for r, a in enumerate(rot_x)}
-    arc_map, new_arcs, new_weights, claims = _kept(ds, position, vmap)
+    arc_map, new_arcs, new_weights, claims = _kept(ds, set(rot_x), vmap)
     sub_lists = []  # per rotation entry: new arc ids in position order
     q_members = {j: [] for j in range(alpha)}
     for r, a in enumerate(rot_x):
@@ -428,19 +384,10 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
             claims[2 * subs[-1] + 1] = ma.face_right(a)
 
     side = color == WHITE  # the sector vertices' darts are 2 * na + side
-    rot = []
-    for v in range(ma.num_vertices):
-        if v == vertex:
-            continue
-        row = []
-        for d in ma.darts[v]:
-            a, e = d >> 1, d & 1
-            if a in arc_map:
-                row.append(2 * arc_map[a] + e)
-            else:
-                # the far end of a split arc sees the sub-arcs reversed
-                row.extend(2 * na + e for na in reversed(sub_lists[position[a]]))
-        rot.append(row)
+    far = side ^ 1
+    # the far end of a split arc sees the sub-arcs reversed
+    repl = {2 * a + far: [2 * na + far for na in reversed(subs)] for a, subs in zip(rot_x, sub_lists)}
+    rot = _substitute([ma.darts[v] for v in others], arc_map, repl)
     for j in range(alpha):
         rot.append([2 * na + side for _, na in sorted(q_members[j])])
 

@@ -88,6 +88,10 @@ class BadOrderVector(HcmuError):
     """Order vector entry odd or < 2."""
 
 
+class TooLarge(HcmuError):
+    """A construction would build a map of more than ``MAX_ARCS`` arcs."""
+
+
 # -- numerics ---------------------------------------------------------------
 
 class BadRatio(HcmuError):

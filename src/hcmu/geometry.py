@@ -23,7 +23,7 @@ the integral of h over the element is 2 (2 - R)/K0, so areas are rational
 in (K0, R).
 
 K1 = -K0/2 (ratio 0) is the cusp, m = 1: the element length is infinite and
-profiles stop at a configurable level just below 1.
+profiles stop at the level ``DEFAULT_CUSP_SMAX`` = 1 - 1e-6.
 """
 from __future__ import annotations
 
@@ -373,11 +373,11 @@ def _odd_slope(v, h):
     return total
 
 
-def solve_profile(k0: float, ratio, n_samples: int, s_max=None) -> LineElementProfile:
+def solve_profile(k0: float, ratio, n_samples: int) -> LineElementProfile:
     """Sample the line element at uniform normalized levels.
 
-    For ratio 0 the length is +inf and sampling stops at ``s_max``
-    (default 1 - 1e-6); otherwise the grid covers [0, 1] endpoint to
+    For ratio 0 the length is +inf and sampling stops at
+    ``DEFAULT_CUSP_SMAX``; otherwise the grid covers [0, 1] endpoint to
     endpoint.  ``n_samples`` lies in [16, MAX_SAMPLES].  The four arrays are
     allocated once, and v, K and h are filled one block of levels at a time
     through one small workspace, so no other array grows with the samples.
@@ -391,13 +391,7 @@ def solve_profile(k0: float, ratio, n_samples: int, s_max=None) -> LineElementPr
         raise BadRatio(f"need at most {MAX_SAMPLES} samples, got {n_samples}")
     k1 = k1_from_ratio(k0, r)
     pair = CurvaturePair(k0, k1)
-    if pair.is_cusp:
-        top = float(s_max) if s_max is not None else DEFAULT_CUSP_SMAX
-        if not 0 < top < 1:
-            raise BadRatio(f"s_max {top} outside (0, 1)")
-    else:
-        top = 1.0
-    s = np.linspace(0.0, top, n_samples)
+    s = np.linspace(0.0, DEFAULT_CUSP_SMAX if pair.is_cusp else 1.0, n_samples)
     v, K, h = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
     work = _workspace(min(n_samples, _RF_BLOCK))
     for i in range(0, n_samples, _RF_BLOCK):

@@ -9,6 +9,7 @@ from hcmu import builders
 from hcmu.angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from hcmu.balance import solve_tree
 from hcmu.builders import (
+    MAX_ARCS,
     WeightedTree,
     build_coprime_tree,
     build_one_cone,
@@ -28,6 +29,7 @@ from hcmu.errors import (
     Incompatible,
     Infeasible,
     NotCoprime,
+    TooLarge,
 )
 from hcmu.serialization import dumps, save
 
@@ -349,6 +351,15 @@ def test_one_cone_positive_genus_examples():
 def test_one_cone_inadmissible():
     with pytest.raises(Inadmissible):
         build_one_cone(0, 4, 2)
+
+
+def test_builders_refuse_maps_over_the_size_limit():
+    # alpha = p + q + 2g - 1 arcs: MAX_ARCS builds, one more is refused before any map is made
+    assert build_one_cone(4000, 100, 93).angulation.num_arcs == MAX_ARCS
+    with pytest.raises(TooLarge, match=f"would have {MAX_ARCS + 1} arcs; a builder makes at most {MAX_ARCS}"):
+        build_one_cone(4000, 101, 93)
+    with pytest.raises(TooLarge, match="would have 20002 arcs"):
+        build_surface(10000, [20002], {1})
 
 
 def test_brute_force_tree_oracle():

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,25 @@ def test_build_writes_valid_file(capsys, tmp_path):
     assert ds.angulation.genus == 0
 
 
+@pytest.mark.parametrize(
+    "argv, arcs",
+    [
+        (("build", "--genus", "10000", "--angles", "20002", "--saddles", "1"), 20002),
+        (("build", "--genus", "100000", "--angles", "200002", "--saddles", "1"), 200002),
+        (("build", "--genus", "1000000000000", "--angles", "2000000000002", "--saddles", "1"), 2000000000002),
+        (("one-cone", "--genus", "0", "-p", "1000000000001", "-q", "2"), 1000000000002),
+    ],
+)
+def test_builds_over_the_size_limit_exit_two(capsys, tmp_path, argv, arcs):
+    target = tmp_path / "x.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: the map would have {arcs} arcs; a builder makes at most 8192\n"
+    assert not target.exists()
+
+
 def test_build_empty_space(capsys, tmp_path):
     code, _, err = run(
         capsys, "build", "--genus", "1", "--angles", "2", "--saddles", "1",
@@ -140,6 +160,17 @@ def test_twist_roundtrip(capsys, tmp_path):
     assert code == 0
     ds = ser.load(target)
     assert ds.ratio == F(1, 2)
+
+
+def test_twist_writes_the_golden_file(capsys, tmp_path):
+    # rotation rows keep their starting dart unless it was a circle member's
+    target = tmp_path / "t.json"
+    code, out, err = run(
+        capsys, "twist", str(FIXTURES / "two_level.json"),
+        "--level", "1/2", "--circle", "0", "--psi", "1/5", "-o", str(target),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == (Path(__file__).resolve().parent / "golden" / "two_level_twist.json").read_text()
 
 
 def test_twist_non_generic(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
@@ -10,6 +11,9 @@ from hcmu.builders import build_one_cone, build_surface
 from hcmu.dataset import DataSet, census, realized_angle_vector
 from hcmu.deformations import (
     NEW_FACE,
+    TwistOutcome,
+    _circle,
+    _cut_data,
     _kept,
     _rebuild,
     circles_at_level,
@@ -329,6 +333,9 @@ def test_rebuild_refuses_a_missing_old_face(calabi):
 # Level circles by the per-arc successor walk, and twist and split with every
 # position, circumference, shift and width a Fraction; the package computes
 # the same on integer grids.  The oracle surgeries share only the rebuild.
+# A second twist oracle splices whole runs of circle members out of rolled
+# rotations instead of replacing each member's dart in place; it builds the
+# same map, with rows that may start elsewhere.
 
 
 def oracle_successor(ds, c, arc, rotations):
@@ -362,61 +369,120 @@ def oracle_twist(ds, c, index, psi):
     members, phi = oracle_circles(ds, c)[index]
     k = len(members)
     psi = F(psi) % phi
-    cuts = []  # (position, gate, kind)
+    cuts = []  # (position, gate, whether the gate's saddle lies above the circle)
     pos = F(0)
     for arc in members:
         pos += ds.weights[arc]
         gate = ma.face_left(arc)
-        cuts.append((pos, gate, "black" if c < ds.face_levels[gate] else "white"))
+        cuts.append((pos, gate, c < ds.face_levels[gate]))
     cut_pos = [p for p, _, _ in cuts]
 
-    def owner_after(p):
-        return members[bisect_right(cut_pos, p % phi) % k]
+    def owner(p):
+        return members[bisect_right(cut_pos, p % phi)]
 
-    lines, by_tau, clashes = [], {}, []
-    for i, (p, gate, kind) in enumerate(cuts):
-        tau = p % phi if kind == "white" else (p + psi) % phi
-        if tau in by_tau:
-            _, other_gate, _, _ = by_tau[tau]
-            above, below = (gate, other_gate) if kind == "white" else (other_gate, gate)
-            clashes.append((ma.face_keys[above], ma.face_keys[below]))
+    gate_at, clashes = {}, []
+    for p, gate, up in cuts:
+        tau = (p + psi if up else p) % phi
+        if tau in gate_at:
+            low, high = (gate_at[tau], gate) if up else (gate, gate_at[tau])
+            clashes.append((ma.face_keys[low], ma.face_keys[high]))
         else:
-            by_tau[tau] = (tau, gate, kind, i)
-            lines.append(by_tau[tau])
+            gate_at[tau] = gate
     if clashes:
         return tuple(sorted(clashes)), None
-    lines.sort()
-    taus = [ln[0] for ln in lines]
+    taus = sorted(gate_at)
     arc_map, arcs, weights, claims = _kept(ds, set(members))
-    base = len(arcs)
-    for t in range(k):
-        arcs.append((ma.arcs[owner_after(taus[t])][0], ma.arcs[owner_after(taus[t] - psi)][1]))
-        weights.append((taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi)
-        claims += (lines[(t + 1) % k][1], lines[t][1])
-    line_of_cut = {ln[3]: t for t, ln in enumerate(lines)}
-    rot = [list(r) for r in ma.rotations]
-    for kind, end, side in (("black", "b", 0), ("white", "w", 1)):
-        boundary = [i for i in range(k) if cuts[i][2] != kind]
-        if boundary:
-            runs = []
-            for x, i in enumerate(boundary):
-                j = boundary[(x + 1) % len(boundary)]
-                n = (j - i) % k or k
-                ts = [(line_of_cut[i] + s) % k for s in range((line_of_cut[j] - line_of_cut[i]) % k or k)]
-                runs.append(([members[(i + 1 + s) % k] for s in range(n)], ts))
-        else:
-            runs = [(members, list(range(k)))]
-        for run, ts in runs:
-            if side:
-                run, ts = run[::-1], ts[::-1]
-            v = ma.arcs[run[0]][side]
-            i = rot[v].index((run[0], end))
-            rolled = rot[v][i:] + rot[v][:i]
-            assert rolled[: len(run)] == [(a, end) for a in run]
-            # strips enter as ("s", t) so that they meet no old arc id before renumbering
-            rot[v] = [(("s", t), end) for t in ts] + rolled[len(run):]
-    rot = [[(base + a[1] if isinstance(a, tuple) else arc_map[a], e) for a, e in row] for row in rot]
+    strips = {}  # a member's old dart -> [(order, new dart)]: its black end by tau, its white end by -(tau - psi)
+    for t, tau in enumerate(taus):
+        nxt = taus[(t + 1) % k]
+        top, bottom = owner(tau), owner(tau - psi)
+        na = len(arcs)
+        arcs.append((ma.arcs[top][0], ma.arcs[bottom][1]))
+        weights.append((nxt - tau) % phi or phi)
+        claims += (gate_at[nxt], gate_at[tau])
+        strips.setdefault((top, "b"), []).append((tau, (na, "b")))
+        strips.setdefault((bottom, "w"), []).append((-((tau - psi) % phi), (na, "w")))
+    rot = [
+        [d for a, e in row for d in (
+            [(arc_map[a], e)] if a in arc_map else [x for _, x in sorted(strips.get((a, e), []))]
+        )]
+        for row in ma.rotations
+    ]
     return (), _rebuild(ds, ma.colors, arcs, weights, rot, claims)
+
+
+def splice_twist(ds, c, circle_index, psi):
+    """twist by splicing runs: the members between two cuts of the other kind
+    share one vertex, so each run is a block of that vertex's rotation and is
+    replaced by the strips between the two cuts' lines; the arcs are
+    renumbered afterwards."""
+    circle = _circle(ds, c, circle_index)
+    ma = ds.angulation
+    members = list(circle.members)
+    k = len(members)
+    psi = F(psi)
+    unit = math.lcm(ds.grid.dw, psi.denominator)
+    cut_pos, gates, above = _cut_data(ds, circle, unit)
+    kinds = ["black" if up else "white" for up in above]
+    phi = cut_pos[-1]
+    psi = psi.numerator * (unit // psi.denominator) % phi
+
+    def owner_after(pos):
+        return members[bisect_right(cut_pos, pos % phi) % k]
+
+    lines, by_tau, clashes = [], {}, []
+    for i in range(k):
+        tau = cut_pos[i] % phi if kinds[i] == "white" else (cut_pos[i] + psi) % phi
+        line = {"tau": tau, "gate": gates[i], "kind": kinds[i], "cut": i}
+        if tau in by_tau:
+            white, black = (line, by_tau[tau]) if kinds[i] == "white" else (by_tau[tau], line)
+            clashes.append((ma.face_keys[white["gate"]], ma.face_keys[black["gate"]]))
+        else:
+            by_tau[tau] = line
+            lines.append(line)
+    if clashes:
+        return TwistOutcome(None, tuple(sorted(clashes)))
+    lines.sort(key=lambda ln: ln["tau"])
+    taus = [ln["tau"] for ln in lines]
+    arc_map, new_arcs, new_weights, claims = _kept(ds, set(members))
+    base = len(new_arcs)  # strip t enters as arc num_arcs + t, becomes arc base + t
+    for t in range(k):
+        new_arcs.append((ma.arcs[owner_after(taus[t])][0], ma.arcs[owner_after(taus[t] - psi)][1]))
+        new_weights.append(F((taus[(t + 1) % k] - taus[t]) % phi if k > 1 else phi, unit))
+        claims += (lines[(t + 1) % k]["gate"], lines[t]["gate"])
+    line_of_cut = {ln["cut"]: t for t, ln in enumerate(lines)}
+
+    def run_strips(start_cut, end_cut):
+        out = [line_of_cut[start_cut]]
+        while (out[-1] + 1) % k != line_of_cut[end_cut]:
+            out.append((out[-1] + 1) % k)
+        return out
+
+    def runs(kind):
+        boundary = [i for i in range(k) if kinds[i] != kind]
+        if not boundary:
+            return [(None, None, members)]
+        out = []
+        for x, i in enumerate(boundary):
+            j = boundary[(x + 1) % len(boundary)]
+            out.append((i, j, [members[(i + 1 + s) % k] for s in range((j - i) % k or k)]))
+        return out
+
+    rot = [list(r) for r in ma.darts]
+    for kind, side in (("black", 0), ("white", 1)):
+        for i, j, run in runs(kind):
+            ts = list(range(k)) if i is None else run_strips(i, j)
+            if side:  # a white vertex meets the circle in reverse order
+                run, ts = run[::-1], ts[::-1]
+            x = ma.arcs[run[0]][side]
+            block = [2 * a + side for a in run]
+            at = rot[x].index(block[0])
+            rolled = rot[x][at:] + rot[x][:at]
+            assert rolled[: len(block)] == block, f"run {block} is not consecutive at vertex {x}"
+            rot[x] = [2 * (ma.num_arcs + t) + side for t in ts] + rolled[len(block):]
+    new_arc = [arc_map.get(a) for a in range(ma.num_arcs)] + list(range(base, base + k))
+    rot = [[2 * new_arc[d >> 1] + (d & 1) for d in row] for row in rot]
+    return TwistOutcome(_rebuild(ds, ma.colors, new_arcs, new_weights, rot, claims))
 
 
 def oracle_split(ds, vertex, offset, new_level):
@@ -522,23 +588,84 @@ def test_circles_match_the_successor_walk_oracle():
             assert all(circle.level == c for circle in circles_at_level(ds, c))
 
 
-def test_twist_matches_the_fraction_oracle():
-    rng = random.Random(11)
-    generic = clashing = 0
+def same_cycle(row, other):
+    """Whether two rotation rows list the same darts in the same cyclic order."""
+    row, other = list(row), list(other)
+    if len(row) != len(other) or (row and row[0] not in other):
+        return False
+    i = other.index(row[0]) if row else 0
+    return other[i:] + other[:i] == row
+
+
+def twist_cases(seed):
+    """(surface, level, circle index, shift) over the oracle corpus: two
+    random levels each, every circle, and shifts that meet cut points
+    (whole fractions of phi) or are coprime to phi (over 23 and 29)."""
+    rng = random.Random(seed)
     for ds in oracle_corpus():
         for c in {F(rng.randint(1, 46), 47) for _ in range(2)} - set(ds.face_levels):
             for index, (_, phi) in enumerate(oracle_circles(ds, c)):
-                # whole fractions of phi meet cut points; shifts over 23 and 29 are coprime to phi
                 for psi in (phi * F(rng.randint(1, 5), 6), F(rng.randint(1, 200), 23), F(-rng.randint(1, 99), 29)):
-                    clashes, want = oracle_twist(ds, c, index, psi)
-                    out = twist(ds, c, index, psi)
-                    assert out.non_generic == clashes
-                    if want is None:
-                        clashing += 1
-                    else:
-                        assert text(out.dataset) == text(want)
-                        generic += 1
+                    yield ds, c, index, psi
+
+
+def test_twist_matches_the_fraction_oracle():
+    generic = clashing = 0
+    for ds, c, index, psi in twist_cases(11):
+        clashes, want = oracle_twist(ds, c, index, psi)
+        out = twist(ds, c, index, psi)
+        assert out.non_generic == clashes
+        if want is None:
+            clashing += 1
+        else:
+            assert text(out.dataset) == text(want)
+            generic += 1
     assert generic >= 100 and clashing >= 5
+
+
+def test_twist_equals_the_run_splice_as_a_map():
+    generic = clashing = reordered = 0
+    for ds, c, index, psi in twist_cases(19):
+        want = splice_twist(ds, c, index, psi)
+        out = twist(ds, c, index, psi)
+        assert out.non_generic == want.non_generic
+        if not want.is_generic:
+            assert not out.is_generic
+            clashing += 1
+            continue
+        got, want = out.dataset, want.dataset
+        ma, mb = got.angulation, want.angulation
+        assert (ma.colors, ma.arcs, ma.face_keys) == (mb.colors, mb.arcs, mb.face_keys)
+        assert (got.weights, got.face_levels) == (want.weights, want.face_levels)
+        assert all(same_cycle(r, s) for r, s in zip(ma.darts, mb.darts))
+        assert got == want
+        reordered += ma.darts != mb.darts
+        generic += 1
+    assert generic >= 100 and clashing >= 5 and reordered >= 10
+
+
+def test_twist_rewrites_only_the_circle_rows_in_place():
+    # a row off the circle is renumbered only; a rewritten row keeps its
+    # kept darts in order and starts at its old first dart if that survives
+    off = starts_kept = 0
+    for ds, c, index, psi in twist_cases(29):
+        out = twist(ds, c, index, psi)
+        if not out.is_generic:
+            continue
+        members = set(circles_at_level(ds, c)[index].members)
+        arc_map = _kept(ds, members)[0]
+        strip_darts = 2 * len(arc_map)  # the strips' darts follow the kept arcs'
+        for old, new in zip(ds.angulation.darts, out.dataset.angulation.darts):
+            kept = [2 * arc_map[d >> 1] + (d & 1) for d in old if d >> 1 not in members]
+            if len(kept) == len(old):
+                assert list(new) == kept
+                off += 1
+                continue
+            assert [d for d in new if d < strip_darts] == kept
+            if old[0] >> 1 not in members:
+                assert new[0] == kept[0]
+                starts_kept += 1
+    assert off >= 100 and starts_kept >= 100
 
 
 def test_split_matches_the_fraction_oracle():
