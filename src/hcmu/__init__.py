@@ -55,7 +55,6 @@ from .dimension import dimension, dimension_crosscheck, dimension_refined
 from .geometry import (
     CurvaturePair,
     LineElementProfile,
-    cusp_profile_closed_form,
     element_length,
     football_area,
     k1_from_ratio,

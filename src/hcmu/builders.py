@@ -23,6 +23,7 @@ from .constraints import (
 )
 from .dataset import DataSet
 from .errors import (
+    MAX_ARCS,
     AssertionFailure,
     BadOrder,
     BadOrderVector,
@@ -34,7 +35,6 @@ from .errors import (
 )
 
 DEFAULT_LEVEL = Fraction(1, 2)
-MAX_ARCS = 2**13  # the most arcs a builder's map may have; construction time grows with them
 
 
 def _check_size(arcs: int):

@@ -9,11 +9,12 @@ below are pure arithmetic in these quantities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BadAngleVector, BadGenus, BadTypePartition, EmptySpace
+from .errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, TooLarge
 
 
 def _to_fraction(x) -> Fraction:
@@ -203,7 +204,9 @@ def enumerate_ratios(g: int, alpha, partition: TypePartition):
 
     With cusps the ratio is identically zero.  Otherwise every integer m+
     with A- + m > m+ > (A- + m - A+)/2 and 0 <= m+ <= m gives the candidate
-    R = (A- + m - m+) / (A+ + m+).
+    R = (A- + m - m+) / (A+ + m+).  These m+ form one interval, whose ends are
+    computed directly; an interval of more than ``MAX_ARCS`` candidates is
+    refused with ``TooLarge``.
     """
     alpha = as_angle_vector(alpha)
     res = check_refined(g, alpha, partition.Z)
@@ -214,16 +217,12 @@ def enumerate_ratios(g: int, alpha, partition: TypePartition):
         return [(Fraction(0), int(m), 0)]
     a_plus = sum(alpha[i - 1] for i in partition.Pplus)
     a_minus = sum(alpha[i - 1] for i in partition.Pminus)
-    out = []
-    upper = a_minus + m
-    lower = Fraction(a_minus + m - a_plus, 2)
-    mp = 0
-    while mp <= m:
-        if lower < mp < upper:
-            r = Fraction(a_minus + m - mp, 1) / (a_plus + mp)
-            out.append((r, mp, int(m - mp)))
-        mp += 1
-    return out
+    first = max(0, math.floor(Fraction(a_minus + m - a_plus, 2)) + 1)
+    last = min(m, math.ceil(a_minus + m) - 1)
+    count = last - first + 1
+    if count > MAX_ARCS:
+        raise TooLarge(f"{count} ratio candidates; at most {MAX_ARCS} are listed")
+    return [(Fraction(a_minus + m - mp, 1) / (a_plus + mp), mp, m - mp) for mp in range(first, last + 1)]
 
 
 def one_cone_admissible(g: int, alpha: int, p: int, q: int) -> bool:

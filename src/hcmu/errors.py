@@ -88,8 +88,14 @@ class BadOrderVector(HcmuError):
     """Order vector entry odd or < 2."""
 
 
+# the most arcs a builder's map may have, and the most ratio candidates
+# enumerate_ratios lists; the work and the output grow with both
+MAX_ARCS = 2**13
+
+
 class TooLarge(HcmuError):
-    """A construction would build a map of more than ``MAX_ARCS`` arcs."""
+    """A construction would build a map of more than ``MAX_ARCS`` arcs, or a
+    prescription has more than ``MAX_ARCS`` ratio candidates."""
 
 
 # -- numerics ---------------------------------------------------------------

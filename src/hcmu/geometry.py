@@ -13,7 +13,8 @@ K(m) = R_F(0, 1 - m, 1) (DLMF 19.25.1, 19.25.5), which take 1 - s and
 R_F itself comes from Carlson's duplication algorithm (DLMF 19.36.1).  At
 the cusp m = 1, F(phi | 1) = asinh(tan phi).
 A single level (``level_to_distance``, ``element_length``) is evaluated on
-floats with ``math``.  A profile is evaluated in place: its four arrays are
+floats with ``math``, except the cusp's ``arcsinh``, which is numpy's, as in a
+profile.  A profile is evaluated in place: its four arrays are
 allocated once, and v, K and h are filled block by block, each block by
 ufuncs writing into one small workspace, with the same operations in the same
 order as for a single level, so a distance sample equals
@@ -24,14 +25,16 @@ in (K0, R).
 
 K1 = -K0/2 (ratio 0) is the cusp, m = 1: the element length is infinite and
 profiles stop at the level ``DEFAULT_CUSP_SMAX`` = 1 - 1e-6.
+
+numpy is imported by the functions that use it, not by this module, so it is
+loaded when an array profile is first sampled (or a cusp level first
+evaluated): the combinatorial layers and every other command start without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BadRatio
 
@@ -104,6 +107,8 @@ def _distance(c, m1, s, t):
     asinh(tan phi) = asinh(sqrt(s / t)), and several times faster.
     """
     if m1 == 0:
+        import numpy as np
+
         with np.errstate(divide="ignore"):  # t = 0 at the bottom: +inf
             return c * np.arcsinh(np.sqrt(s) / np.sqrt(t))
     return c * math.sqrt(s) * _rf(t, t + s * m1, 1.0)
@@ -171,6 +176,8 @@ def _rf_block(x, y, z, rows, going, steps):
     that has converged takes lambda = 0, which leaves it as it is, so its
     value does not depend on the entries computed with it.
     """
+    import numpy as np
+
     a, bound, p, q, r, u, e, f = rows
     np.add(x, y, out=a)
     np.add(a, z, out=a)
@@ -254,6 +261,8 @@ def _rf_block(x, y, z, rows, going, steps):
 def _workspace(m):
     """Working arrays for blocks of up to m samples: eleven float rows, the
     duplication's flags and its step counts."""
+    import numpy as np
+
     return np.empty((11, m)), np.empty(m, dtype=bool), np.empty(m, dtype=np.intc)
 
 
@@ -264,6 +273,8 @@ def _sample(k0, k1, s, v, K, h, work):
     of degree -1/2 in (K0, K1), so it is evaluated at the scaled pair, where
     K0^3 and K0^2 stay in range, and multiplied by 2^-j.
     """
+    import numpy as np
+
     rows, going, steps = work
     n = len(s)
     x, y, z, *rest = rows[:, :n]
@@ -321,13 +332,6 @@ def element_length(k0: float, k1: float) -> float:
     return float(_distance(c, m1, 1.0, 0.0))
 
 
-def cusp_profile_closed_form(k0: float, u) -> float:
-    """Curvature along a cusp meridian: K(u) = K0 - (3 K0/2) tanh^2(sqrt(K0) u / (2 sqrt(2)))."""
-    t = np.tanh(math.sqrt(k0) * np.asarray(u, dtype=float) / (2.0 * math.sqrt(2.0)))
-    out = k0 - 1.5 * k0 * t * t
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LineElementProfile:
     """Sampled (v, s, K, h) along one character line element."""
@@ -360,9 +364,10 @@ class LineElementProfile:
 
 
 def _odd_slope(v, h):
-    """Limit of h/v at v = 0 for an odd analytic h, via extrapolation in v^2."""
-    x = np.asarray(v, dtype=float) ** 2
-    y = np.asarray(h, dtype=float) / np.asarray(v, dtype=float)
+    """Limit of h/v at v = 0 for an odd analytic h, via extrapolation in v^2;
+    v and h are float arrays, slices of a profile's."""
+    x = v**2
+    y = h / v
     total = 0.0
     for i in range(len(x)):
         li = 1.0
@@ -382,6 +387,8 @@ def solve_profile(k0: float, ratio, n_samples: int) -> LineElementProfile:
     allocated once, and v, K and h are filled one block of levels at a time
     through one small workspace, so no other array grows with the samples.
     """
+    import numpy as np
+
     r = Fraction(ratio)
     if not (0 <= r < 1):
         raise BadRatio(f"ratio {r} outside [0, 1)")

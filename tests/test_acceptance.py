@@ -25,14 +25,13 @@ from hcmu.deformations import circles_at_level, split, twist, twist_is_trivial
 from hcmu.dimension import dimension, dimension_crosscheck, dimension_refined
 from hcmu.errors import Inadmissible
 from hcmu.geometry import (
-    cusp_profile_closed_form,
     football_area,
     k1_from_ratio,
     solve_profile,
 )
 from test_balance import connection_matrix, matrix_rank, weight_space_dimension
 from test_builders import brute_force_trees
-from test_geometry import fd_derivative, warped_integral
+from test_geometry import cusp_profile_closed_form, fd_derivative, warped_integral
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)
 GRID_R = (F(0), F(1, 4), F(1, 3), F(2, 3), F(9, 10))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
 
@@ -13,7 +14,7 @@ from hcmu.constraints import (
     invariants_m_a,
     one_cone_admissible,
 )
-from hcmu.errors import BadAngleVector, BadGenus, EmptySpace
+from hcmu.errors import MAX_ARCS, BadAngleVector, BadGenus, EmptySpace, TooLarge
 
 
 def test_angle_vector_convention_order():
@@ -138,6 +139,65 @@ def test_ratio_values_all_in_range():
         assert mp >= 0 and mm >= 0
         assert mp + mm == m
         assert r * (a_plus + mp) == a_minus + mm  # summed balance equations
+
+
+def ratios_oracle(g, alpha, partition):
+    """The candidate ratios by a loop over every m+ from 0 to m, each tested
+    against both strict inequalities."""
+    if not check_refined(g, alpha, partition.Z):
+        raise EmptySpace("refined space is empty")
+    m, _, _ = invariants_m_a(g, alpha, partition.Z)
+    if alpha.q_zeros > 0:
+        return [(F(0), m, 0)]
+    a_plus = sum(alpha[i - 1] for i in partition.Pplus)
+    a_minus = sum(alpha[i - 1] for i in partition.Pminus)
+    upper = a_minus + m
+    lower = F(a_minus + m - a_plus, 2)
+    return [
+        (F(a_minus + m - mp, 1) / (a_plus + mp), mp, m - mp)
+        for mp in range(m + 1)
+        if lower < mp < upper
+    ]
+
+
+def test_enumerate_ratios_matches_the_loop_on_a_seeded_sweep():
+    rng = random.Random(16)
+    pool = [F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2), F(7, 3), F(9, 4), 0]
+    compared = 0
+    for _ in range(3000):
+        entries = [rng.randint(2, 40) for _ in range(rng.randint(1, 4))]
+        entries += rng.sample(pool, rng.randint(0, 3))
+        av = AngleVector(entries)
+        Z = {i for i in range(1, av.k + 1) if rng.random() < 0.6} or {1}
+        rest = [i for i in range(1, av.n + 1) if i not in Z and av[i - 1] != 0]
+        # with cusps, P- is exactly the zeros
+        plus = {i for i in rest if av.q_zeros or rng.random() < 0.5}
+        minus = set(rest) - plus | {i for i in range(1, av.n + 1) if av[i - 1] == 0}
+        part = TypePartition.make(av, Z, plus, minus)
+        g = rng.randint(0, 3)
+        try:
+            want = ratios_oracle(g, av, part)
+        except EmptySpace:
+            with pytest.raises(EmptySpace):
+                enumerate_ratios(g, av, part)
+            continue
+        assert enumerate_ratios(g, av, part) == want
+        compared += bool(want)
+    assert compared > 1000
+
+
+@pytest.mark.parametrize("n, count", [(16382, 8192), (16384, 8193), (20002, 10002), (2000000002, 1000000002)])
+def test_enumerate_ratios_refuses_more_than_max_arcs_candidates(n, count):
+    # angles (n, 2, 2) with saddle 1 give m+ in ((n - 5)/2, n - 1): one
+    # candidate per integer there, MAX_ARCS of them at n = 16382
+    av = AngleVector([n, 2, 2])
+    part = TypePartition.make(av, {1})
+    if count <= MAX_ARCS:
+        got = enumerate_ratios(0, av, part)
+        assert len(got) == count and got == ratios_oracle(0, av, part)
+    else:
+        with pytest.raises(TooLarge, match=f"^{count} ratio candidates; at most {MAX_ARCS} are listed$"):
+            enumerate_ratios(0, av, part)
 
 
 def test_enumerated_ratios_are_realized():

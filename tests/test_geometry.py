@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -23,7 +24,6 @@ from hcmu.geometry import (
     _sample,
     _scaled,
     _workspace,
-    cusp_profile_closed_form,
     element_length,
     football_area,
     k1_from_ratio,
@@ -123,6 +123,13 @@ def fd_derivative(v, y, order=1):
         "ij,ij->i", w, y[idx[:, None] + np.arange(-2, 3)[None, :]]
     )
     return out
+
+
+def cusp_profile_closed_form(k0, u):
+    """Curvature along a cusp meridian: K(u) = K0 - (3 K0/2) tanh^2(sqrt(K0) u / (2 sqrt(2)))."""
+    t = np.tanh(math.sqrt(k0) * np.asarray(u, dtype=float) / (2.0 * math.sqrt(2.0)))
+    out = k0 - 1.5 * k0 * t * t
+    return float(out) if out.ndim == 0 else out
 
 
 def ratio_from_pair(k0, k1):
@@ -550,3 +557,43 @@ def test_import_does_not_load_scipy_integrate(module):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+COLD_START = """
+import json, sys
+import hcmu, hcmu.cli
+fixtures, tmp = sys.argv[1:]
+calabi, two_level = f"{fixtures}/calabi.json", f"{fixtures}/two_level.json"
+commands = [
+    ["validate", calabi],
+    ["check", "--genus", "0", "--angles", "2,2,2"],
+    ["dim", "--genus", "1", "--angles", "4,0"],
+    ["ratios", "--genus", "0", "--angles", "2,2,2", "--saddles", "1,2,3"],
+    ["build", "--genus", "0", "--angles", "2,3", "--saddles", "1", "-o", f"{tmp}/s.json"],
+    ["one-cone", "--genus", "0", "-p", "7", "-q", "3", "-o", f"{tmp}/c.json"],
+    ["solve", calabi],
+    ["twist", two_level, "--level", "1/2", "--circle", "0", "--psi", "1/5", "-o", f"{tmp}/t.json"],
+    ["split", f"{tmp}/s.json", "--vertex", "0", "--offset", "1/3", "--level", "3/4", "-o", f"{tmp}/after.json"],
+    ["export-dot", calabi],
+]
+codes = [hcmu.cli.main(command) for command in commands]
+before = "numpy" in sys.modules
+code = hcmu.cli.main(["profile", "--k0", "2", "--ratio", "2/3", "--samples", "16", "-o", f"{tmp}/p.csv"])
+print(json.dumps([codes, before, code, "numpy" in sys.modules]))
+"""
+
+
+def test_only_an_array_profile_loads_numpy(tmp_path):
+    # every subcommand but profile is exact combinatorics, so none of them
+    # pays for importing numpy; profile loads it and writes the golden bytes
+    here = Path(__file__).resolve().parent
+    src = str(Path(hcmu.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(here.parent / "fixtures"), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, before, code, after = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * 10 and code == 0
+    assert (before, after) == (False, True)
+    assert (tmp_path / "p.csv").read_bytes() == (here / "golden" / "profile_k2_r23_n16.csv").read_bytes()

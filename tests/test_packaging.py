@@ -32,6 +32,7 @@ def test_runtime_dependencies_are_the_imported_packages():
     assert imported_packages() == declared
 
 
+
 # -- dead code: a stdlib-ast check, since no lint package is a dependency --------
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -130,6 +131,39 @@ def test_no_assert_statement_in_the_package():
     ]
     assert found == []
 
+
+# -- numpy only in the array code: nothing imports it at import time -----------
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def import_time_numpy(tree):
+    """Line numbers of the numpy imports that run when the module is
+    imported: every one outside a function body."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "numpy":
+                found.append(node.lineno)
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # `import hcmu` and every subcommand but profile start without numpy
+    example = (
+        "import numpy as np\nif x:\n    from numpy.linalg import solve\n"
+        "class C:\n    import os, numpy.fft\ndef f():\n    import numpy as np\n"
+    )
+    assert import_time_numpy(ast.parse(example)) == [1, 3, 5]
+    found = {name: import_time_numpy(tree) for name, tree in package_trees().items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert "numpy" in imported_packages()  # still imported, inside the array code
 
 # -- one dart representation: int darts, with (arc, end) pairs at the edge -------
 
