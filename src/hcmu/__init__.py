@@ -34,11 +34,9 @@ from .constraints import (
     one_cone_admissible,
 )
 from .dataset import (
-    ConePoint,
     DataSet,
     ExtremalCensus,
     census,
-    cone_points,
     realized_angle_vector,
     realized_prescription,
     validate_dataset,

@@ -267,9 +267,6 @@ class MixedAngulation:
                 best = code
         return tuple(best)
 
-    def is_isomorphic(self, other: "MixedAngulation") -> bool:
-        return self.canonical_form() == other.canonical_form()
-
 
 # -- internals ---------------------------------------------------------------
 

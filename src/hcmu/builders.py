@@ -1,6 +1,12 @@
 """Constructive realizations: canonical angulations, polygon subdivision,
 existence witnesses, and all single-cone constructions.
 
+The genus-0 single-cone surfaces rest on weighted bi-colored trees.  For
+coprime (p, q) the tree is the staircase of ``build_coprime_tree``: edge t is
+the t-th interval of [0, pq] cut at the multiples of p and of q.  For
+λ = gcd(p, q) > 1, ``build_tree`` chains λ copies of the staircase of
+(p/λ, q/λ), each copy taken by index range, and scales the weights by λ.
+
 Every builder returns a validated :class:`~hcmu.dataset.DataSet` (or a
 weighted tree for the tree constructions) realizing the prescribed genus and
 cone angles.  Free continuous parameters default to K0 = 1 and all face
@@ -268,109 +274,57 @@ def build_coprime_tree(p: int, q: int) -> WeightedTree:
     return WeightedTree(p, q, tuple(edges), tuple(weights))
 
 
-def _duplicate(edges, weights, qbar):
-    """One splitting-and-piecing step; doubles both color classes while the
-    balance targets stay at the reduced pair."""
-    deg = {}
-    inc = {}
-    for i, (bk, _) in enumerate(edges):
-        deg[bk] = deg.get(bk, 0) + 1
-        inc.setdefault(bk, []).append(i)
-    x_i = min(bk for bk in deg if deg[bk] == 2)
-    e_k, e_k1 = sorted(inc[x_i])
-    x_last = _pendant_black(edges, weights, qbar)
-    e_last = inc[x_last][0]
-    y_last = edges[e_last][1]
-
-    adj = {}
-    for i, (bk, wh) in enumerate(edges):
-        adj.setdefault((BLACK, bk), []).append(i)
-        adj.setdefault((WHITE, wh), []).append(i)
-
-    def component(bridge):
-        comp, stack = set(), [bridge]
-        while stack:
-            e = stack.pop()
-            if e in comp:
-                continue
-            comp.add(e)
-            bk, wh = edges[e]
-            for node in ((BLACK, bk), (WHITE, wh)):
-                if node == (BLACK, x_i):
-                    continue
-                stack.extend(adj[node])
-        comp.discard(bridge)
-        return comp
-
-    comp_plus = component(e_k)
-    comp_minus = component(e_k1)
-
-    new_edges = [e for i, e in enumerate(edges) if i != e_last]
-    new_weights = [wt for i, wt in enumerate(weights) if i != e_last]
-    nb = max(bk for bk, _ in edges) + 1
-    x_plus, x_minus = nb, nb + 1
-    nb += 2
-    nw = max(wh for _, wh in edges) + 1
-    new_edges += [(x_plus, y_last), (x_minus, y_last)]
-    new_weights += [weights[e_k], weights[e_k1]]
-
-    def paste(comp, bridge, glue_black):
-        nonlocal nb, nw
-        bmap, wmap = {}, {}
-
-        def mb(bk):
-            nonlocal nb
-            if bk not in bmap:
-                bmap[bk] = nb
-                nb += 1
-            return bmap[bk]
-
-        def mw(wh):
-            nonlocal nw
-            if wh not in wmap:
-                wmap[wh] = nw
-                nw += 1
-            return wmap[wh]
-
-        for e in sorted(comp):
-            bk, wh = edges[e]
-            new_edges.append((mb(bk), mw(wh)))
-            new_weights.append(weights[e])
-        new_edges.append((glue_black, mw(edges[bridge][1])))
-        new_weights.append(weights[bridge])
-
-    paste(comp_minus, e_k1, x_plus)
-    paste(comp_plus, e_k, x_minus)
-
-    blacks = {v: i for i, v in enumerate(sorted({bk for bk, _ in new_edges}))}
-    whites = {v: i for i, v in enumerate(sorted({wh for _, wh in new_edges}))}
-    return (
-        tuple((blacks[bk], whites[wh]) for bk, wh in new_edges),
-        tuple(new_weights),
-    )
-
-
 def build_tree(p: int, q: int) -> WeightedTree:
     """Weighted bi-colored tree realizing the q/p balance system.
 
-    Exists iff q = 1 or q does not divide p; non-coprime pairs come from the
-    reduced tree by gcd-1 duplications followed by scaling the weights.
+    Exists iff q = 1 or q does not divide p.  For λ = gcd(p, q) > 1 the tree
+    chains λ copies of the coprime staircase B = build_coprime_tree(p/λ, q/λ).
+    B's first degree-2 black x owns the consecutive edges k and k + 1, and
+    its two sides are edges[:k] and edges[k+2:]; B's last edge holds a
+    pendant black of weight q/λ.  Each of the λ - 1 steps drops the newest
+    such pendant and hangs two new blacks at its white: one carries edge
+    k + 1 and a copy of edges[k+2:] (whose last edge is the next pendant),
+    the other edge k and a copy of edges[:k].  Every vertex stays balanced,
+    so one relabel of the blacks and scaling the weights by λ finish.
     """
     if p <= q or q < 1:
         raise BadOrder(f"need p > q >= 1, got ({p}, {q})")
     lam = gcd(p, q)
     if q > 1 and p % q == 0:
         raise Inadmissible(f"q = {q} divides p = {p}")
-    if lam == 1:
-        return build_coprime_tree(p, q)
     base = build_coprime_tree(p // lam, q // lam)
-    edges, weights = base.edges, base.weights
+    if lam == 1:
+        return base
+    pb, qb, n = base.p, base.q, len(base.edges)
+    k = next(t for t in range(n - 1) if base.edges[t][0] == base.edges[t + 1][0])
+    x, y = base.edges[k]
+    wk, wk1 = base.weights[k], base.weights[k + 1]
+    edges, weights = list(base.edges), list(base.weights)
+    last, nb, nw = n - 1, pb, qb  # the newest pendant edge; next fresh labels
     for _ in range(lam - 1):
-        edges, weights = _duplicate(edges, weights, base.q)
-    blacks, whites = len({bk for bk, _ in edges}), len({wh for _, wh in edges})
-    if (blacks, whites) != (p, q):
-        raise AssertionFailure(f"tree has {blacks} blacks and {whites} whites, expected {p} and {q}")
-    return WeightedTree(p, q, edges, tuple(w * lam for w in weights))
+        y_last = edges[last][1]
+        edges[last] = None  # the newest pendant; the relabel below drops its black
+        xp, xm = nb, nb + 1
+        # edges[k+2:] spans blacks x+1.. and whites y+1..; its copy starts at xp+2 and nw
+        db, dw = xp + 1 - x, nw - y - 1
+        edges += [(xp, y_last), (xm, y_last)]
+        edges += [(bk + db, wh + dw) for bk, wh in base.edges[k + 2 :]]
+        last = len(edges) - 1
+        edges.append((xp, y + 1 + dw))
+        # edges[:k] spans blacks 0..x-1 and whites 0..y; its copy follows
+        db, dw = xp + pb + 1 - x, nw + qb - 1 - y
+        edges += [(bk + db, wh + dw) for bk, wh in base.edges[:k]]
+        edges.append((xm, y + dw))
+        weights += [wk, wk1, *base.weights[k + 2 :], wk1, *base.weights[:k], wk]
+        nb, nw = nb + pb + 1, nw + qb
+    kept = [(e, wt * lam) for e, wt in zip(edges, weights) if e is not None]
+    label = {bk: i for i, bk in enumerate(sorted({bk for (bk, _), _ in kept}))}
+    whites = len({wh for (_, wh), _ in kept})
+    if (len(label), whites) != (p, q):
+        raise AssertionFailure(f"tree has {len(label)} blacks and {whites} whites, expected {p} and {q}")
+    return WeightedTree(
+        p, q, tuple((label[bk], wh) for (bk, wh), _ in kept), tuple(wt for _, wt in kept)
+    )
 
 
 # -- single-cone constructions ---------------------------------------------

@@ -120,11 +120,6 @@ class TypePartition:
             raise BadTypePartition("a cusp cannot be a maximum")
         return cls(Z, Pplus, Pminus)
 
-    def signature(self, alpha: AngleVector):
-        """Equal-angle relabelings are identified through this key."""
-        ang = lambda ids: tuple(sorted(alpha[i - 1] for i in ids))
-        return (ang(self.Z), ang(self.Pplus), ang(self.Pminus))
-
 
 def invariants_m_a(g: int, alpha, Z) -> tuple:
     """(m(Z), a(Z), b(Z)) for the subset Z of saddle indices."""

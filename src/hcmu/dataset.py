@@ -120,9 +120,6 @@ class DataSet:
             self._hash = hash(self._form)
         return self._form
 
-    def is_isomorphic(self, other: "DataSet") -> bool:
-        return self.canonical_form() == other.canonical_form()
-
     def __eq__(self, other):
         return isinstance(other, DataSet) and self.canonical_form() == other.canonical_form()
 
@@ -165,15 +162,7 @@ def validate_dataset(ds) -> list:
     return issues
 
 
-# -- cone point census --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConePoint:
-    kind: str  # "maximum" | "minimum" | "saddle"
-    angle: Fraction
-    carrier: int  # vertex id, or a saddle's face key (its face's least int dart)
-    smooth: bool
+# -- census --------------------------------------------------------------------
 
 
 def _grid_sums(ds) -> list:
@@ -196,19 +185,6 @@ def _extremal_sums(ds):
         else:
             singular[c].append(s)
     return singular, smooth
-
-
-def cone_points(ds: DataSet):
-    """One cone point per vertex and per face; smooth means angle exactly 1."""
-    ma = ds.angulation
-    out = []
-    for v, ang in enumerate(ds.vertex_angles()):
-        kind = "maximum" if ma.colors[v] == BLACK else "minimum"
-        out.append(ConePoint(kind, ang, v, ang == 1))
-    for f in range(ma.num_faces):
-        ang = ds.face_angle(f)
-        out.append(ConePoint("saddle", ang, ma.face_keys[f], False))
-    return out
 
 
 @dataclass(frozen=True)

@@ -749,9 +749,7 @@ def ladder_outputs():
 
 def one_cone_outputs():
     """build_one_cone on every admissible triple with g <= 2 and p <= 20, and
-    on a few q for each of a ladder of p up to 301.  Triples that fail to
-    build today (an internal identity fails when gcd(p, q) >= 3 and q does
-    not divide p) are left out."""
+    on a few q for each of a ladder of p up to 301."""
     triples = [(g, p, q) for g in range(3) for p in range(2, 21) for q in range(1, p)]
     triples += [
         (g, p, q)
@@ -759,14 +757,11 @@ def one_cone_outputs():
         for p in (41, 60, 97, 120, 200, 301)
         for q in sorted({1, 2, 3, 7, 17, p // 2, p - 1})
     ]
-    out = []
-    for g, p, q in triples:
-        if one_cone_admissible(g, p + q + 2 * g - 1, p, q):
-            try:
-                out.append(build_one_cone(g, p, q))
-            except AssertionFailure:
-                continue
-    return out
+    return [
+        build_one_cone(g, p, q)
+        for g, p, q in triples
+        if one_cone_admissible(g, p + q + 2 * g - 1, p, q)
+    ]
 
 
 def own_targets(ds):

@@ -1,5 +1,7 @@
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import gcd
 from typing import Sequence
 
 import networkx as nx
@@ -326,6 +328,114 @@ def test_build_tree_star():
     t = build_tree(5, 1)
     assert t.weights == (1, 1, 1, 1, 1)
     assert len({w for _, w in t.edges}) == 1
+
+
+# -- oracle: tree weights by cuts ------------------------------------------------
+
+
+def cut_weights(p: int, q: int, edges):
+    """The weights that balance a bi-colored tree (every black sum q, every
+    white sum p), one per edge, read off its cut.
+
+    Removing edge e leaves b blacks and w whites on the side of its black
+    end.  Those blacks need b * q, and every other edge on that side meets
+    one of the w whites, which need w * p, so e carries b * q - w * p.  The
+    tree has positive balanced weights iff every value is positive.  One
+    rooted pass counts the sides, so the oracle has no size cap.
+    """
+    adj = [[] for _ in range(p + q)]  # blacks 0..p-1, whites p..p+q-1
+    for e, (bk, wh) in enumerate(edges):
+        adj[bk].append((e, p + wh))
+        adj[p + wh].append((e, bk))
+    order, up = [0], {0: None}  # up: vertex -> (edge to its parent, parent)
+    for v in order:
+        for e, u in adj[v]:
+            if u not in up:
+                up[u] = (e, v)
+                order.append(u)
+    assert len(order) == p + q == len(edges) + 1, "not a spanning tree"
+    blacks = [int(v < p) for v in range(p + q)]  # per vertex, its subtree's counts
+    whites = [int(v >= p) for v in range(p + q)]
+    weights = [None] * len(edges)
+    for v in reversed(order[1:]):
+        e, parent = up[v]
+        b, w = blacks[v], whites[v]
+        if v >= p:  # the subtree hangs at the white end; the black side is the rest
+            b, w = p - b, q - w
+        weights[e] = b * q - w * p
+        blacks[parent] += blacks[v]
+        whites[parent] += whites[v]
+    return tuple(weights)
+
+
+def test_cut_weights_agree_with_the_tree_solve():
+    solvable = infeasible = 0
+    for n in range(2, 13):
+        for g in nx.nonisomorphic_trees(n):
+            parts = nx.bipartite.color(g)
+            for side in (0, 1):
+                bmap = {v: i for i, v in enumerate(sorted(v for v in g if parts[v] == side))}
+                wmap = {v: i for i, v in enumerate(sorted(v for v in g if parts[v] != side))}
+                p, q = len(bmap), len(wmap)
+                edges = [(bmap[u], wmap[v]) if u in bmap else (bmap[v], wmap[u]) for u, v in g.edges()]
+                cut = cut_weights(p, q, edges)
+                try:
+                    assert solve_tree(tree_angulation(p, q, edges), p, q) == cut
+                    solvable += 1
+                except Infeasible:
+                    assert min(cut) <= 0
+                    infeasible += 1
+    assert (solvable, infeasible) == (76, 1896)  # both colorings of every tree on 2..12 vertices
+
+
+def test_every_build_tree_matches_its_cut_weights():
+    pairs = [(p, q) for p in range(2, 61) for q in range(1, p) if q == 1 or p % q]
+    for p, q in pairs + [(4095, 2730)]:
+        t = build_tree(p, q)
+        assert (t.p, t.q, len(t.edges)) == (p, q, p + q - 1)
+        cut = cut_weights(p, q, t.edges)
+        assert min(cut) > 0 and cut == t.weights, (p, q)
+
+
+def test_the_coprime_staircase_splits_at_its_first_degree_two_black():
+    # build_tree copies the two sides of this black by index range, and
+    # replaces the pendant black on the last edge
+    for p in range(3, 61):
+        for q in range(2, p):
+            if gcd(p, q) != 1:
+                continue
+            t = build_coprime_tree(p, q)
+            degree = Counter(bk for bk, _ in t.edges)
+            x = min(bk for bk, d in degree.items() if d == 2)
+            k = next(i for i, (bk, _) in enumerate(t.edges) if bk == x)
+            assert t.edges[k + 1][0] == x
+            tree = nx.Graph(((BLACK, bk), (WHITE, wh)) for bk, wh in t.edges)
+            tree.remove_node((BLACK, x))
+            for i in (k, k + 1):
+                side = nx.node_connected_component(tree, (WHITE, t.edges[i][1]))
+                span = t.edges[:k] if i == k else t.edges[k + 2 :]
+                assert side == {(BLACK, bk) for bk, _ in span} | {(WHITE, wh) for _, wh in span} | {
+                    (WHITE, t.edges[i][1])
+                }
+            assert degree[t.edges[-1][0]] == 1 and t.weights[-1] == q
+
+
+def test_every_admissible_one_cone_triple_builds():
+    built = 0
+    for g in range(3):
+        for p in range(2, 31):
+            for q in range(1, p):
+                alpha = p + q + 2 * g - 1
+                if not one_cone_admissible(g, alpha, p, q):
+                    continue
+                ds = build_one_cone(g, p, q)
+                ma = ds.angulation
+                assert (ma.genus, ma.num_faces, ma.face_degree(0)) == (g, 1, 2 * alpha)
+                assert validate_dataset(ds) == []
+                cs = census(ds)
+                assert (cs.p, cs.q, cs.m_plus, cs.m_minus) == (p, q, p, q)
+                built += gcd(p, q) >= 3
+    assert built > 100  # triples with a common factor of three or more
 
 
 def test_one_cone_seven_three():

@@ -51,6 +51,16 @@ def test_one_cone_divisible_message(capsys):
     assert out.strip() == "inadmissible: q divides p"
 
 
+def test_one_cone_with_a_common_factor_of_three_validates(capsys, tmp_path):
+    # gcd(9, 6) = 3: the tree chains three copies of the (3, 2) staircase
+    target = tmp_path / "one_cone.json"
+    code, _, err = run(capsys, "one-cone", "--genus", "0", "-p", "9", "-q", "6", "-o", str(target))
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "validate", str(target))
+    assert code == 0
+    assert out.strip() == "valid: genus 0, 9+6 extremal points, 14 arcs, 1 saddles, R = 2/3"
+
+
 def test_dim_case_b(capsys):
     code, out, _ = run(capsys, "dim", "--genus", "1", "--angles", "4,0")
     assert code == 0

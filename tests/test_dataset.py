@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +9,9 @@ from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.builders import build_one_cone, build_surface
 from hcmu.constraints import AngleVector
 from hcmu.dataset import (
-    ConePoint,
     DataSet,
     ExtremalCensus,
     census,
-    cone_points,
     realized_angle_vector,
     realized_prescription,
     validate_dataset,
@@ -20,6 +19,30 @@ from hcmu.dataset import (
 from hcmu.errors import CensusInconsistent, HcmuError, ValidationError
 from test_angulation import relabeled
 from test_balance import fixture_outputs, ladder_outputs, one_cone_outputs, random_systems
+
+
+# -- oracle: one cone point per vertex and per face -----------------------------
+
+
+@dataclass(frozen=True)
+class ConePoint:
+    kind: str  # "maximum" | "minimum" | "saddle"
+    angle: F
+    carrier: int  # vertex id, or a saddle's face key (its face's least int dart)
+    smooth: bool
+
+
+def cone_points(ds):
+    """The vertex angles off the integer grid and each saddle's angle, half
+    its face degree; smooth means angle exactly 1."""
+    ma = ds.angulation
+    out = []
+    for v, ang in enumerate(ds.vertex_angles()):
+        kind = "maximum" if ma.colors[v] == BLACK else "minimum"
+        out.append(ConePoint(kind, ang, v, ang == 1))
+    for f in range(ma.num_faces):
+        out.append(ConePoint("saddle", ds.face_angle(f), ma.face_keys[f], False))
+    return out
 
 
 def test_calabi_is_valid(calabi):
@@ -134,7 +157,7 @@ def test_poincare_hopf_identity():
 def test_dataset_equality_via_canonical_form(calabi):
     other = make_calabi()
     assert calabi == other
-    assert calabi.is_isomorphic(other)
+    assert other == calabi
     bumped = DataSet(
         other.angulation, other.k0, other.ratio, other.weights,
         [F(1, 3), F(1, 2), F(1, 2)],
@@ -156,7 +179,6 @@ def test_dataset_computes_its_canonical_form_at_most_once(monkeypatch):
     monkeypatch.setattr(MixedAngulation, "canonical_form", counting)
     assert len({ds, copy}) == 1
     assert ds == copy and copy == ds
-    assert ds.is_isomorphic(copy) and copy.is_isomorphic(ds)
     for x in (ds, copy):
         assert hash(x) == hash(x) == hash(copy)
     assert len(calls) == 2
@@ -179,7 +201,7 @@ def test_equality_keeps_the_grid_denominators(two_level):
     for x, y in pairs:
         assert x.grid.weights == y.grid.weights and x.grid.levels == y.grid.levels
         assert (x.grid.dw, x.grid.dl) != (y.grid.dw, y.grid.dl)
-        assert x != y and not x.is_isomorphic(y)
+        assert x != y and y != x
         assert len({x, y}) == 2
         for ds in (x, y):
             m, w, s = relabeled(ma, ds.weights, ds.face_levels, rng)

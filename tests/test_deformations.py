@@ -105,17 +105,17 @@ def test_twist_by_zero_is_identity(two_level, calabi):
     for ds, c in [(two_level, F(1, 2)), (calabi, F(1, 4))]:
         out = twist(ds, c, 0, 0)
         assert out.is_generic
-        assert out.dataset.is_isomorphic(ds)
+        assert out.dataset == ds
 
 
 def test_twist_by_full_circumference_is_identity(two_level):
     out = twist(two_level, F(1, 2), 0, F(5, 2))
-    assert out.dataset.is_isomorphic(two_level)
+    assert out.dataset == two_level
 
 
 def test_trivial_circle_twist_is_isometry(calabi):
     out = twist(calabi, F(1, 4), 1, F(1, 3))
-    assert out.dataset.is_isomorphic(calabi)
+    assert out.dataset == calabi
 
 
 def test_generic_twist_preserves_invariants(two_level):
@@ -135,7 +135,7 @@ def test_generic_twist_preserves_invariants(two_level):
 
 def test_generic_twist_changes_the_surface(two_level):
     out = twist(two_level, F(1, 2), 0, F(1, 5))
-    assert not out.dataset.is_isomorphic(two_level)
+    assert out.dataset != two_level
 
 
 def test_twist_detects_saddle_saddle_meridian(two_level):
@@ -154,7 +154,7 @@ def test_twist_composition(two_level):
     a = twist(two_level, c, 0, F(1, 5)).dataset
     b = twist(a, c, 0, F(7, 10)).dataset
     direct = twist(two_level, c, 0, F(1, 5) + F(7, 10)).dataset
-    assert b.is_isomorphic(direct)
+    assert b == direct
 
 
 def test_twist_on_builder_output():
