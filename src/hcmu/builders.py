@@ -7,6 +7,11 @@ the t-th interval of [0, pq] cut at the multiples of p and of q.  For
 λ = gcd(p, q) > 1, ``build_tree`` chains λ copies of the staircase of
 (p/λ, q/λ), each copy taken by index range, and scales the weights by λ.
 
+Each arc and leaf is placed from what the construction already holds: one
+walk per face subdivided, leaves of either colour at one corner of it, star
+handles in closed form, and the tree's own weights, checked once against the
+balance equations in ``build_tree``.
+
 Every builder returns a validated :class:`~hcmu.dataset.DataSet` (or a
 weighted tree for the tree constructions) realizing the prescribed genus and
 cone angles.  Free continuous parameters default to K0 = 1 and all face
@@ -14,13 +19,13 @@ levels 1/2.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
-from .balance import solve_tree
 from .constraints import (
     as_angle_vector,
     check_refined,
@@ -64,10 +69,8 @@ def canonical_angulation(g: int) -> MixedAngulation:
 # -- polygon subdivision -------------------------------------------------------
 
 
-def _rooted_walk(builder: MapBuilder, member_dart):
-    """Walk of the face containing ``member_dart``, rooted at its minimal
-    dart for determinism."""
-    walk = builder.face_walk_of_dart(member_dart)
+def _rooted(walk):
+    """A face walk rotated to start at its least dart, for determinism."""
     k = walk.index(min(walk))
     return walk[k:] + walk[:k]
 
@@ -90,53 +93,50 @@ def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> Subdiv
     """Subdivide the face containing ``inside_dart`` into faces of degrees
     w[i] + 2 by adding diagonals, interior black leaves and self-folded arcs.
 
-    Induction: if w[0] + 2 < deg, a diagonal cuts off a (w[0]+2)-gon along
-    w[0]+1 successive sides; otherwise a diagonal between adjacent corners
-    splits off a bigon, the big part is padded with black leaves up to degree
-    w[0]+2, and the remaining orders recurse into the bigon.
+    The face is walked once.  Each order w0 but the last adds a diagonal
+    from corner deg - 1 of the current walk: to corner w0 if w0 + 2 < deg,
+    cutting off a (w0+2)-gon along walk[0..w0]; otherwise to corner 0,
+    splitting off a bigon after the big part is padded with black leaves up
+    to degree w0 + 2.  The face left over is read off the walk by index, and
+    the last order pads it.
     """
     w = [int(x) for x in w]
     for x in w:
         if x < 2 or x % 2 != 0:
             raise BadOrderVector(f"order {x} must be even and >= 2")
-    walk = _rooted_walk(builder, inside_dart)
+    walk = _rooted(builder.face_walk_of_dart(inside_dart))
     if sum(w) < len(walk) - 2:
         raise Incompatible(f"orders {w} do not fit a face of degree {len(walk)}")
     stats = SubdivisionStats([], [])
-    _subdivide_rec(builder, walk, list(w), stats)
+    for w0 in w[:-1]:
+        deg = len(walk)
+        cut = w0 if w0 + 2 < deg else 0
+        arc = builder.add_arc_in_face(walk, deg - 1, cut)
+        stats.diagonals.append(arc)
+        # the diagonal's dart at corner deg - 1: the tail of walk[0], white iff walk[0] is odd
+        d = 2 * arc + (walk[0] & 1)
+        big = _rooted(walk[cut + 1 :] + (d,))
+        if cut:
+            walk = big
+        else:
+            stats.leaves += _pad_with_leaves(builder, big, (w0 + 2 - deg) // 2, BLACK)
+            walk = (walk[0], d ^ 1)  # the bigon
+    stats.leaves += _pad_with_leaves(builder, walk, (w[-1] + 2 - len(walk)) // 2, BLACK)
     return stats
 
 
-def _pad_with_leaves(builder, member_dart, count, stats):
-    """Add ``count`` black leaves at the first white corner of the face.
+def _pad_with_leaves(builder, walk, count, color):
+    """Add ``count`` leaves of ``color`` at the first corner of the other
+    colour on the rooted face walk ``walk``; return their (vertex, arc) pairs.
 
     A leaf at corner t inserts its two darts after walk[t]; they are the
     largest darts, so the root, the corners up to t and walk[t] stay, and
-    every leaf goes in at the same corner of the walk taken once.
+    every leaf goes in at the same corner of the one walk.
     """
     if count <= 0:
-        return
-    walk = _rooted_walk(builder, member_dart)
-    t = _first_corner_of_color(builder, walk, WHITE)
-    for _ in range(count):
-        stats.leaves.append(builder.add_leaf_in_face(walk, t, BLACK))
-
-
-def _subdivide_rec(builder, walk, w, stats):
-    deg = len(walk)
-    if len(w) == 1:
-        _pad_with_leaves(builder, walk[0], (w[0] + 2 - deg) // 2, stats)
-        return
-    w0, rest = w[0], w[1:]
-    if w0 + 2 < deg:
-        # cut off sides walk[0..w0] into a finished (w0+2)-gon
-        stats.diagonals.append(builder.add_arc_in_face(walk, deg - 1, w0))
-        _subdivide_rec(builder, _rooted_walk(builder, walk[w0 + 1]), rest, stats)
-    else:
-        # split off a bigon next to walk[0]; pad the big part up to w0+2
-        stats.diagonals.append(builder.add_arc_in_face(walk, deg - 1, 0))
-        _pad_with_leaves(builder, walk[1], (w0 + 2 - deg) // 2, stats)
-        _subdivide_rec(builder, _rooted_walk(builder, walk[0]), rest, stats)
+        return []
+    t = _first_corner_of_color(builder, walk, WHITE if color == BLACK else BLACK)
+    return [builder.add_leaf_in_face(walk, t, color) for _ in range(count)]
 
 
 # -- existence witnesses -------------------------------------------------------
@@ -162,13 +162,9 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     w = [2 * int(alpha[i - 1]) - 2 for i in sorted(Z)]
 
     builder = MapBuilder.from_angulation(canonical_angulation(g))
-    inside = 0  # the black end of arc 0
-    if q > 0:
-        for _ in range(q - 1):
-            walk = _rooted_walk(builder, inside)
-            t = _first_corner_of_color(builder, walk, BLACK)
-            builder.add_leaf_in_face(walk, t, WHITE)
-    subdivide_face(builder, inside, w)
+    if q > 1:  # the extra cusps: white leaves on the one face, whose least dart is 0
+        _pad_with_leaves(builder, builder.face_walk_of_dart(0), q - 1, WHITE)
+    subdivide_face(builder, 0, w)
     ma = builder.freeze()
     _expect_shape(ma, g, len(w))
 
@@ -218,10 +214,6 @@ class WeightedTree:
     edges: tuple  # (black index 0..p-1, white index 0..q-1)
     weights: tuple
 
-    def degree_one_black_with_weight_q(self) -> int:
-        """Largest-index degree-1 black vertex whose edge carries weight q."""
-        return _pendant_black(self.edges, self.weights, self.q)
-
     def as_angulation(self) -> MixedAngulation:
         return tree_angulation(self.p, self.q, self.edges)
 
@@ -236,18 +228,6 @@ def tree_angulation(p: int, q: int, edges) -> MixedAngulation:
         rot[bk].append(2 * a)
         rot[p + wh].append(2 * a + 1)
     return MixedAngulation(colors, arcs, rot, _allow_degenerate=True)
-
-
-def _pendant_black(edges, weights, target):
-    deg = {}
-    for bk, _ in edges:
-        deg[bk] = deg.get(bk, 0) + 1
-    for bk in sorted(deg, reverse=True):
-        if deg[bk] == 1:
-            e = next(i for i, (x, _) in enumerate(edges) if x == bk)
-            if weights[e] == target:
-                return bk
-    raise Inadmissible("no degree-1 black vertex with the pendant weight")
 
 
 def build_coprime_tree(p: int, q: int) -> WeightedTree:
@@ -294,7 +274,7 @@ def build_tree(p: int, q: int) -> WeightedTree:
         raise Inadmissible(f"q = {q} divides p = {p}")
     base = build_coprime_tree(p // lam, q // lam)
     if lam == 1:
-        return base
+        return _balanced(base)
     pb, qb, n = base.p, base.q, len(base.edges)
     k = next(t for t in range(n - 1) if base.edges[t][0] == base.edges[t + 1][0])
     x, y = base.edges[k]
@@ -322,9 +302,25 @@ def build_tree(p: int, q: int) -> WeightedTree:
     whites = len({wh for (_, wh), _ in kept})
     if (len(label), whites) != (p, q):
         raise AssertionFailure(f"tree has {len(label)} blacks and {whites} whites, expected {p} and {q}")
-    return WeightedTree(
-        p, q, tuple((label[bk], wh) for (bk, wh), _ in kept), tuple(wt for _, wt in kept)
+    return _balanced(
+        WeightedTree(p, q, tuple((label[bk], wh) for (bk, wh), _ in kept), tuple(wt for _, wt in kept))
     )
+
+
+def _balanced(tree: WeightedTree) -> WeightedTree:
+    """``tree``, once its weights are positive and solve the balance
+    equations: each black's sum to q and each white's to p."""
+    p, q = tree.p, tree.q
+    sums = [0] * (p + q)
+    for (bk, wh), wt in zip(tree.edges, tree.weights):
+        sums[bk] += wt
+        sums[p + wh] += wt
+    for v, (got, want) in enumerate(zip(sums, [q] * p + [p] * q)):
+        if got != want:
+            raise AssertionFailure(f"tree vertex {v} has weight sum {got}, expected {want} for q/p = {q}/{p}")
+    if min(tree.weights) <= 0:
+        raise AssertionFailure(f"tree weight {min(tree.weights)} is not positive")
+    return tree
 
 
 # -- single-cone constructions ---------------------------------------------
@@ -338,9 +334,9 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")
     _check_size(alpha)  # the one face has degree 2 * alpha
     if g == 0:
-        ma = build_tree(p, q).as_angulation()
-        weights = [Fraction(w, q) for w in solve_tree(ma, p, q)]
-        ds = DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
+        tree = build_tree(p, q)
+        weights = [Fraction(w, q) for w in tree.weights]
+        ds = DataSet(tree.as_angulation(), k0, Fraction(q, p), weights, [Fraction(level)])
     elif q == 1 or p % q != 0:
         ds = _one_cone_genus_tree(g, p, q, k0, level)
     else:
@@ -356,10 +352,11 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
 
 def _one_cone_genus_tree(g, p, q, k0, level):
     """Merge the pruned planar tree into the canonical angulation at its
-    white vertex; canonical arcs carry weight q / (2g+1)."""
+    white vertex; canonical arcs carry weight q / (2g+1).  Every leaf black
+    carries its whole demand q, so the largest-label one is dropped."""
     tree = build_tree(p, q)
-    weights_on_tree = solve_tree(tree.as_angulation(), p, q)
-    x_drop = tree.degree_one_black_with_weight_q()
+    degree = Counter(bk for bk, _ in tree.edges)
+    x_drop = max(bk for bk, d in degree.items() if d == 1)
     e_drop = next(i for i, (bk, _) in enumerate(tree.edges) if bk == x_drop)
     y_glue = tree.edges[e_drop][1]
 
@@ -379,7 +376,7 @@ def _one_cone_genus_tree(g, p, q, k0, level):
             continue
         a = len(builder.arcs)
         builder.arcs.append([bmap[bk], wmap[wh]])
-        arc_weights[a] = Fraction(weights_on_tree[i], q)
+        arc_weights[a] = Fraction(tree.weights[i], q)
         builder.rot[bmap[bk]].append(2 * a)
         if wh == y_glue:
             glue_block.append(2 * a + 1)
@@ -395,8 +392,11 @@ def _one_cone_genus_tree(g, p, q, k0, level):
 
 def _one_cone_genus_stars(g, p, q, k0, level):
     """q star copies chained into a cycle by connector arcs, then 2g-1
-    handle arcs between the first star's last black vertex and its white
-    vertex, inserted so that the complement stays a single polygon."""
+    handle arcs h_1 .. h_{2g-1} between the first star's last black vertex u
+    and its white vertex v, placed so that the complement stays a single
+    polygon: u lists them in order after its star arc, and v's rotation is
+    its first star arc, the pairs (h_{2i}, h_{2i+1}) for i = g-1 down to 1,
+    the rest of its row, then h_1."""
     k = p // q
     builder = MapBuilder()
     xs = [[builder.add_vertex(BLACK) for _ in range(k)] for _ in range(q)]
@@ -430,19 +430,12 @@ def _one_cone_genus_stars(g, p, q, k0, level):
     if faces != 2:
         raise AssertionFailure(f"the chained stars have {faces} faces, expected 2 on the sphere")
 
-    u = xs[0][k - 1]
-    v = ys[0]
-    for step in range(1, 2 * g):
-        # the face at the gap after the newest arc at u
-        face_u = set(builder.face_walk_of_dart(builder.rot[u][-1]))
-        want_merge = step % 2 == 1
-        anchor = next((d for d in builder.rot[v] if (d not in face_u) == want_merge), None)
-        if anchor is None:
-            raise AssertionFailure(f"no gap at white vertex {v} for handle arc {step}")
-        a = new_arc(u, v, Fraction(1, (2 * g - 1) * q))
-        builder.rot[u].append(2 * a)
-        # insert into the chosen gap, right after the anchor dart at v
-        builder.rot[v].insert(builder.rot[v].index(anchor) + 1, 2 * a + 1)
+    u, v = xs[0][k - 1], ys[0]
+    h = [new_arc(u, v, Fraction(1, (2 * g - 1) * q)) for _ in range(2 * g - 1)]
+    builder.rot[u] += [2 * a for a in h]
+    pairs = [2 * h[j] + 1 for i in range(g - 1, 0, -1) for j in (2 * i - 1, 2 * i)]
+    row = builder.rot[v]
+    builder.rot[v] = row[:1] + pairs + row[1:] + [2 * h[0] + 1]
 
     ma = builder.freeze()
     _expect_shape(ma, g, 1)

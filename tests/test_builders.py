@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from hcmu.builders import (
 from hcmu.constraints import check_refined, invariants_m_a, one_cone_admissible
 from hcmu.dataset import census, realized_angle_vector, validate_dataset
 from hcmu.errors import (
+    AssertionFailure,
     BadOrder,
     BadOrderVector,
     EmptySpace,
@@ -163,17 +165,21 @@ def test_subdivide_polygon_incompatible():
         subdivide_polygon(3, [2])  # 2L = 2 - 4 < 0
 
 
-def pad_leaf_by_leaf(builder, member_dart, count, stats):
+def pad_leaf_by_leaf(builder, walk, count, color):
     """Oracle for the leaf padding: the face walked again for every leaf."""
+    anchor = WHITE if color == BLACK else BLACK
+    leaves = []
     for _ in range(count):
-        walk = builders._rooted_walk(builder, member_dart)
-        t = builders._first_corner_of_color(builder, walk, WHITE)
-        stats.leaves.append(builder.add_leaf_in_face(walk, t, BLACK))
+        walk = builders._rooted(builder.face_walk_of_dart(walk[0]))
+        t = builders._first_corner_of_color(builder, walk, anchor)
+        leaves.append(builder.add_leaf_in_face(walk, t, color))
+    return leaves
 
 
 def test_leaves_padded_at_one_corner_match_leaf_by_leaf_padding(monkeypatch):
     # a leaf's darts are the largest and go in after walk[t], so the root
-    # and the first white corner stay; 1 to 6 leaves per face below
+    # and the first corner of the other colour stay; 1 to 6 black leaves per
+    # face below, and the last two cases add 2 white cusp leaves each
     cases = [(0, [F(3)] * n, range(1, n + 1)) for n in (4, 9, 16)] + [
         (0, [F(5), F(2), F(2)], {1}),
         (1, [F(6)], {1}),
@@ -181,10 +187,66 @@ def test_leaves_padded_at_one_corner_match_leaf_by_leaf_padding(monkeypatch):
         (2, [F(9)], {1}),
         (1, [F(4), F(3)], {1, 2}),
         (0, [F(4), F(2), F(2), F(1, 3)], {1}),
+        (0, [F(4), F(3), F(0), F(0), F(0)], {1, 2}),
+        (1, [F(6), F(2), F(0), F(0), F(0)], {1}),
     ]
     once = [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
     monkeypatch.setattr(builders, "_pad_with_leaves", pad_leaf_by_leaf)
     assert once == [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The number of darts that MapBuilder.face_walk_of_dart returns, in [0]."""
+    count = [0]
+    walk = MapBuilder.face_walk_of_dart
+
+    def counted(self, dart):
+        out = walk(self, dart)
+        count[0] += len(out)
+        return out
+
+    monkeypatch.setattr(MapBuilder, "face_walk_of_dart", counted)
+    return count
+
+
+def test_build_surface_walks_its_darts_at_most_twice(walked):
+    # one walk for the cusp leaves and one for the subdivision, each of at
+    # most 2E darts; a walk per order or per leaf grows with their number
+    rng = random.Random(19)
+    cases = [(300, [F(3)] * 600, range(1, 601)), (0, [F(410)] + [F(0)] * 200, {1})]
+    while len(cases) < 60:
+        g = rng.randint(0, 3)
+        saddles = [F(rng.randint(2, 3 + g)) for _ in range(rng.randint(1, 4))]
+        alpha = saddles + [F(rng.choice([2, 3])), F(rng.choice([1, 2, 4, 5]), 3)] + [F(0)] * rng.choice([0, 1, 2])
+        if check_refined(g, alpha, range(1, len(saddles) + 1)):
+            cases.append((g, alpha, range(1, len(saddles) + 1)))
+    for g, alpha, Z in cases:
+        walked[0] = 0
+        darts = 2 * build_surface(g, alpha, Z).angulation.num_arcs
+        assert walked[0] <= 2 * darts, (g, alpha)
+
+
+def test_build_one_cone_walks_no_face(walked):
+    # trees (g = 0), a tree merged into the canonical angulation, and stars
+    # with handles in closed form
+    for g, p, q in [(0, 7, 3), (0, 9, 6), (1, 4, 3), (3, 9, 6), (2, 6, 2), (3, 8, 4), (40, 6, 3)]:
+        build_one_cone(g, p, q)
+    assert walked[0] == 0
+
+
+def test_ladder_of_1200_saddles_builds():
+    ds = build_surface(0, [F(3)] * 1200, range(1, 1201))
+    ma = ds.angulation
+    assert (ma.genus, ma.num_faces, ma.num_arcs) == (0, 1200, 3600)
+    assert {ma.face_degree(f) for f in range(ma.num_faces)} == {6}
+
+
+def test_one_cone_with_a_thousand_handles_builds():
+    ds = build_one_cone(1000, 4, 2)
+    ma = ds.angulation
+    assert (ma.genus, ma.num_faces, ma.face_degree(0)) == (1000, 1, 2 * 2005)
+    assert validate_dataset(ds) == []
 
 
 def test_build_surface_calabi_prescription():
@@ -317,6 +379,29 @@ def test_build_tree_non_coprime():
     assert len(t.edges) == 19
     assert all(w % 2 == 0 for w in t.weights)
     assert solve_tree(t.as_angulation(), 14, 6) == t.weights
+
+
+@pytest.mark.parametrize(
+    "edges, weights, message",
+    [
+        (None, None, "tree vertex 0 has weight sum 3, expected 2"),
+        # balanced, but the edge between x0 and y0 is forced to -1
+        (((0, 0), (0, 1), (1, 0), (2, 0)), (-1, 3, 2, 2), "tree weight -1 is not positive"),
+    ],
+)
+def test_build_tree_refuses_weights_that_do_not_balance(monkeypatch, edges, weights, message):
+    def corrupted(p, q):
+        t = build_coprime_tree(p, q)
+        if edges is None:
+            return WeightedTree(p, q, t.edges, (t.weights[0] + 1,) + t.weights[1:])
+        return WeightedTree(p, q, edges, weights)
+
+    monkeypatch.setattr(builders, "build_coprime_tree", corrupted)
+    with pytest.raises(AssertionFailure, match=message):
+        build_tree(3, 2)
+    if edges is None:  # gcd(6, 4) = 2 chains two copies of the corrupted staircase
+        with pytest.raises(AssertionFailure, match="weight sum"):
+            build_tree(6, 4)
 
 
 def test_build_tree_inadmissible():

@@ -84,6 +84,15 @@ def test_build_writes_valid_file(capsys, tmp_path):
     assert ds.angulation.genus == 0
 
 
+def test_build_of_a_ladder_of_1200_saddles_exits_zero(capsys, tmp_path):
+    # the subdivision is a loop: no recursion depth that grows with the orders
+    target = tmp_path / "ladder.json"
+    angles, saddles = ",".join(["3"] * 1200), ",".join(map(str, range(1, 1201)))
+    code, out, err = run(capsys, "build", "--genus", "0", "--angles", angles, "--saddles", saddles, "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert ser.load(target).angulation.num_faces == 1200
+
+
 @pytest.mark.parametrize(
     "argv, arcs",
     [

@@ -165,6 +165,40 @@ def test_numpy_is_imported_only_inside_functions():
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert "numpy" in imported_packages()  # still imported, inside the array code
 
+# -- no recursion: a call depth that grows with the input exits 3 ---------------
+
+
+def self_calls(tree):
+    """(function, line) for each call of a function by its own name, or of a
+    method through ``self`` or ``cls``, anywhere in its body."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                func = sub.func
+                if (isinstance(func, ast.Name) and func.id == node.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == node.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")
+                ):
+                    found.append((node.name, sub.lineno))
+    return found
+
+
+def test_no_function_calls_itself():
+    example = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g(xs):\n    return [g(x) for x in xs]\n"
+        "class C:\n    def h(self):\n        return self.h()\n"
+        "    def k(self, other):\n        return other.k() + len(self.kk())\n"
+    )
+    assert self_calls(ast.parse(example)) == [("f", 2), ("g", 4), ("h", 7)]
+    found = {name: self_calls(tree) for name, tree in package_trees().items()}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
 # -- one dart representation: int darts, with (arc, end) pairs at the edge -------
 
 ENDS = {"b", "w"}
