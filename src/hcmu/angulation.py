@@ -49,10 +49,11 @@ class MixedAngulation:
     """Validated bi-colored embedded graph with derived face data.
 
     The constructor reads each dart of a rotation as an int or an (arc, end)
-    pair.  ``darts`` (the rotations) and ``faces`` hold tuples of int darts,
+    pair; arc ends and arc ids must be ints, and nothing is coerced.
+    ``darts`` (the rotations) and ``faces`` hold tuples of int darts,
     ``sigma``, ``sigma_inv`` and ``face_of_dart`` are lists indexed by int
-    dart, and ``face_keys[f]`` is ``faces[f][0]``.  Instances are immutable;
-    all surgery happens on :class:`MapBuilder` and produces fresh objects.
+    dart, and ``face_keys[f]`` is ``faces[f][0]``.  Instances are immutable:
+    every construction and surgery writes new rows and builds a new map.
     """
 
     __slots__ = (
@@ -71,7 +72,7 @@ class MixedAngulation:
 
     def __init__(self, colors, arcs, rotations, *, _allow_degenerate=False):
         colors = tuple(colors)
-        arcs = tuple((int(b), int(w)) for b, w in arcs)
+        arcs = tuple((b, w) for b, w in arcs)
         rotations = tuple(rotations)
         n = len(colors)
         num_arcs = len(arcs)
@@ -81,6 +82,8 @@ class MixedAngulation:
         if len(rotations) != n:
             raise NotBipartite("rotation table does not match the vertex set")
         for a, (b, w) in enumerate(arcs):
+            if type(b) is not int or type(w) is not int:
+                raise NotBipartite(f"arc {a} has an end that is not an int: {(b, w)!r}")
             if not (0 <= b < n and 0 <= w < n):
                 raise NotBipartite(f"arc {a} has a dangling end")
             if colors[b] != BLACK or colors[w] != WHITE:
@@ -88,19 +91,22 @@ class MixedAngulation:
         home = [v for arc in arcs for v in arc]  # the vertex of each dart
 
         # one pass over the rotations: each dart, an int or an (arc, end)
-        # pair, is checked against its home vertex, and sigma^-1 links it to
-        # its predecessor; errors name the dart as a pair
+        # pair, is checked against its home vertex and linked to its
+        # predecessor in sigma and sigma^-1; errors name the dart as a pair
         num_darts = 2 * num_arcs
         sigma = [0] * num_darts
         sigma_inv = [-1] * num_darts  # -1 marks a dart not listed yet
         rows = []
         for v, rot in enumerate(rotations):
             row = []
+            first = -1
             for d in rot:
                 if type(d) is not int:
-                    a, e = d
-                    a = int(a)
-                    if e not in END or not (0 <= a < num_arcs):
+                    try:
+                        a, e = d
+                    except (TypeError, ValueError):  # neither an int nor a pair, such as True or 1.0
+                        raise NotBipartite(f"malformed dart {d!r}") from None
+                    if type(a) is not int or e not in END or not (0 <= a < num_arcs):
                         raise NotBipartite(f"malformed dart {(a, e)!r}")
                     d = 2 * a + (e == "w")
                 elif not (0 <= d < num_darts):
@@ -109,15 +115,16 @@ class MixedAngulation:
                     raise NotBipartite(f"dart {_pair(d)!r} listed at the wrong vertex")
                 if sigma_inv[d] >= 0:
                     raise NotBipartite(f"dart {_pair(d)!r} appears twice")
-                sigma_inv[d] = d
-                row.append(d)
-            if not row:
-                raise Disconnected(f"vertex {v} is isolated")
-            prev = row[-1]
-            for d in row:
+                if first < 0:  # the first dart is its own neighbour until the row closes
+                    first = prev = d
                 sigma[prev] = d
                 sigma_inv[d] = prev
                 prev = d
+                row.append(d)
+            if first < 0:
+                raise Disconnected(f"vertex {v} is isolated")
+            sigma[prev] = first
+            sigma_inv[first] = prev
             rows.append(tuple(row))
         if -1 in sigma_inv:
             raise NotBipartite("some arc-end is missing from the rotation system")
@@ -298,20 +305,17 @@ def _trace_faces(sigma_inv):
 
 
 class MapBuilder:
-    """Mutable rotation system of int darts used by the constructive procedures.
+    """The face surgery of ``build_surface``: a mutable rotation system of int
+    darts that grows by diagonals and leaves inside a face.
 
-    Face surgery keeps the rotation system consistent; faces are re-traced on
-    demand.  ``freeze`` validates and returns the immutable result.
+    Each insertion keeps the rows consistent, a face is walked from one dart
+    on demand, and ``freeze`` validates and returns the immutable result.
     """
 
     def __init__(self, colors=(), arcs=(), rotations=()):
         self.colors = list(colors)
         self.arcs = [list(a) for a in arcs]
         self.rot = [list(r) for r in rotations]
-
-    @classmethod
-    def from_angulation(cls, ma: MixedAngulation) -> "MapBuilder":
-        return cls(ma.colors, ma.arcs, ma.darts)
 
     def add_vertex(self, color: str) -> int:
         self.colors.append(color)
@@ -320,14 +324,6 @@ class MapBuilder:
 
     def vertex_of_dart(self, d: int) -> int:
         return self.arcs[d >> 1][d & 1]
-
-    def trace(self):
-        """Every face walk, as :class:`MixedAngulation` traces them."""
-        sigma_inv = [0] * (2 * len(self.arcs))
-        for rot in self.rot:
-            for i, d in enumerate(rot):
-                sigma_inv[d] = rot[i - 1]
-        return _trace_faces(sigma_inv)[0]
 
     def face_walk_of_dart(self, dart: int):
         """Boundary walk of the face on the left of ``dart``, from ``dart``.
@@ -381,7 +377,5 @@ class MapBuilder:
         self.rot[z] = [leaf]
         return z, arc
 
-    def freeze(self, *, allow_degenerate=False) -> MixedAngulation:
-        return MixedAngulation(
-            self.colors, self.arcs, self.rot, _allow_degenerate=allow_degenerate
-        )
+    def freeze(self) -> MixedAngulation:
+        return MixedAngulation(self.colors, self.arcs, self.rot)

@@ -12,6 +12,10 @@ walk per face subdivided, leaves of either colour at one corner of it, star
 handles in closed form, and the tree's own weights, checked once against the
 balance equations in ``build_tree``.
 
+Each construction builds one :class:`MixedAngulation` from the rows it
+wrote.  ``build_surface`` grows the canonical rows through the face surgery
+of :class:`MapBuilder`; the single-cone constructions write plain lists.
+
 Every builder returns a validated :class:`~hcmu.dataset.DataSet` (or a
 weighted tree for the tree constructions) realizing the prescribed genus and
 cone angles.  Free continuous parameters default to K0 = 1 and all face
@@ -61,9 +65,14 @@ def canonical_angulation(g: int) -> MixedAngulation:
     a single arc whose complement is a bigon, usable only as an intermediate
     fragment.
     """
+    return MixedAngulation(*_canonical_rows(g), _allow_degenerate=(g == 0))
+
+
+def _canonical_rows(g: int):
+    """Fresh lists of the colours, arcs and rows of ``canonical_angulation(g)``,
+    for the builders that grow it: the darts 2a, then the darts 2a + 1."""
     n = 2 * g + 1
-    rotations = [range(0, 2 * n, 2), range(1, 2 * n, 2)]  # the darts 2a, then 2a + 1
-    return MixedAngulation([BLACK, WHITE], [(0, 1)] * n, rotations, _allow_degenerate=(g == 0))
+    return [BLACK, WHITE], [(0, 1)] * n, [list(range(0, 2 * n, 2)), list(range(1, 2 * n, 2))]
 
 
 # -- polygon subdivision -------------------------------------------------------
@@ -161,12 +170,15 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     q = alpha.q_zeros
     w = [2 * int(alpha[i - 1]) - 2 for i in sorted(Z)]
 
-    builder = MapBuilder.from_angulation(canonical_angulation(g))
+    builder = MapBuilder(*_canonical_rows(g))
     if q > 1:  # the extra cusps: white leaves on the one face, whose least dart is 0
         _pad_with_leaves(builder, builder.face_walk_of_dart(0), q - 1, WHITE)
     subdivide_face(builder, 0, w)
     ma = builder.freeze()
-    _expect_shape(ma, g, len(w))
+    if (ma.genus, ma.num_faces) != (g, len(w)):
+        raise AssertionFailure(
+            f"map has genus {ma.genus} and {ma.num_faces} faces, expected {g} and {len(w)}"
+        )
 
     blacks = sorted(v for v in range(ma.num_vertices) if ma.colors[v] == BLACK)
     whites = [v for v in range(ma.num_vertices) if ma.colors[v] == WHITE]
@@ -193,13 +205,6 @@ def build_surface(g: int, alpha, Z, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     if len(weights) != b_count:
         raise AssertionFailure(f"map has {len(weights)} arcs, expected b = {b_count}")
     return DataSet(ma, k0, ratio, weights, [Fraction(level)] * ma.num_faces)
-
-
-def _expect_shape(ma: MixedAngulation, g: int, faces: int):
-    if (ma.genus, ma.num_faces) != (g, faces):
-        raise AssertionFailure(
-            f"map has genus {ma.genus} and {ma.num_faces} faces, expected {g} and {faces}"
-        )
 
 
 # -- weighted bi-colored trees ---------------------------------------------
@@ -342,10 +347,10 @@ def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> Da
     else:
         ds = _one_cone_genus_stars(g, p, q, k0, level)
     ma = ds.angulation
-    if (ma.num_faces, ma.face_degree(0)) != (1, 2 * alpha):
+    if (ma.genus, ma.num_faces, ma.face_degree(0)) != (g, 1, 2 * alpha):
         raise AssertionFailure(
-            f"map has {ma.num_faces} faces, the first of degree {ma.face_degree(0)}, "
-            f"expected one face of degree 2 * alpha = {2 * alpha}"
+            f"map has genus {ma.genus} and {ma.num_faces} faces, the first of degree "
+            f"{ma.face_degree(0)}, expected genus {g} and one face of degree 2 * alpha = {2 * alpha}"
         )
     return ds
 
@@ -360,33 +365,31 @@ def _one_cone_genus_tree(g, p, q, k0, level):
     e_drop = next(i for i, (bk, _) in enumerate(tree.edges) if bk == x_drop)
     y_glue = tree.edges[e_drop][1]
 
-    n_canon = 2 * g + 1
-    builder = MapBuilder.from_angulation(canonical_angulation(g))
-    bmap = {
-        bk: builder.add_vertex(BLACK) for bk in range(tree.p) if bk != x_drop
-    }
-    wmap = {y_glue: 1}
-    for wh in range(tree.q):
-        if wh != y_glue:
-            wmap[wh] = builder.add_vertex(WHITE)
-    arc_weights = dict.fromkeys(range(n_canon), Fraction(1, n_canon))
-    glue_block = []
-    for i, (bk, wh) in enumerate(tree.edges):
+    colors, arcs, rows = _canonical_rows(g)
+    weights = [Fraction(1, len(arcs))] * len(arcs)  # already divided by q
+
+    def add_vertex(color):
+        colors.append(color)
+        rows.append([])
+        return len(colors) - 1
+
+    bmap = {bk: add_vertex(BLACK) for bk in range(tree.p) if bk != x_drop}
+    wmap = {wh: add_vertex(WHITE) for wh in range(tree.q) if wh != y_glue}
+    wmap[y_glue] = 1
+    glue_block = []  # the tree's darts at y_glue, placed after the first canonical dart
+    for i, ((bk, wh), wt) in enumerate(zip(tree.edges, tree.weights)):
         if i == e_drop:
             continue
-        a = len(builder.arcs)
-        builder.arcs.append([bmap[bk], wmap[wh]])
-        arc_weights[a] = Fraction(tree.weights[i], q)
-        builder.rot[bmap[bk]].append(2 * a)
+        a = len(arcs)
+        arcs.append((bmap[bk], wmap[wh]))
+        weights.append(Fraction(wt, q))
+        rows[bmap[bk]].append(2 * a)
         if wh == y_glue:
             glue_block.append(2 * a + 1)
         else:
-            builder.rot[wmap[wh]].append(2 * a + 1)
-    rot_y = builder.rot[1]
-    builder.rot[1] = rot_y[:1] + glue_block + rot_y[1:]
-    ma = builder.freeze()
-    _expect_shape(ma, g, 1)
-    weights = [arc_weights[a] for a in range(ma.num_arcs)]
+            rows[wmap[wh]].append(2 * a + 1)
+    rows[1][1:1] = glue_block
+    ma = MixedAngulation(colors, arcs, rows)
     return DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])
 
 
@@ -396,48 +399,29 @@ def _one_cone_genus_stars(g, p, q, k0, level):
     and its white vertex v, placed so that the complement stays a single
     polygon: u lists them in order after its star arc, and v's rotation is
     its first star arc, the pairs (h_{2i}, h_{2i+1}) for i = g-1 down to 1,
-    the rest of its row, then h_1."""
+    the rest of its row, then h_1.
+
+    With k = p / q and n = kq, star j has the blacks jk .. jk + k - 1 and the
+    white n + j; star arc x joins black x to its star's white, and connector
+    arc n + j joins white n + j to the first black of star j + 1."""
     k = p // q
-    builder = MapBuilder()
-    xs = [[builder.add_vertex(BLACK) for _ in range(k)] for _ in range(q)]
-    ys = [builder.add_vertex(WHITE) for _ in range(q)]
-    weights = {}  # arc -> weight, already divided by q
-
-    def new_arc(bk, wh, wt):
-        a = len(builder.arcs)
-        builder.arcs.append([bk, wh])
-        weights[a] = wt
-        return a
-
-    star = [
-        [
-            new_arc(
-                xs[j][i],
-                ys[j],
-                Fraction(1, 2) if i == 0 else Fraction(q - 1 if (i, j) == (k - 1, 0) else q, q),
-            )
-            for i in range(k)
-        ]
-        for j in range(q)
-    ]
-    conn = [new_arc(xs[(j + 1) % q][0], ys[j], Fraction(1, 2)) for j in range(q)]
+    n = k * q
+    colors = [BLACK] * n + [WHITE] * q
+    arcs = [(x, n + x // k) for x in range(n)] + [((j + 1) % q * k, n + j) for j in range(q)]
+    weights = [  # already divided by q; the first star's last arc carries q - 1
+        Fraction(1, 2) if x % k == 0 else Fraction(q - 1 if x == k - 1 else q, q) for x in range(n)
+    ] + [Fraction(1, 2)] * q
+    rows = [[2 * x] for x in range(n)]
     for j in range(q):
-        builder.rot[xs[j][0]] = [2 * star[j][0], 2 * conn[(j - 1) % q]]
-        for i in range(1, k):
-            builder.rot[xs[j][i]] = [2 * star[j][i]]
-        builder.rot[ys[j]] = [2 * star[j][i] + 1 for i in range(k)] + [2 * conn[j] + 1]
-    faces = len(builder.trace())
-    if faces != 2:
-        raise AssertionFailure(f"the chained stars have {faces} faces, expected 2 on the sphere")
+        rows[j * k].append(2 * (n + (j - 1) % q))
+    rows += [[2 * x + 1 for x in range(j * k, j * k + k)] + [2 * (n + j) + 1] for j in range(q)]
 
-    u, v = xs[0][k - 1], ys[0]
-    h = [new_arc(u, v, Fraction(1, (2 * g - 1) * q)) for _ in range(2 * g - 1)]
-    builder.rot[u] += [2 * a for a in h]
-    pairs = [2 * h[j] + 1 for i in range(g - 1, 0, -1) for j in (2 * i - 1, 2 * i)]
-    row = builder.rot[v]
-    builder.rot[v] = row[:1] + pairs + row[1:] + [2 * h[0] + 1]
-
-    ma = builder.freeze()
-    _expect_shape(ma, g, 1)
-    w_list = [weights[a] for a in range(ma.num_arcs)]
-    return DataSet(ma, k0, Fraction(q, p), w_list, [Fraction(level)])
+    u, v = k - 1, n
+    h = range(len(arcs), len(arcs) + 2 * g - 1)
+    arcs += [(u, v)] * len(h)
+    weights += [Fraction(1, (2 * g - 1) * q)] * len(h)
+    rows[u] += [2 * a for a in h]
+    rows[v][1:1] = [2 * h[j] + 1 for i in range(g - 1, 0, -1) for j in (2 * i - 1, 2 * i)]
+    rows[v].append(2 * h[0] + 1)
+    ma = MixedAngulation(colors, arcs, rows)
+    return DataSet(ma, k0, Fraction(q, p), weights, [Fraction(level)])

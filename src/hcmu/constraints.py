@@ -114,10 +114,8 @@ class TypePartition:
         for i in Z:
             if not _is_saddle_angle(alpha[i - 1]):
                 raise BadTypePartition(f"index {i} cannot be a saddle")
-        if zeros and Pminus != zeros:
+        if zeros and Pminus != zeros:  # so no cusp is a maximum
             raise BadTypePartition("with cusps, P- must be exactly the zeros")
-        if any(alpha[i - 1] == 0 for i in Pplus):
-            raise BadTypePartition("a cusp cannot be a maximum")
         return cls(Z, Pplus, Pminus)
 
 

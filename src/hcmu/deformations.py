@@ -341,7 +341,7 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
             f"times the spacing, {alpha * step}/{unit}"
         )
     cuts = [first.numerator * (unit // first.denominator) + j * step for j in range(alpha)]
-    if offset == 0 or not set(bounds).isdisjoint(cuts):
+    if not set(bounds).isdisjoint(cuts):
         raise CutOnBoundary("a cut position hits a sector boundary")
 
     # -- new vertex numbering: drop x, append the alpha sector vertices

@@ -129,8 +129,8 @@ def test_builder_face_walk_of_dart_is_its_traced_face_from_that_dart():
     maps += [build_surface(0, [3, 3, 3], {1, 2, 3}).angulation, build_surface(2, [7], {1}).angulation]
     maps += [build_one_cone(1, 4, 3).angulation, make_two_level().angulation]
     for ma in maps:
-        builder = MapBuilder.from_angulation(ma)
-        face_of = {d: walk for walk in builder.trace() for d in walk}
+        builder = MapBuilder(ma.colors, ma.arcs, ma.darts)
+        face_of = {d: walk for walk in ma.faces for d in walk}
         assert len(face_of) == 2 * ma.num_arcs
         for d, traced in face_of.items():
             walk = builder.face_walk_of_dart(d)
@@ -206,6 +206,16 @@ FOUR_GON = ([B, W], [(0, 1), (0, 1)], [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")
             Disconnected, "graph is not connected",
         ),
         ([B, W], [(0, 1)], [[(0, "b")], [(0, "w")]], OddFaceDegree, "face of degree 2 < 4"),
+        # an end or an arc id that int() would coerce: 0.9 and "0" to 0, True to 1
+        ([B, W], [(0, 1), (0.9, 1)], FOUR_GON[2], NotBipartite, "arc 1 has an end that is not an int: (0.9, 1)"),
+        ([B, W], [("0", "1"), (0, 1)], FOUR_GON[2], NotBipartite, "arc 0 has an end that is not an int: ('0', '1')"),
+        ([B, W], [(0, 1), (0, True)], FOUR_GON[2], NotBipartite, "arc 1 has an end that is not an int: (0, True)"),
+        ([B, W], FOUR_GON[1], [[(0.5, "b"), (1, "b")], [(0, "w"), (1, "w")]], NotBipartite, "malformed dart (0.5, 'b')"),
+        ([B, W], FOUR_GON[1], [[(0, "b"), ("1", "b")], [(0, "w"), (1, "w")]], NotBipartite, "malformed dart ('1', 'b')"),
+        ([B, W], FOUR_GON[1], [[(0, "b"), (1, "b")], [(False, "w"), (1, "w")]], NotBipartite, "malformed dart (False, 'w')"),
+        ([B, W], FOUR_GON[1], [[True, 2], [1, 3]], NotBipartite, "malformed dart True"),
+        ([B, W], FOUR_GON[1], [[0, 2.0], [1, 3]], NotBipartite, "malformed dart 2.0"),
+        ([B, W], FOUR_GON[1], [[0, 2], [(0, "w", 1), 3]], NotBipartite, "malformed dart (0, 'w', 1)"),
     ],
 )
 def test_constructor_rejections(colors, arcs, rotations, error, message):
@@ -274,6 +284,9 @@ def test_int_rows_and_pair_rows_build_the_same_map():
         ([(0, 1)], [[(0, "b"), (0, "b")], [(0, "w")]], "dart (0, 'b') appears twice"),
         ([(0, 1)], [[(0, "w")], [(0, "b")]], "dart (0, 'w') listed at the wrong vertex"),
         ([(0, 1), (0, 1)], [[(0, "b")], [(0, "w"), (1, "w")]], "some arc-end is missing from the rotation system"),
+        ([(0, 1), (0.9, 1)], FOUR_GON[2], "arc 1 has an end that is not an int: (0.9, 1)"),
+        ([("0", "1"), (0, 1)], FOUR_GON[2], "arc 0 has an end that is not an int: ('0', '1')"),
+        ([(0, 1), (0, True)], FOUR_GON[2], "arc 1 has an end that is not an int: (0, True)"),
     ],
 )
 def test_int_rows_and_pair_rows_are_refused_alike(arcs, rotations, message):
@@ -334,8 +347,6 @@ def assert_matches_pair_oracle(ma):
     assert {pair(d): f for d, f in enumerate(ma.face_of_dart)} == {
         d: f for f, walk in enumerate(walks) for d in walk
     }
-    builder = MapBuilder.from_angulation(ma)
-    assert [tuple(pair(d) for d in walk) for walk in builder.trace()] == walks
 
 
 def test_int_faces_match_the_pair_oracle():

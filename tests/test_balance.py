@@ -374,6 +374,21 @@ def test_solve_balance_bad_targets():
         solve_balance(ds.angulation, F(0), {v: F(1) for v in range(5)})
 
 
+@pytest.mark.parametrize("ratio", [F(1), F(-1, 3)])
+def test_solve_balance_refuses_a_ratio_outside_the_unit_interval(ratio):
+    with pytest.raises(BadRatio) as caught:
+        solve_balance(make_calabi().angulation, ratio, {v: F(1) for v in range(5)})
+    assert type(caught.value) is BadRatio and str(caught.value) == f"ratio {ratio} outside [0, 1)"
+
+
+def test_solve_tree_refuses_a_nonzero_root_residual():
+    # one arc: the leaf's demand 2 forces its weight, the root's demand 1 is left short
+    ma = tree_angulation(1, 1, [(0, 0)])
+    with pytest.raises(Infeasible) as caught:
+        solve_tree(ma, 2, 1)
+    assert type(caught.value) is Infeasible and str(caught.value) == "residual -1 at final vertex 0"
+
+
 def test_solve_tree_star():
     ma = tree_angulation(3, 1, [(0, 0), (1, 0), (2, 0)])
     assert solve_tree(ma, 3, 1) == (1, 1, 1)

@@ -35,7 +35,8 @@ from hcmu.errors import (
     NotCoprime,
     TooLarge,
 )
-from hcmu.serialization import dumps, save
+from hcmu.deformations import split, twist
+from hcmu.serialization import dumps, load_document, save
 
 
 # -- oracle: trees by exhaustive enumeration -------------------------------------
@@ -127,9 +128,9 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
             b.rot[v] = [2 * v + v % 2, 2 * ((v - 1) % (2 * K)) + v % 2]
     inner = 0
     inner_walk = set(b.face_walk_of_dart(inner))
-    outer = min(d for wk in b.trace() for d in wk if d not in inner_walk)
+    outer = min(d for d in range(2 * len(b.arcs)) if d not in inner_walk)
     stats = subdivide_face(b, inner, wl)
-    ma = b.freeze(allow_degenerate=True)
+    ma = MixedAngulation(b.colors, b.arcs, b.rot, _allow_degenerate=True)
     return PolygonFragment(
         angulation=ma,
         outer_dart=outer,
@@ -137,6 +138,29 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
         diagonals=tuple(stats.diagonals),
         leaves=tuple(stats.leaves),
     )
+
+
+@pytest.mark.parametrize(
+    "g, w, error, message",
+    [
+        (1, [3], BadOrderVector, "order 3 must be even and >= 2"),
+        (1, [4, 0], BadOrderVector, "order 0 must be even and >= 2"),
+        (1, [2], Incompatible, "orders [2] do not fit a face of degree 6"),
+        (2, [2, 2, 2], Incompatible, "orders [2, 2, 2] do not fit a face of degree 10"),
+    ],
+)
+def test_subdivide_face_refusals(g, w, error, message):
+    ma = canonical_angulation(g)
+    with pytest.raises(error) as caught:
+        subdivide_face(MapBuilder(ma.colors, ma.arcs, ma.darts), 0, w)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (2, 5), (3, 0)])
+def test_build_tree_refuses_p_not_above_q(p, q):
+    with pytest.raises(BadOrder) as caught:
+        build_tree(p, q)
+    assert type(caught.value) is BadOrder and str(caught.value) == f"need p > q >= 1, got ({p}, {q})"
 
 
 def test_subdivide_polygon_example():
@@ -233,6 +257,50 @@ def test_build_one_cone_walks_no_face(walked):
     for g, p, q in [(0, 7, 3), (0, 9, 6), (1, 4, 3), (3, 9, 6), (2, 6, 2), (3, 8, 4), (40, 6, 3)]:
         build_one_cone(g, p, q)
     assert walked[0] == 0
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """The number of MixedAngulation constructions, in [0]."""
+    count = [0]
+    init = MixedAngulation.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MixedAngulation, "__init__", counted)
+    return count
+
+
+def test_every_construction_builds_one_map(constructed):
+    # a builder writes its rows and validates them once; it does not build
+    # the canonical angulation first and copy it
+    def once(make, *args):
+        constructed[0] = 0
+        out = make(*args)
+        assert constructed[0] == 1, (make.__name__, args)
+        return out
+
+    rng = random.Random(22)
+    cases = [(0, [F(3)] * n, range(1, n + 1)) for n in range(4, 65, 6)]
+    while len(cases) < 60:
+        g = rng.randint(0, 3)
+        saddles = [F(rng.randint(2, 3 + g)) for _ in range(rng.randint(1, 4))]
+        alpha = saddles + [F(rng.choice([2, 3])), F(rng.choice([1, 2, 4, 5]), 3)] + [F(0)] * rng.choice([0, 1, 3])
+        if check_refined(g, alpha, range(1, len(saddles) + 1)):
+            cases.append((g, alpha, range(1, len(saddles) + 1)))
+    assert any(F(0) in alpha for _, alpha, _ in cases)
+    for g, alpha, Z in cases:
+        once(build_surface, g, alpha, Z)
+    # trees (g = 0), a tree merged into the canonical angulation, and stars
+    for g, p, q in [(0, 7, 3), (0, 9, 6), (1, 4, 3), (2, 7, 1), (3, 9, 6), (2, 6, 2), (3, 8, 4)]:
+        once(build_one_cone, g, p, q)
+    ds = build_surface(0, [2, 3], {1}, level=F(2, 5))
+    once(twist, ds, F(7, 10), 0, F(1, 3))
+    black3 = next(v for v in range(ds.angulation.num_vertices) if ds.vertex_angle(v) == 3)
+    once(split, ds, black3, F(1, 3), F(3, 4))
+    once(load_document, save(ds))
 
 
 def test_ladder_of_1200_saddles_builds():

@@ -51,6 +51,12 @@ def test_one_cone_divisible_message(capsys):
     assert out.strip() == "inadmissible: q divides p"
 
 
+def test_one_cone_without_minima_is_inadmissible(capsys):
+    # q = 0 is refused by the classification, not because q divides p
+    code, out, err = run(capsys, "one-cone", "--genus", "0", "-p", "3", "-q", "0")
+    assert (code, out, err) == (1, "inadmissible\n", "")
+
+
 def test_one_cone_with_a_common_factor_of_three_validates(capsys, tmp_path):
     # gcd(9, 6) = 3: the tree chains three copies of the (3, 2) staircase
     target = tmp_path / "one_cone.json"

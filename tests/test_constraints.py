@@ -14,7 +14,7 @@ from hcmu.constraints import (
     invariants_m_a,
     one_cone_admissible,
 )
-from hcmu.errors import MAX_ARCS, BadAngleVector, BadGenus, EmptySpace, TooLarge
+from hcmu.errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, TooLarge
 
 
 def test_angle_vector_convention_order():
@@ -26,6 +26,41 @@ def test_angle_vector_convention_order():
 def test_angle_one_rejected():
     with pytest.raises(BadAngleVector):
         AngleVector([2, 1])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AngleVector([3, F(-1, 2)]), BadAngleVector, "negative angle -1/2"),
+        (lambda: AngleVector([]), BadAngleVector, "empty angle vector"),
+        # [3, 2, 0] in convention order: index 3 is the cusp
+        (
+            lambda: TypePartition.make(AngleVector([3, 2, 0]), {1}, {1, 2}, {3}),
+            BadTypePartition, "roles must partition the index set",
+        ),
+        (
+            lambda: TypePartition.make(AngleVector([3, 2, 0]), {1}, {2}, set()),
+            BadTypePartition, "roles must partition the index set",
+        ),
+        (lambda: TypePartition.make(AngleVector([3, F(1, 2)]), {2}), BadTypePartition, "index 2 cannot be a saddle"),
+        (
+            lambda: TypePartition.make(AngleVector([3, 2, 0]), {1}, {3}, {2}),
+            BadTypePartition, "with cusps, P- must be exactly the zeros",
+        ),
+        # a cusp as a maximum leaves P- without it
+        (
+            lambda: TypePartition.make(AngleVector([3, 2, 0]), {1}, {2, 3}, set()),
+            BadTypePartition, "with cusps, P- must be exactly the zeros",
+        ),
+        (lambda: invariants_m_a(0, [3, 2, F(1, 2)], {3}), BadTypePartition, "saddle index 3 outside 1..k"),
+        (lambda: invariants_m_a(0, [3, 2], {0}), BadTypePartition, "saddle index 0 outside 1..k"),
+        (lambda: check_refined(0, [3, 2], set()), BadTypePartition, "Z must be nonempty; footballs have no saddle"),
+    ],
+)
+def test_prescription_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_invariants_examples():

@@ -25,6 +25,7 @@ from hcmu.dimension import dimension_refined
 from hcmu.errors import (
     AssertionFailure,
     BadCircleIndex,
+    BadRatio,
     CriticalLevel,
     CuspVertex,
     CutOnBoundary,
@@ -288,6 +289,28 @@ def test_split_cut_on_sector_boundary(calabi):
         split(ds, v, F(2, 3), F(1, 5))
     out = split(ds, v, F(1, 5), F(1, 5))
     assert census(out).b == ds.angulation.num_arcs + 2
+
+
+@pytest.mark.parametrize(
+    "vertex, offset, level, error, message",
+    [
+        (-1, F(1, 3), F(1, 2), BadCircleIndex, "no vertex -1"),
+        (7, F(1, 3), F(1, 2), BadCircleIndex, "no vertex 7"),
+        (None, F(1, 3), F(0), BadRatio, "level 0 outside (0, 1)"),
+        (None, F(1, 3), F(1), BadRatio, "level 1 outside (0, 1)"),
+        (None, F(-1, 3), F(1, 2), CutOnBoundary, "offset -1/3 outside [0, 1)"),
+        (None, F(1), F(1, 2), CutOnBoundary, "offset 1 outside [0, 1)"),
+        # the first cut sits on the first sector boundary
+        (None, F(0), F(1, 2), CutOnBoundary, "a cut position hits a sector boundary"),
+    ],
+)
+def test_split_refusals(vertex, offset, level, error, message):
+    ds = build_surface(0, [2, 3], {1})  # 7 vertices
+    if vertex is None:
+        vertex = find_vertex(ds, "black", 3)
+    with pytest.raises(error) as caught:
+        split(ds, vertex, offset, level)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 # -- the shared rebuild ----------------------------------------------------------

@@ -33,6 +33,25 @@ from hcmu.geometry import (
 )
 
 GRID_K0 = (0.5, 1.0, 2.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: k1_from_ratio(1.0, 1), "ratio 1 outside [0, 1)"),
+        (lambda: k1_from_ratio(1.0, F(-1, 2)), "ratio -1/2 outside [0, 1)"),
+        (lambda: solve_profile(1.0, F(3, 2), 64), "ratio 3/2 outside [0, 1)"),
+        (lambda: football_area(1.0, 1, 2), "ratio 1 outside [0, 1)"),
+        (lambda: solve_profile(1.0, F(1, 2), 15), "need at least 16 samples, got 15"),
+        (lambda: level_to_distance(1.0, 0.0, 1.5), "level 1.5 outside [0, 1]"),
+        (lambda: level_to_distance(1.0, 0.0, F(-1, 4)), "level -1/4 outside [0, 1]"),
+        (lambda: solve_profile(1.0, 0, 64).estimated_bottom_slope(), "cusp profile has no bottom endpoint"),
+    ],
+)
+def test_numeric_refusals(call, message):
+    with pytest.raises(BadRatio) as caught:
+        call()
+    assert type(caught.value) is BadRatio and str(caught.value) == message
 GRID_R = (F(0), F(1, 4), F(1, 3), F(2, 3), F(9, 10))
 
 

@@ -199,6 +199,21 @@ def test_no_function_calls_itself():
     found = {name: self_calls(tree) for name, tree in package_trees().items()}
     assert {name: calls for name, calls in found.items() if calls} == {}
 
+
+# -- MapBuilder keeps its rows: builders hand MixedAngulation the rows they wrote --
+
+
+def attribute_uses(tree, attr):
+    """Line numbers of every read or write of an attribute named ``attr``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_only_the_angulation_module_touches_rotation_rows():
+    example = "b.rot[0] = [1]\nrow = b.rot[v]\nb.rot += x\nma.rotations\nrot = 1\n"
+    assert attribute_uses(ast.parse(example), "rot") == [1, 2, 3]
+    found = {name: attribute_uses(tree, "rot") for name, tree in package_trees().items() if name != "angulation.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
 # -- one dart representation: int darts, with (arc, end) pairs at the edge -------
 
 ENDS = {"b", "w"}

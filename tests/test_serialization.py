@@ -189,6 +189,38 @@ def test_fractional_arc_end_is_refused():
     refused(hostile(["arcs", 1, "id"], False), "/arcs/1")
 
 
+def dropped(path):
+    """The Calabi document without the entry at ``path``."""
+    doc = ser.save(make_calabi())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, error, message, pointer",
+    [
+        (lambda: dropped(["k0"]), ParseError, "missing key 'k0'", "/k0"),
+        (lambda: dropped(["arcs", 2, "weight"]), ParseError, "missing key 'weight'", "/arcs/2"),
+        (lambda: hostile(["version"], 2), ParseError, "unsupported version 2", "/version"),
+        (lambda: hostile(["version"], True), ParseError, "unsupported version True", "/version"),
+        (lambda: hostile(["vertices", 1, "id"], 0), ParseError, "duplicate vertex id 0", "/vertices/1"),
+        (lambda: hostile(["vertices", 0, "color"], "red"), ParseError, "unknown color 'red'", "/vertices/0"),
+        (lambda: hostile(["arcs", 1, "id"], 0), ParseError, "duplicate arc id 0", "/arcs/1"),
+        (lambda: dropped(["rotations", "4"]), ParseError, "missing rotation rows", "/rotations"),
+        # dart 0 is the least dart of its face, so "0:b" is always a face key
+        (lambda: dropped(["face_levels", "0:b"]), ValidationError, "missing face level", "/face_levels"),
+    ],
+)
+def test_document_refusals(make, error, message, pointer):
+    with pytest.raises(error) as caught:
+        ser.load_document(make())
+    assert type(caught.value) is error and caught.value.pointer == pointer
+    assert str(caught.value) == f"{pointer}: {message}"
+
+
 def test_non_object_vertex_entry_is_refused():
     refused(hostile(["vertices", 0], 5), "/vertices/0")
     refused(hostile(["arcs"], {"0": 1}), "/arcs")
