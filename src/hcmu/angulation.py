@@ -20,12 +20,13 @@ Since (a, "b") < (a, "w") exactly when 2a < 2a + 1, both numberings order
 the darts alike.
 
 Two maps are isomorphic when a dart bijection commutes with sigma and alpha
-and keeps the labels; the canonical form is the least dart-numbering code
-over the roots of the least class of an isomorphism invariant (label, vertex
-degree, face degree), each code built with an early stop against the best so
-far.
+and keeps the labels; the canonical form is the least flat dart-numbering
+code over the roots of the least class of an isomorphism invariant, with an
+early stop against the best code and automorphism pruning across roots.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import (
     Disconnected,
@@ -72,15 +73,15 @@ class MixedAngulation:
 
     def __init__(self, colors, arcs, rotations, *, _allow_degenerate=False):
         colors = tuple(colors)
-        arcs = tuple((b, w) for b, w in arcs)
         rotations = tuple(rotations)
         n = len(colors)
-        num_arcs = len(arcs)
         for c in colors:
             if c not in (BLACK, WHITE):
                 raise NotBipartite(f"unknown color {c!r}")
         if len(rotations) != n:
             raise NotBipartite("rotation table does not match the vertex set")
+        checked = []
+        home = []  # the vertex of each dart
         for a, (b, w) in enumerate(arcs):
             if type(b) is not int or type(w) is not int:
                 raise NotBipartite(f"arc {a} has an end that is not an int: {(b, w)!r}")
@@ -88,7 +89,10 @@ class MixedAngulation:
                 raise NotBipartite(f"arc {a} has a dangling end")
             if colors[b] != BLACK or colors[w] != WHITE:
                 raise NotBipartite(f"arc {a} does not join black to white")
-        home = [v for arc in arcs for v in arc]  # the vertex of each dart
+            checked.append((b, w))
+            home += b, w
+        arcs = tuple(checked)
+        num_arcs = len(arcs)
 
         # one pass over the rotations: each dart, an int or an (arc, end)
         # pair, is checked against its home vertex and linked to its
@@ -216,44 +220,49 @@ class MixedAngulation:
     def canonical_form(self, arc_labels=None, face_labels=None):
         """Canonical invariant under color- and rotation-preserving relabeling.
 
-        ``arc_labels[arc]`` and ``face_labels[face]`` may attach data
-        (weights, levels) that the isomorphism must preserve.  From a root
-        dart, the darts are numbered breadth-first along sigma and alpha;
-        the code lists, in number order, each dart's label (end, arc label,
-        label of its face) with the numbers of its sigma- and alpha-images.
-        Only roots of the least invariant class are tried: darts are keyed
-        by (label, degree of their vertex, degree of their face), which
-        every isomorphism keeps, and the class of least (size, key) gives
-        the roots.  The form is the least code over those roots; a root is
-        dropped at the first item that exceeds the best code's item at the
-        same position.  Only orientation-preserving bijections are
-        considered; mirror images stay distinct.
+        ``arc_labels[arc]`` and ``face_labels[face]`` (0 when not given)
+        attach data that the isomorphism must preserve.  Darts are keyed by
+        (arc label, face label, d & 1, vertex degree, face degree), and the
+        class of least (size, key) gives the roots.  From a root, the darts
+        are numbered breadth-first along sigma and alpha; the code is the
+        flat tuple of the sigma-images, the alpha-images and the keys in
+        number order, ordered by each dart's two images in turn, then the
+        keys.  The form is the least code; a root stops at its first image
+        above the best code's.  A root that ties the best to the end gives
+        an automorphism, whose darts are joined in a union-find, and a root
+        whose orbit holds a coded root is skipped (McKay and Piperno's
+        pruning).  Mirror images stay distinct.
         """
         succ = self.sigma
         n = len(succ)
+        arc_labels = (0,) * len(self.arcs) if arc_labels is None else arc_labels
+        face_labels = (0,) * len(self.faces) if face_labels is None else face_labels
         degree = [len(rot) for rot in self.darts]
         vertex_degree = [degree[v] for arc in self.arcs for v in arc]
-        labels = [None] * n
-        face_degree = [0] * n
-        for f, walk in enumerate(self.faces):
-            for d in walk:
-                label = (END[d & 1],)
-                if arc_labels is not None:
-                    label += (arc_labels[d >> 1],)
-                if face_labels is not None:
-                    label += (face_labels[f],)
-                labels[d] = label
-                face_degree[d] = len(walk)
-        classes = {}
-        for d in range(n):
-            classes.setdefault((labels[d], vertex_degree[d], face_degree[d]), []).append(d)
-        _, roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
+        face_degree = [len(walk) for walk in self.faces]
+        keys = [
+            (arc_labels[d >> 1], face_labels[f], d & 1, vertex_degree[d], face_degree[f])
+            for d, f in enumerate(self.face_of_dart)
+        ]
+        least = min(keys)
+        if keys.count(least) == 1:  # a class of size 1 is the least (size, key) class
+            roots = [keys.index(least)]
+        else:
+            _, least = min((size, key) for key, size in Counter(keys).items())
+            roots = [d for d, key in enumerate(keys) if key == least]
+        parent = list(range(n))  # union-find over the darts along the automorphisms found
+        coded = [False] * n  # per union-find root: its orbit holds a coded root
         best = None
         for root in roots:
+            r = root
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if coded[r]:
+                continue
+            coded[r] = True
             num = [-1] * n
             num[root] = 0
             order = [root]
-            code = []
             tied = best is not None
             for i, d in enumerate(order):
                 s = succ[d]
@@ -264,14 +273,24 @@ class MixedAngulation:
                 if num[t] < 0:
                     num[t] = len(order)
                     order.append(t)
-                item = (labels[d], num[s], num[t])
-                if tied and item != best[i]:
-                    if item > best[i]:
+                if tied and (num[s] != best[i] or num[t] != best[n + i]):
+                    if (num[s], num[t]) > (best[i], best[n + i]):
                         break
                     tied = False
-                code.append(item)
             else:
-                best = code
+                code = [num[succ[d]] for d in order] + [num[d ^ 1] for d in order]
+                code += [keys[d] for d in order]
+                if not tied or code < best:
+                    best, best_order = code, order
+                elif code == best:
+                    for a, b in zip(best_order, order):
+                        while parent[a] != a:
+                            parent[a] = a = parent[parent[a]]
+                        while parent[b] != b:
+                            parent[b] = b = parent[parent[b]]
+                        if a != b:
+                            parent[a] = b
+                            coded[b] = coded[b] or coded[a]
         return tuple(best)
 
 

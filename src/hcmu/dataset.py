@@ -46,8 +46,9 @@ class Grid(NamedTuple):
 
 def _on_grid(values):
     """(lcm of the denominators, each numerator over it) of Fractions."""
-    den = math.lcm(*{x.denominator for x in values})
-    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return den, tuple([n * (den // d) for n, d in ratios])
 
 
 class DataSet:
@@ -57,25 +58,27 @@ class DataSet:
     floating quantity.  ``face_levels`` is indexed by face position in the
     angulation's canonical face order, and ``grid`` holds both on integer
     grids.  The canonical form and its hash are computed on first use and
-    cached, so equality and hashing cost at most one code.  A weight or
-    level given as a ``Fraction`` is kept as it is.
+    cached, so equality and hashing cost at most one code, and so are the
+    circles of the last level circled.  A weight or level given as a
+    ``Fraction`` is kept as it is.
     """
 
-    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash")
+    __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash", "_circles")
 
     def __init__(self, angulation: MixedAngulation, k0, ratio, weights, face_levels):
         self.angulation = angulation
         self.k0 = float(k0)
         self.ratio = Fraction(ratio)
-        self.weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
+        self.weights = tuple([w if type(w) is Fraction else Fraction(w) for w in weights])
         if isinstance(face_levels, dict):
             levels = [face_levels[i] for i in range(angulation.num_faces)]
         else:
             levels = list(face_levels)
-        self.face_levels = tuple(s if type(s) is Fraction else Fraction(s) for s in levels)
+        self.face_levels = tuple([s if type(s) is Fraction else Fraction(s) for s in levels])
         self.grid = Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
         self._form = None
         self._hash = None
+        self._circles = None  # (level, circles), see deformations.circles_at_level
         issues = validate_dataset(self)
         if issues:
             raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")
@@ -110,13 +113,14 @@ class DataSet:
         return Fraction(sum(self.grid.weights), self.grid.dw)
 
     def canonical_form(self):
-        """(code, dw, dl, repr(k0), ratio), the code labelled by the grid's
+        """(code, dw, dl, k0, ratio), the code labelled by the grid's
         numerators: equal forms mean isomorphic surfaces with equal weights,
-        levels, K0 and R, since equal rationals share their lcm."""
+        levels, K0 and R (a finite positive float) and hashes alike in every
+        process, since equal rationals share their lcm and no str is in it."""
         if self._form is None:
             dw, weights, dl, levels = self.grid
             code = self.angulation.canonical_form(weights, levels)
-            self._form = (code, dw, dl, repr(self.k0), self.ratio)
+            self._form = (code, dw, dl, self.k0, self.ratio)
             self._hash = hash(self._form)
         return self._form
 

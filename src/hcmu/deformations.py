@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .angulation import BLACK, WHITE, MixedAngulation
 from .dataset import DataSet
@@ -37,8 +37,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class LevelCircle:
+class LevelCircle(NamedTuple):
     """One component of the level set at height ``level``."""
 
     level: Fraction
@@ -62,8 +61,12 @@ def _sides(ds: DataSet, c):
 
 
 def circles_at_level(ds: DataSet, c) -> list:
-    """All level circles at height c, sorted by smallest member arc."""
+    """All level circles at height c, sorted by smallest member arc, in a
+    fresh list; the data set keeps the last level's circles, so that
+    ``twist`` and ``twist_is_trivial`` there walk them no second time."""
     c, above = _sides(ds, c)
+    if ds._circles is not None and ds._circles[0] == c:
+        return list(ds._circles[1])
     ma = ds.angulation
     sigma, sigma_inv, face_of_dart = ma.sigma, ma.sigma_inv, ma.face_of_dart
     nxt = [
@@ -89,6 +92,7 @@ def circles_at_level(ds: DataSet, c) -> list:
             if a == a0:
                 break
         circles.append(LevelCircle(c, tuple(orbit), Fraction(total, dw)))
+    ds._circles = (c, tuple(circles))
     return circles
 
 
@@ -116,7 +120,7 @@ def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
 
 def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
     circles = circles_at_level(ds, c)
-    if not (0 <= circle_index < len(circles)):
+    if type(circle_index) is not int or not (0 <= circle_index < len(circles)):
         raise BadCircleIndex(f"index {circle_index} of {len(circles)} circles")
     return circles[circle_index]
 
@@ -189,20 +193,16 @@ def _rebuild(ds: DataSet, colors, arcs, weights, rotations, claims, new_level=No
         raise AssertionFailure(
             f"{len(claims)} face claims for the {len(new_ma.face_of_dart)} darts after a surgery"
         )
-    old_of = [None] * new_ma.num_faces
-    for nf, of in zip(new_ma.face_of_dart, claims):
-        if old_of[nf] is None:
-            old_of[nf] = of
-        elif old_of[nf] != of:
-            raise AssertionFailure("inconsistent face claims after a surgery")
+    old_of = [claims[walk[0]] for walk in new_ma.faces]  # each face's claim, off its first dart
+    if [old_of[nf] for nf in new_ma.face_of_dart] != claims:
+        raise AssertionFailure("inconsistent face claims after a surgery")
     if None in old_of or sorted(of for of in old_of if of != NEW_FACE) != list(range(ma.num_faces)):
         raise AssertionFailure("faces were not matched bijectively after a surgery")
     levels = []
-    for nf in range(new_ma.num_faces):
-        of = old_of[nf]
+    for walk, of in zip(new_ma.faces, old_of):
         if of == NEW_FACE:
             levels.append(new_level)
-        elif new_ma.face_degree(nf) != ma.face_degree(of):
+        elif len(walk) != len(ma.faces[of]):
             raise AssertionFailure("a surgery changed a saddle angle")
         else:
             levels.append(ds.face_levels[of])
@@ -306,7 +306,7 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     incident arc id.
     """
     ma = ds.angulation
-    if not (0 <= vertex < ma.num_vertices):
+    if type(vertex) is not int or not (0 <= vertex < ma.num_vertices):
         raise BadCircleIndex(f"no vertex {vertex}")
     color = ma.colors[vertex]
     if color == WHITE and ds.ratio == 0:

@@ -616,3 +616,158 @@ def test_canonical_form_agrees_with_the_oracle_on_large_maps():
         for x in forms:
             for y in forms:
                 assert (x[0] == y[0]) == (x[1] == y[1])
+
+
+# -- oracle: every root of the least class coded --------------------------------
+#
+# Before automorphism pruning and the flat code, ``canonical_form`` was this
+# root loop: labels carry the end letter, each item is (label, number of the
+# sigma-image, number of the alpha-image), and every root of the least
+# (size, key) class is coded, with an early stop against the best code.  It
+# is kept as the reference for the equivalence the form defines.
+
+
+def least_code_form(ma, arc_labels=None, face_labels=None):
+    succ = ma.sigma
+    n = len(succ)
+    degree = [len(rot) for rot in ma.darts]
+    vertex_degree = [degree[v] for arc in ma.arcs for v in arc]
+    labels = [None] * n
+    face_degree = [0] * n
+    for f, walk in enumerate(ma.faces):
+        for d in walk:
+            label = ("bw"[d & 1],)
+            if arc_labels is not None:
+                label += (arc_labels[d >> 1],)
+            if face_labels is not None:
+                label += (face_labels[f],)
+            labels[d] = label
+            face_degree[d] = len(walk)
+    classes = {}
+    for d in range(n):
+        classes.setdefault((labels[d], vertex_degree[d], face_degree[d]), []).append(d)
+    _, roots = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
+    best = None
+    for root in roots:
+        num = [-1] * n
+        num[root] = 0
+        order = [root]
+        code = []
+        tied = best is not None
+        for i, d in enumerate(order):
+            s = succ[d]
+            if num[s] < 0:
+                num[s] = len(order)
+                order.append(s)
+            t = d ^ 1
+            if num[t] < 0:
+                num[t] = len(order)
+                order.append(t)
+            item = (labels[d], num[s], num[t])
+            if tied and item != best[i]:
+                if item > best[i]:
+                    break
+                tied = False
+            code.append(item)
+        else:
+            best = code
+    return tuple(best)
+
+
+def deformed_outputs(count):
+    """``count`` twist and split outputs of seeded random walks."""
+    outputs = []
+    seed = 0
+    while len(outputs) < count:
+        outputs += deformed_walk(1000 + seed)[1:]
+        seed += 1
+    return outputs[:count]
+
+
+def test_canonical_form_agrees_with_the_root_loop_oracle():
+    rng = random.Random(23)
+    base = oracle_corpus(rng)
+    base += [(ds.angulation, ds.weights, ds.face_levels) for ds in deformed_outputs(200)]
+    items = []
+    for item in base:
+        items += [item, relabeled(*item, rng), mirrored(*item)]
+    for labelled in (True, False):
+        forms = []
+        for ma, weights, levels in items:
+            args = (weights, levels) if labelled else ()
+            forms.append((ma.canonical_form(*args), least_code_form(ma, *args)))
+        for i in range(0, len(forms), 3):
+            assert forms[i] == forms[i + 1]
+        # each form meets exactly one oracle code and each oracle code one form
+        assert len(set(forms)) == len({form for form, _ in forms}) == len({code for _, code in forms})
+        assert sum(forms[i] == forms[i + 2] for i in range(0, len(forms), 3)) > 0
+
+
+def rooted_code(ma, root, keys):
+    """The breadth-first numbering from ``root``: its order key (the numbers
+    of each dart's sigma- and alpha-images in turn, then the keys) and its
+    flat code (the sigma-images, the alpha-images, the keys)."""
+    succ = ma.sigma
+    num = {root: 0}
+    order = [root]
+    for d in order:
+        for e in (succ[d], d ^ 1):
+            if e not in num:
+                num[e] = len(order)
+                order.append(e)
+    sigma_code = [num[succ[d]] for d in order]
+    alpha_code = [num[d ^ 1] for d in order]
+    key_code = [keys[d] for d in order]
+    interleaved = [x for pair in zip(sigma_code, alpha_code) for x in pair]
+    return (interleaved, key_code), tuple(sigma_code + alpha_code + key_code)
+
+
+def test_canonical_form_is_the_least_full_code_on_maps_without_automorphisms():
+    # where the 2E rooted codes are pairwise distinct the map has no
+    # automorphism, so no root is pruned: the form is the least code over the
+    # roots of the least (size, key) class, each coded in full
+    checked = 0
+    for ds in deformed_outputs(40) + [build_surface(1, [3, 2], {1, 2}), build_one_cone(1, 4, 3)]:
+        ma, weights, levels = ds.angulation, ds.grid.weights, ds.grid.levels
+        degree = [len(row) for row in ma.darts]
+        keys = [
+            (weights[d >> 1], levels[f], d & 1, degree[ma.vertex_of_dart(d)], ma.face_degree(f))
+            for d, f in enumerate(ma.face_of_dart)
+        ]
+        codes = [rooted_code(ma, root, keys) for root in range(len(ma.sigma))]
+        if len({code for _, code in codes}) < len(codes):
+            continue
+        checked += 1
+        _, least = min((size, key) for key, size in Counter(keys).items())
+        roots = [root for root, key in enumerate(keys) if key == least]
+        assert ma.canonical_form(weights, levels) == min(codes[root] for root in roots)[1]
+    assert checked >= 20
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingList.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_canonical_form_codes_two_roots_on_the_symmetric_ladder():
+    # the ladder's 2000-fold symmetry keeps its weights and levels, so every
+    # root of the least class ties the best code; each root coded in full
+    # reads sigma twice per dart.  The first tie joins the whole class into
+    # one orbit, so two roots are coded; a third would mean that the orbit's
+    # mark was lost when the union-find moved its root
+    ds = build_surface(0, [3] * 2000, range(1, 2001))
+    ma = ds.angulation
+    rng = random.Random(24)
+    copy, weights, levels = relabeled(ma, ds.weights, ds.face_levels, rng)
+    copy_grid = DataSet(copy, ds.k0, ds.ratio, weights, levels).grid
+    expected = [copy.canonical_form(copy_grid.weights, copy_grid.levels), copy.canonical_form()]
+    ma.sigma = CountingList(ma.sigma)
+    for args, form in zip([(ds.grid.weights, ds.grid.levels), ()], expected):
+        CountingList.reads = 0
+        assert ma.canonical_form(*args) == form
+        assert 0 < CountingList.reads <= 2 * 2 * len(ma.sigma)

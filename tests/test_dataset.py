@@ -1,8 +1,15 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import hcmu
 
 from conftest import make_calabi, make_two_level
 from hcmu.angulation import BLACK, WHITE, MixedAngulation
@@ -207,6 +214,33 @@ def test_equality_keeps_the_grid_denominators(two_level):
             m, w, s = relabeled(ma, ds.weights, ds.face_levels, rng)
             copy = DataSet(m, ds.k0, ds.ratio, w, s)
             assert copy == ds and len({copy, ds, x, y}) == 2
+
+
+HASHES = """
+import sys
+from hcmu.builders import build_surface
+from hcmu.serialization import load
+fixtures = sys.argv[1]
+surfaces = [load(f"{fixtures}/calabi.json"), load(f"{fixtures}/two_level.json")]
+surfaces.append(build_surface(1, [3, 2, 0], {1, 2}, k0=2.5))
+print([hash(ds) for ds in surfaces])
+"""
+
+
+def test_hashes_are_the_same_in_every_process():
+    # the form holds ints, the float K0 and the Fraction R, none of which
+    # hashes through the per-process string hash seed
+    src = str(Path(hcmu.__file__).resolve().parent.parent)
+    fixtures = str(Path(__file__).resolve().parent.parent / "fixtures")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", HASHES, fixtures], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(set(ast.literal_eval(outputs[0]))) == 3
 
 
 def test_a_cached_data_set_hashes_no_fraction(monkeypatch):

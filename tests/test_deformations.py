@@ -11,6 +11,7 @@ from hcmu.builders import build_one_cone, build_surface
 from hcmu.dataset import DataSet, census, realized_angle_vector
 from hcmu.deformations import (
     NEW_FACE,
+    LevelCircle,
     TwistOutcome,
     _circle,
     _cut_data,
@@ -97,6 +98,46 @@ def test_bad_circle_index(two_level):
         twist_is_trivial(two_level, F(1, 2), 5)
     with pytest.raises(BadCircleIndex):
         twist(two_level, F(1, 2), 5, F(1, 7))
+
+
+@pytest.mark.parametrize("index", [0.0, False, True, F(0), "0"])
+def test_twist_refuses_a_circle_index_that_is_not_an_int(calabi, index):
+    # False and True would select circles 0 and 1, and 0.0 fail in list indexing
+    for call in (lambda: twist(calabi, F(1, 4), index, F(1, 7)), lambda: twist_is_trivial(calabi, F(1, 4), index)):
+        with pytest.raises(BadCircleIndex) as caught:
+            call()
+        assert str(caught.value) == f"index {index} of 3 circles"
+
+
+def test_one_circle_walk_per_data_set_and_level(two_level, monkeypatch):
+    import hcmu.deformations as deformations
+
+    walked = []
+
+    def counting(*fields):
+        walked.append(fields)
+        return LevelCircle(*fields)
+
+    monkeypatch.setattr(deformations, "LevelCircle", counting)
+    ds = two_level
+    circles = circles_at_level(ds, F(1, 2))
+    assert len(walked) == len(circles) == 1
+    assert not twist_is_trivial(ds, F(1, 2), 0)
+    assert twist(ds, F(1, 2), 0, F(1, 5)).is_generic
+    assert len(walked) == 1
+    # another level walks again, and so does the first level after it
+    low = circles_at_level(ds, F(1, 5))
+    assert len(walked) == 1 + len(low)
+    assert twist(ds, F(1, 2), 0, F(1, 5)).is_generic
+    assert len(walked) == 2 + len(low)
+    # each call returns a fresh list, and the level is checked every time
+    again = circles_at_level(ds, F(1, 2))
+    assert again == circles and again is not circles
+    again.clear()
+    assert circles_at_level(ds, F(1, 2)) == circles
+    with pytest.raises(CriticalLevel):
+        circles_at_level(ds, F(1, 3))
+    assert len(walked) == 2 + len(low)
 
 
 # -- twist -------------------------------------------------------------------------
@@ -302,6 +343,10 @@ def test_split_cut_on_sector_boundary(calabi):
         (None, F(1), F(1, 2), CutOnBoundary, "offset 1 outside [0, 1)"),
         # the first cut sits on the first sector boundary
         (None, F(0), F(1, 2), CutOnBoundary, "a cut position hits a sector boundary"),
+        # False and True would select vertices 0 and 1, and 0.0 fail in list indexing
+        (0.0, F(1, 3), F(1, 2), BadCircleIndex, "no vertex 0.0"),
+        (False, F(1, 3), F(1, 2), BadCircleIndex, "no vertex False"),
+        (True, F(1, 3), F(1, 2), BadCircleIndex, "no vertex True"),
     ],
 )
 def test_split_refusals(vertex, offset, level, error, message):
