@@ -82,7 +82,11 @@ class MixedAngulation:
             raise NotBipartite("rotation table does not match the vertex set")
         checked = []
         home = []  # the vertex of each dart
-        for a, (b, w) in enumerate(arcs):
+        for a, arc in enumerate(arcs):
+            try:
+                b, w = arc
+            except (TypeError, ValueError):  # not a pair, such as 5, None or (0, 1, 2)
+                raise NotBipartite(f"arc {a} is not a pair of ends: {arc!r}") from None
             if type(b) is not int or type(w) is not int:
                 raise NotBipartite(f"arc {a} has an end that is not an int: {(b, w)!r}")
             if not (0 <= b < n and 0 <= w < n):

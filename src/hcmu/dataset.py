@@ -78,7 +78,7 @@ class DataSet:
         self.grid = Grid(*_on_grid(self.weights), *_on_grid(self.face_levels))
         self._form = None
         self._hash = None
-        self._circles = None  # (level, circles), see deformations.circles_at_level
+        self._circles = None  # (level, each face's side of it, circles), see deformations.circles_at_level
         issues = validate_dataset(self)
         if issues:
             raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")

@@ -10,10 +10,10 @@ extremal points.  Both rewrite the rotations alike: every dart of an arc
 that the surgery cuts is replaced in place by the darts of its pieces, and
 every other dart is renumbered, so a rotation row starts where it did unless
 its first dart was cut.  All arithmetic in this module is exact and integer:
-the levels are compared on the data set's level grid, and positions along a
-circle or around a vertex are integers in units of 1/D, D a multiple of the
-weight grid's denominator that also clears the shift or the cut spacing.
-Only the new weights are built as Fractions.
+the levels are compared on the data set's level grid, once per data set and
+level, and positions along a circle or around a vertex are integers in units
+of 1/D, D a multiple of the weight grid's denominator that also clears the
+shift or the cut spacing.  Only the new weights are built as Fractions.
 """
 from __future__ import annotations
 
@@ -62,11 +62,13 @@ def _sides(ds: DataSet, c):
 
 def circles_at_level(ds: DataSet, c) -> list:
     """All level circles at height c, sorted by smallest member arc, in a
-    fresh list; the data set keeps the last level's circles, so that
-    ``twist`` and ``twist_is_trivial`` there walk them no second time."""
-    c, above = _sides(ds, c)
+    fresh list.  The data set keeps the last level walked as ``(level,
+    sides, circles)``, ``sides`` being ``_sides``' answer per face, so
+    ``twist`` and ``twist_is_trivial`` there compare no level and walk no
+    circle again; any other level is checked by ``_sides``."""
     if ds._circles is not None and ds._circles[0] == c:
-        return list(ds._circles[1])
+        return list(ds._circles[2])
+    c, above = _sides(ds, c)
     ma = ds.angulation
     sigma, sigma_inv, face_of_dart = ma.sigma, ma.sigma_inv, ma.face_of_dart
     nxt = [
@@ -92,22 +94,21 @@ def circles_at_level(ds: DataSet, c) -> list:
             if a == a0:
                 break
         circles.append(LevelCircle(c, tuple(orbit), Fraction(total, dw)))
-    ds._circles = (c, tuple(circles))
+    ds._circles = (c, above, tuple(circles))
     return circles
 
 
-def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
+def _cut_data(ds: DataSet, circle: LevelCircle, sides, unit: int):
     """Per cut, at the end of each member's interval: its position
     (cumulative weight in units of 1/``unit``, a multiple of the weight
-    grid's dw), its gate face, and whether the gate's level lies above c."""
+    grid's dw), its gate face, and whether the gate's level lies above c,
+    read off the faces' ``sides`` that ``_circle`` returns."""
     ma = ds.angulation
     sigma = ma.sigma
-    c = circle.level
-    x, d = c.numerator * ds.grid.dl, c.denominator
     scale = unit // ds.grid.dw
     members = circle.members
     gates = [ma.face_left(a) for a in members]
-    above = [ds.grid.levels[f] * d > x for f in gates]
+    above = [sides[f] for f in gates]
     # the circle turns around a's black end at a gate above c, its white end below
     for a, nxt, up in zip(members, members[1:] + members[:1], above):
         if not (sigma[2 * a] == 2 * nxt if up else sigma[2 * nxt + 1] == 2 * a + 1):
@@ -118,17 +119,19 @@ def _cut_data(ds: DataSet, circle: LevelCircle, unit: int):
     return list(accumulate(ds.grid.weights[a] * scale for a in members)), gates, above
 
 
-def _circle(ds: DataSet, c, circle_index: int) -> LevelCircle:
+def _circle(ds: DataSet, c, circle_index: int):
+    """The circle ``circle_index`` at level c and, per face, whether its
+    level lies above c."""
     circles = circles_at_level(ds, c)
     if type(circle_index) is not int or not (0 <= circle_index < len(circles)):
         raise BadCircleIndex(f"index {circle_index} of {len(circles)} circles")
-    return circles[circle_index]
+    return circles[circle_index], ds._circles[1]
 
 
 def twist_is_trivial(ds: DataSet, c, circle_index: int) -> bool:
     """True iff one side of the circle is a saddle-free disk, making every
     twist along it an isometry."""
-    _, _, above = _cut_data(ds, _circle(ds, c, circle_index), ds.grid.dw)
+    _, _, above = _cut_data(ds, *_circle(ds, c, circle_index), ds.grid.dw)
     return len(set(above)) == 1
 
 
@@ -244,13 +247,13 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     weight grid's dw and the denominator of ``psi``; the strip widths are
     the only Fractions built.
     """
-    circle = _circle(ds, c, circle_index)
+    circle, sides = _circle(ds, c, circle_index)
     ma = ds.angulation
     members = circle.members
     k = len(members)
     psi = Fraction(psi)
     unit = math.lcm(ds.grid.dw, psi.denominator)
-    positions, gates, above = _cut_data(ds, circle, unit)
+    positions, gates, above = _cut_data(ds, circle, sides, unit)
     phi = positions[-1]
     psi = psi.numerator * (unit // psi.denominator) % phi
 
@@ -331,9 +334,7 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     rot_x = [d >> 1 for d in ma.darts[vertex]]  # its arcs in rotation order
     start = rot_x.index(min(rot_x))
     rot_x = rot_x[start:] + rot_x[:start]
-    bounds = [0]
-    for a in rot_x:
-        bounds.append(bounds[-1] + ds.grid.weights[a] * scale)
+    bounds = list(accumulate((ds.grid.weights[a] * scale for a in rot_x), initial=0))
     total = bounds[-1]
     if total != alpha * step:
         raise AssertionFailure(
@@ -350,43 +351,29 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     q_base = len(others)
     colors = [ma.colors[v] for v in others] + [color] * alpha
 
+    side = color == WHITE  # the sector vertices' darts are 2 * na + side
+    far = side ^ 1
     arc_map, new_arcs, new_weights, claims = _kept(ds, set(rot_x), vmap)
-    sub_lists = []  # per rotation entry: new arc ids in position order
+    repl = {}
     q_members = {j: [] for j in range(alpha)}
     for r, a in enumerate(rot_x):
         lo, hi = bounds[r], bounds[r + 1]
-        inner = [p for p in cuts if lo < p < hi]
-        pts = [lo] + inner + [hi]
-        subs = []
-        for s in range(len(pts) - 1):
-            a_s, b_s = pts[s], pts[s + 1]
+        pts = [lo] + [p for p in cuts if lo < p < hi] + [hi]
+        pieces = range(len(new_arcs), len(new_arcs) + len(pts) - 1)
+        for na, a_s, b_s in zip(pieces, pts, pts[1:]):
             # the sector of the last cut at or before a_s; before the first cut, the last sector
             owner = (a_s - cuts[0]) // step % alpha
-            na = len(new_arcs)
-            far = ma.arcs[a][1] if color == BLACK else ma.arcs[a][0]
-            if color == BLACK:
-                new_arcs.append((q_base + owner, vmap[far]))
-            else:
-                new_arcs.append((vmap[far], q_base + owner))
+            ends = (q_base + owner, vmap[ma.arcs[a][far]])
+            new_arcs.append((ends[side], ends[far]))
             new_weights.append(Fraction(b_s - a_s, unit))
-            claims += (NEW_FACE, NEW_FACE)
-            subs.append(na)
             q_members[owner].append(((a_s - cuts[0]) % total, na))
-        sub_lists.append(subs)
-        if not inner:
-            claims[2 * subs[0]] = ma.face_left(a)
-            claims[2 * subs[0] + 1] = ma.face_right(a)
-        elif color == BLACK:
-            claims[2 * subs[0] + 1] = ma.face_right(a)
-            claims[2 * subs[-1]] = ma.face_left(a)
-        else:
-            claims[2 * subs[0]] = ma.face_left(a)
-            claims[2 * subs[-1] + 1] = ma.face_right(a)
-
-    side = color == WHITE  # the sector vertices' darts are 2 * na + side
-    far = side ^ 1
-    # the far end of a split arc sees the sub-arcs reversed
-    repl = {2 * a + far: [2 * na + far for na in reversed(subs)] for a, subs in zip(rot_x, sub_lists)}
+        # every piece borders the new face but at the first one's far end and the
+        # last one's split end, which border the arc's old faces
+        claims += [NEW_FACE] * (2 * len(pieces))
+        claims[2 * pieces[0] + far] = ma.face_of_dart[2 * a + far]
+        claims[2 * pieces[-1] + side] = ma.face_of_dart[2 * a + side]
+        # the far end of a split arc sees the pieces reversed
+        repl[2 * a + far] = [2 * na + far for na in reversed(pieces)]
     rot = _substitute([ma.darts[v] for v in others], arc_map, repl)
     for j in range(alpha):
         rot.append([2 * na + side for _, na in sorted(q_members[j])])

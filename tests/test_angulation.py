@@ -216,6 +216,10 @@ FOUR_GON = ([B, W], [(0, 1), (0, 1)], [[(0, "b"), (1, "b")], [(0, "w"), (1, "w")
         ([B, W], FOUR_GON[1], [[True, 2], [1, 3]], NotBipartite, "malformed dart True"),
         ([B, W], FOUR_GON[1], [[0, 2.0], [1, 3]], NotBipartite, "malformed dart 2.0"),
         ([B, W], FOUR_GON[1], [[0, 2], [(0, "w", 1), 3]], NotBipartite, "malformed dart (0, 'w', 1)"),
+        # an arc that does not unpack into two ends
+        ([B, W], [(0, 1, 2)], [[0], [1]], NotBipartite, "arc 0 is not a pair of ends: (0, 1, 2)"),
+        ([B, W], [5], [[0], [1]], NotBipartite, "arc 0 is not a pair of ends: 5"),
+        ([B, W], [None], [[0], [1]], NotBipartite, "arc 0 is not a pair of ends: None"),
     ],
 )
 def test_constructor_rejections(colors, arcs, rotations, error, message):

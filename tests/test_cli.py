@@ -242,6 +242,25 @@ def test_split_command(capsys, tmp_path):
     assert after.angulation.num_faces == ds.angulation.num_faces + 1
 
 
+@pytest.mark.parametrize(
+    "genus, angles, vertex, offset, level, golden",
+    [
+        # the white angle-2 vertex (R = 2/5) and the black angle-3 vertex; every
+        # cut falls inside an arc, so each cut arc is split into pieces
+        ("1", "3,2,5", "1", "1/5", "1/7", "split_white_vertex.json"),
+        ("0", "2,3", "0", "1/3", "3/4", "split_black_vertex.json"),
+    ],
+)
+def test_split_writes_the_golden_file(capsys, tmp_path, genus, angles, vertex, offset, level, golden):
+    src, target = tmp_path / "s.json", tmp_path / "t.json"
+    assert run(capsys, "build", "--genus", genus, "--angles", angles, "--saddles", "1", "-o", str(src)) == (0, "", "")
+    code, out, err = run(
+        capsys, "split", str(src), "--vertex", vertex, "--offset", offset, "--level", level, "-o", str(target),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == (Path(__file__).resolve().parent / "golden" / golden).read_text()
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", str(FIXTURES / "calabi.json"))
     assert code == 0

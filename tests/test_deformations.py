@@ -74,6 +74,33 @@ def test_two_level_middle_circle(two_level):
     assert circles[0].circumference == F(5, 2)
 
 
+def test_each_level_is_compared_once_per_data_set(monkeypatch, two_level):
+    # the data set keeps each face's side of the last level walked, so the
+    # surgeries there compare no level; a critical level is never kept
+    import hcmu.deformations as deformations
+
+    calls = []
+    sides = deformations._sides
+    monkeypatch.setattr(deformations, "_sides", lambda ds, c: calls.append(c) or sides(ds, c))
+    ds = two_level
+    circles_at_level(ds, F(1, 2))
+    twist_is_trivial(ds, F(1, 2), 0)
+    twist(ds, F(1, 2), 0, F(1, 5))
+    assert calls == [F(1, 2)]
+    twist(ds, F(1, 5), 0, F(1, 7))
+    twist_is_trivial(ds, F(1, 5), 0)
+    assert calls == [F(1, 2), F(1, 5)]
+    for call in (
+        lambda: circles_at_level(ds, F(1, 3)),
+        lambda: twist_is_trivial(ds, F(1, 3), 0),
+        lambda: twist(ds, F(1, 3), 0, F(1, 5)),
+        lambda: circles_at_level(ds, F(1, 3)),
+    ):
+        with pytest.raises(CriticalLevel):
+            call()
+    assert calls == [F(1, 2), F(1, 5)] + [F(1, 3)] * 4
+
+
 # -- triviality -------------------------------------------------------------------
 
 
@@ -484,13 +511,13 @@ def splice_twist(ds, c, circle_index, psi):
     share one vertex, so each run is a block of that vertex's rotation and is
     replaced by the strips between the two cuts' lines; the arcs are
     renumbered afterwards."""
-    circle = _circle(ds, c, circle_index)
+    circle, sides = _circle(ds, c, circle_index)
     ma = ds.angulation
     members = list(circle.members)
     k = len(members)
     psi = F(psi)
     unit = math.lcm(ds.grid.dw, psi.denominator)
-    cut_pos, gates, above = _cut_data(ds, circle, unit)
+    cut_pos, gates, above = _cut_data(ds, circle, sides, unit)
     kinds = ["black" if up else "white" for up in above]
     phi = cut_pos[-1]
     psi = psi.numerator * (unit // psi.denominator) % phi

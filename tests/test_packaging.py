@@ -285,3 +285,23 @@ def test_no_private_fraction_constructor_in_the_package():
     assert private_fraction_uses(ast.parse("x = Fraction._from_coprime_ints(1, 2)")) == [1]
     found = {name: private_fraction_uses(tree) for name, tree in package_trees().items()}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# -- the surgeries decide a face's side of the level in one place ---------------
+
+
+def grid_level_readers(tree):
+    """Names of the top-level statements (a function or class by its name,
+    any other as "<module>") that read an attribute ``levels`` or ``dl``."""
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr in ("levels", "dl")
+    })
+
+
+def test_only_sides_reads_the_level_grid_in_the_deformations():
+    example = "def f(ds):\n    return ds.grid.levels\nclass C:\n    x = g.dl\ny = g.dw\nz = [g.levels]\n"
+    assert grid_level_readers(ast.parse(example)) == ["<module>", "C", "f"]
+    assert grid_level_readers(package_trees()["deformations.py"]) == ["_sides"]
