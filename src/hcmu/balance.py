@@ -31,9 +31,10 @@ bipartite graph with demand t at black vertices and t / R at white ones, so
   the arc to zero.  One breadth-first walk finds the augmenting paths, the
   cut and the cycles.
 
-For R = 0 the white rows vanish and each black vertex owns a star of arcs.
-Either way the answer is a decision: a positive witness or a
-:class:`HallCut` proving that none exists.
+For R = 0 the white rows vanish into one ground vertex that roots the tree,
+as in :func:`balance_rank`: each black hangs from its smallest arc, and the
+ground's residual is free.  Either way the answer is a decision: a positive
+witness or a :class:`HallCut` proving that none exists.
 
 Nothing here eliminates.  The rank behind the dimension cross-checks,
 :func:`balance_rank`, runs over the arc list with a union-find on the
@@ -124,14 +125,12 @@ def solve_balance(ma: MixedAngulation, ratio, targets) -> SolutionSpace:
     # from here on each demand is an integer in units of 1 / scale
     scale = math.lcm(*(t.denominator for t in demand if t is not None))
     demand = [None if t is None else t.numerator * (scale // t.denominator) for t in demand]
-    if ratio:
-        particular, basis = _tree_solution(ma, demand, scale)
-    else:
-        particular, basis = _star_solution(ma, demand)
+    incident = _incidence(ma, not ratio)
+    particular, basis = _tree_solution(ma, incident, demand, scale)
     exact = _over(particular, scale)
     if all(x > 0 for x in particular):
         return SolutionSpace(exact, basis, exact)
-    witness, obstruction = _positive_solution(ma, demand, scale)
+    witness, obstruction = _positive_solution(ma, incident, demand, scale)
     return SolutionSpace(exact, basis, witness, obstruction)
 
 
@@ -141,58 +140,61 @@ def _over(numerators, den):
     return tuple(map(made.__getitem__, numerators))
 
 
-def _other_end(ma, a, v):
-    b, w = ma.arcs[a]
-    return w if b == v else b
-
-
-def _spanning_tree(ma):
-    """Breadth-first order from vertex 0 and each vertex's arc to its parent."""
-    incident = [[] for _ in range(ma.num_vertices)]
+def _incidence(ma, cusp):
+    """Each vertex's (arc, other end) pairs in arc order.  At R = 0
+    (``cusp``) every white end is the ground, one more vertex numbered
+    ``num_vertices``, and the whites' own lists stay empty."""
+    ground = ma.num_vertices
+    incident = [[] for _ in range(ground + cusp)]
     for a, (b, w) in enumerate(ma.arcs):
-        incident[b].append(a)
-        incident[w].append(a)
-    parent_arc = [None] * ma.num_vertices
-    seen = [False] * ma.num_vertices
-    seen[0] = True
-    order = [0]
+        if cusp:
+            w = ground
+        incident[b].append((a, w))
+        incident[w].append((a, b))
+    return incident
+
+
+def _spanning_tree(incident, root):
+    """Breadth-first order from ``root`` and each reached vertex's (arc to
+    its parent, parent); the root's is (None, None)."""
+    parent = [None] * len(incident)
+    parent[root] = (None, None)
+    order = [root]
     for v in order:  # the list grows while it is walked
-        for a in incident[v]:
-            u = _other_end(ma, a, v)
-            if not seen[u]:
-                seen[u] = True
-                parent_arc[u] = a
+        for a, u in incident[v]:
+            if parent[u] is None:
+                parent[u] = (a, v)
                 order.append(u)
-    return order, parent_arc
+    return order, parent
 
 
-def _peel(ma, order, parent_arc, demand):
-    """Tree-arc weights meeting ``demand`` below the root, leaves first.
-
-    Returns the weights (arcs off the tree stay 0) and the residual left at
-    the root, which vanishes exactly when the system is consistent.
-    """
-    residual = list(demand)
-    weights = [0] * ma.num_arcs
+def _peel(num_arcs, order, parent, residual):
+    """Tree-arc weights meeting the demand ``residual`` (used up) below the
+    root, leaves first, with the arcs off the tree at 0, and the residual
+    left at the root, which vanishes exactly when the system is consistent."""
+    weights = [0] * num_arcs
     for v in reversed(order[1:]):
-        a = parent_arc[v]
+        a, u = parent[v]
         weights[a] = residual[v]
-        residual[_other_end(ma, a, v)] -= residual[v]
+        residual[u] -= residual[v]
     return weights, residual[order[0]]
 
 
-def _tree_solution(ma, demand, scale):
-    """Particular solution by the tree peel, kernel by fundamental cycles."""
-    order, parent_arc = _spanning_tree(ma)
-    particular, residual = _peel(ma, order, parent_arc, demand)
-    if residual != 0:
+def _tree_solution(ma, incident, demand, scale):
+    """Particular solution by the tree peel, kernel by fundamental cycles.
+    At R = 0 the tree hangs from the ground, whose residual is free."""
+    ground = ma.num_vertices
+    cusp = len(incident) > ground
+    order, parent = _spanning_tree(incident, ground if cusp else 0)
+    particular, residual = _peel(ma.num_arcs, order, parent, demand + [0] * cusp)
+    if residual and not cusp:
         raise Infeasible(f"balance system is inconsistent: residual {Fraction(residual, scale)} at the root")
-    depth = [0] * ma.num_vertices
+    depth = [0] * len(incident)
     for v in order[1:]:
-        depth[v] = depth[_other_end(ma, parent_arc[v], v)] + 1
-    tree = set(parent_arc)
+        depth[v] = depth[parent[v][1]] + 1
+    tree = {parent[v][0] for v in order[1:]}
     basis = []
-    for a in range(ma.num_arcs):
+    for a, (b, w) in enumerate(ma.arcs):
         if a in tree:
             continue
         # climb from both ends to the common ancestor; the tree arcs
@@ -200,35 +202,18 @@ def _tree_solution(ma, demand, scale):
         # ends differ in parity, so the signs cancel at the ancestor too
         vec = [_ZERO] * ma.num_arcs
         vec[a] = _ONE
-        ends = list(ma.arcs[a])
+        ends = [b, ground if cusp else w]
         signs = [_MINUS_ONE, _MINUS_ONE]
         while ends[0] != ends[1]:
             i = 0 if depth[ends[0]] > depth[ends[1]] else 1
-            t = parent_arc[ends[i]]
+            t, ends[i] = parent[ends[i]]
             vec[t] = signs[i]
             signs[i] = _ONE if signs[i] is _MINUS_ONE else _MINUS_ONE
-            ends[i] = _other_end(ma, t, ends[i])
         basis.append(tuple(vec))
     return particular, basis
 
 
-def _star_solution(ma, demand):
-    """R = 0: each black target sits on the smallest arc of its star."""
-    particular = [0] * ma.num_arcs
-    first = {}
-    basis = []
-    for a, (b, _) in enumerate(ma.arcs):
-        if b not in first:
-            first[b] = a
-            particular[a] = demand[b]
-        else:
-            vec = [_ZERO] * ma.num_arcs
-            vec[a], vec[first[b]] = _ONE, _MINUS_ONE
-            basis.append(tuple(vec))
-    return particular, basis
-
-
-def _positive_solution(ma, demand, scale):
+def _positive_solution(ma, incident, demand, scale):
     """(strictly positive solution, None) or (None, HallCut) for the
     integer ``demand`` in units of 1 / ``scale``."""
     nv, colors = ma.num_vertices, ma.colors
@@ -237,19 +222,13 @@ def _positive_solution(ma, demand, scale):
             # a vertex with no positive share for its arcs
             reach = {v} if colors[v] == WHITE else set(range(nv)) - {v}
             return None, _hall_cut(ma, demand, scale, reach)
-    if any(d is None for d in demand):
-        degree = [0] * nv
-        for b, _ in ma.arcs:
-            degree[b] += 1
-        return tuple(Fraction(demand[b], scale * degree[b]) for b, _ in ma.arcs), None
+    if len(incident) > nv:
+        # R = 0: each black's demand shared equally by its arcs
+        return tuple(Fraction(demand[b], scale * len(incident[b])) for b, _ in ma.arcs), None
 
     # maximum flow in integer units: supply left at the blacks, room left at
     # the whites; each black in turn sends along shortest residual paths
     left = list(demand)
-    incident = [[] for _ in range(nv)]
-    for a, (b, w) in enumerate(ma.arcs):
-        incident[b].append((a, w))
-        incident[w].append((a, b))
     flow = [0] * ma.num_arcs
     blacks = [v for v in range(nv) if colors[v] == BLACK]
     for source in blacks:
@@ -261,8 +240,9 @@ def _positive_solution(ma, demand, scale):
                 break
             path, v = [], end
             while v != source:
-                path.append((via[v], colors[v] == WHITE))  # (arc, walked black -> white)
-                v = _other_end(ma, via[v], v)
+                a, u = via[v]
+                path.append((a, colors[v] == WHITE))  # (arc, walked black -> white)
+                v = u
             push = min([left[source], left[end]] + [flow[a] for a, up in path if not up])
             for a, up in path:
                 flow[a] += push if up else -push
@@ -290,9 +270,9 @@ def _positive_solution(ma, demand, scale):
         witness[a] += delta
         v = b
         while v != w:
-            e = via[v]
+            e, u = via[v]
             witness[e] += delta if colors[v] == WHITE else -delta
-            v = _other_end(ma, e, v)
+            v = u
     return _over(witness, scale * parts), None
 
 
@@ -300,9 +280,9 @@ def _search(colors, incident, flow, starts, stop=None):
     """Breadth-first reach in the residual graph from ``starts``.
 
     The residual graph runs black -> white along every arc and white -> black
-    along the arcs that carry flow.  Returns (vertex -> arc it was reached by,
-    the first reached vertex that satisfies ``stop``, where the walk ends, or
-    None when the walk covers the whole reach).
+    along the arcs that carry flow.  Returns (vertex -> (arc, vertex) it was
+    reached by, the first reached vertex that satisfies ``stop``, where the
+    walk ends, or None when the walk covers the whole reach).
     """
     via = {v: None for v in starts}
     queue = deque(starts)
@@ -311,7 +291,7 @@ def _search(colors, incident, flow, starts, stop=None):
         black = colors[v] == BLACK
         for a, u in incident[v]:
             if u not in via and (black or flow[a]):
-                via[u] = a
+                via[u] = (a, v)
                 if stop is not None and stop(u):
                     return via, u
                 queue.append(u)
@@ -349,10 +329,10 @@ def solve_tree(ma: MixedAngulation, p: int, q: int):
     if na != nv - 1:
         raise NotATree(f"{na} arcs on {nv} vertices")
     demand = [q if color == BLACK else p for color in ma.colors]
-    order, parent_arc = _spanning_tree(ma)
-    weights, residual = _peel(ma, order, parent_arc, demand)
+    order, parent = _spanning_tree(_incidence(ma, False), 0)
+    weights, residual = _peel(na, order, parent, demand)
     for v in reversed(order[1:]):
-        w = weights[parent_arc[v]]
+        w = weights[parent[v][0]]
         if w <= 0:
             raise Infeasible(f"forced weight {w} <= 0 at vertex {v}")
     if residual != 0:

@@ -34,6 +34,7 @@ from .errors import (
     CuspVertex,
     CutOnBoundary,
     NotInteger,
+    ParseError,
 )
 
 
@@ -45,10 +46,19 @@ class LevelCircle(NamedTuple):
     circumference: Fraction
 
 
+def _rational(value, name):
+    """``value`` as a Fraction; what Fraction() refuses is a ParseError at
+    the argument ``name``, as the CLI refuses a malformed option."""
+    try:
+        return Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"not a rational number: {value!r:.80}", name) from None
+
+
 def _sides(ds: DataSet, c):
     """``c`` as a Fraction and, per face, whether its level lies above c,
     compared on the level grid; a critical level is refused."""
-    c = Fraction(c)
+    c = _rational(c, "c")
     if not (0 < c < 1):
         raise CriticalLevel(f"level {c} outside (0, 1)")
     x, d = c.numerator * ds.grid.dl, c.denominator
@@ -251,7 +261,7 @@ def twist(ds: DataSet, c, circle_index: int, psi) -> TwistOutcome:
     ma = ds.angulation
     members = circle.members
     k = len(members)
-    psi = Fraction(psi)
+    psi = _rational(psi, "psi")
     unit = math.lcm(ds.grid.dw, psi.denominator)
     positions, gates, above = _cut_data(ds, circle, sides, unit)
     phi = positions[-1]
@@ -318,10 +328,10 @@ def split(ds: DataSet, vertex: int, offset, new_level) -> DataSet:
     if angle.denominator != 1 or angle < 2:
         raise NotInteger(f"vertex angle {angle} is not an integer > 1")
     alpha = int(angle)
-    new_level = Fraction(new_level)
+    new_level = _rational(new_level, "new_level")
     if not (0 < new_level < 1):
         raise BadRatio(f"level {new_level} outside (0, 1)")
-    offset = Fraction(offset)
+    offset = _rational(offset, "offset")
     if not (0 <= offset < 1):
         raise CutOnBoundary(f"offset {offset} outside [0, 1)")
     spacing = Fraction(1) if color == BLACK else 1 / ds.ratio

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -11,10 +12,8 @@ from hcmu.angulation import BLACK, WHITE, MixedAngulation
 from hcmu.balance import (
     HallCut,
     SolutionSpace,
-    _other_end,
+    _incidence,
     _positive_solution,
-    _search,
-    _spanning_tree,
     balance_rank,
     solve_balance,
     solve_tree,
@@ -227,7 +226,7 @@ def check_flow(ma, ratio, targets, rows, rhs):
         for v in range(ma.num_vertices)
     ]
     scale = math.lcm(*(d.denominator for d in demand))
-    witness, obstruction = _positive_solution(ma, [int(d * scale) for d in demand], scale)
+    witness, obstruction = _positive_solution(ma, _incidence(ma, False), [int(d * scale) for d in demand], scale)
     value, cut = networkx_decision(ma, demand)
     # a maximum flow saturates the demands or leaves a cut of its own value
     total = sum(d for v, d in enumerate(demand) if ma.colors[v] == BLACK)
@@ -473,7 +472,74 @@ def test_dataset_weights_solve_their_own_balance(calabi):
         assert sum(x * y for x, y in zip(row, ds.weights)) == targets[v]
 
 
+def test_one_incidence_table_per_solve(monkeypatch, calabi, two_level):
+    import hcmu.balance as balance
+
+    calls = []
+    table = balance._incidence
+    monkeypatch.setattr(balance, "_incidence", lambda *args: calls.append(args) or table(*args))
+    cusp = build_surface(1, [6, 2, 0, 0, 0], {1})
+    assert cusp.ratio == 0
+    for ds in (calabi, cusp, two_level):
+        calls.clear()
+        space = solve_balance(ds.angulation, ds.ratio, dict(enumerate(ds.vertex_angles())))
+        # no particular is positive, so the tree and the positive solution
+        # (the flow, or the closed form at R = 0) both read the one table
+        assert min(space.particular) <= 0 and space.positive_witness is not None
+        assert len(calls) == 1
+    calls.clear()
+    solve_tree(build_tree(7, 3).as_angulation(), 7, 3)
+    assert len(calls) == 1
+
+
 # -- the Fraction solve, oracle for the integer one ------------------------------
+
+
+def _other_end(ma, a, v):
+    b, w = ma.arcs[a]
+    return w if b == v else b
+
+
+def _spanning_tree(ma):
+    """Breadth-first order from vertex 0 and each vertex's arc to its parent."""
+    incident = [[] for _ in range(ma.num_vertices)]
+    for a, (b, w) in enumerate(ma.arcs):
+        incident[b].append(a)
+        incident[w].append(a)
+    parent_arc = [None] * ma.num_vertices
+    seen = [False] * ma.num_vertices
+    seen[0] = True
+    order = [0]
+    for v in order:  # the list grows while it is walked
+        for a in incident[v]:
+            u = _other_end(ma, a, v)
+            if not seen[u]:
+                seen[u] = True
+                parent_arc[u] = a
+                order.append(u)
+    return order, parent_arc
+
+
+def _search(colors, incident, flow, starts, stop=None):
+    """Breadth-first reach in the residual graph from ``starts``.
+
+    The residual graph runs black -> white along every arc and white -> black
+    along the arcs that carry flow.  Returns (vertex -> arc it was reached by,
+    the first reached vertex that satisfies ``stop``, where the walk ends, or
+    None when the walk covers the whole reach).
+    """
+    via = {v: None for v in starts}
+    queue = deque(starts)
+    while queue:
+        v = queue.popleft()
+        black = colors[v] == BLACK
+        for a, u in incident[v]:
+            if u not in via and (black or flow[a]):
+                via[u] = a
+                if stop is not None and stop(u):
+                    return via, u
+                queue.append(u)
+    return via, None
 
 
 def fraction_solve_balance(ma, ratio, targets):

@@ -151,6 +151,19 @@ def test_solve_kernel_dimension(capsys):
     assert "positive witness:" in out
 
 
+def test_solve_prints_the_golden_output(capsys, tmp_path):
+    # calabi's particular is negative, so the flow finds the witness; the
+    # built surface is a cusp system (R = 0) whose particular is not positive
+    cusp = tmp_path / "cusp.json"
+    assert run(capsys, "build", "--genus", "1", "--angles", "6,2,0,0,0", "--saddles", "1", "-o", str(cusp)) == (0, "", "")
+    printed = ""
+    for path in (FIXTURES / "calabi.json", FIXTURES / "two_level.json", cusp):
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, err) == (0, "")
+        printed += out
+    assert printed == (Path(__file__).resolve().parent / "golden" / "solve.txt").read_text()
+
+
 def test_profile_csv(capsys, tmp_path):
     target = tmp_path / "p.csv"
     code, _, _ = run(

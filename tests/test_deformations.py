@@ -31,6 +31,7 @@ from hcmu.errors import (
     CuspVertex,
     CutOnBoundary,
     NotInteger,
+    ParseError,
 )
 from hcmu.serialization import dumps, save
 from test_deformation_stress import deformed_walk
@@ -383,6 +384,43 @@ def test_split_refusals(vertex, offset, level, error, message):
     with pytest.raises(error) as caught:
         split(ds, vertex, offset, level)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "operation, argument, value",
+    [
+        ("twist", "psi", "x"),
+        ("twist", "psi", None),
+        ("twist", "psi", float("nan")),
+        ("twist", "psi", float("inf")),
+        ("twist", "c", "1/0"),
+        ("circles_at_level", "c", float("inf")),
+        ("split", "offset", "x"),
+        ("split", "new_level", float("nan")),
+    ],
+)
+def test_a_malformed_number_is_a_parse_error_at_its_argument(two_level, operation, argument, value):
+    black = build_surface(0, [2, 3], {1})
+    vertex = find_vertex(black, "black", 3)
+    numbers = {"c": F(1, 2), "psi": F(1, 5), "offset": F(1, 3), "new_level": F(1, 2), argument: value}
+    calls = {
+        "twist": lambda: twist(two_level, numbers["c"], 0, numbers["psi"]),
+        "circles_at_level": lambda: circles_at_level(two_level, numbers["c"]),
+        "split": lambda: split(black, vertex, numbers["offset"], numbers["new_level"]),
+    }
+    with pytest.raises(ParseError) as caught:
+        calls[operation]()
+    assert caught.value.pointer == argument
+    assert str(caught.value) == f"{argument}: not a rational number: {value!r}"
+
+
+def test_a_number_that_fraction_reads_is_still_accepted(two_level):
+    # a str such as "1/2" is read as Fraction("1/2") reads it
+    twisted = twist(two_level, "1/2", 0, "1/5")
+    assert dumps(save(twisted.dataset)) == dumps(save(twist(two_level, F(1, 2), 0, F(1, 5)).dataset))
+    black = build_surface(0, [2, 3], {1})
+    vertex = find_vertex(black, "black", 3)
+    assert dumps(save(split(black, vertex, "1/3", "1/2"))) == dumps(save(split(black, vertex, F(1, 3), F(1, 2))))
 
 
 # -- the shared rebuild ----------------------------------------------------------

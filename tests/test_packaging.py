@@ -305,3 +305,20 @@ def test_only_sides_reads_the_level_grid_in_the_deformations():
     example = "def f(ds):\n    return ds.grid.levels\nclass C:\n    x = g.dl\ny = g.dw\nz = [g.levels]\n"
     assert grid_level_readers(ast.parse(example)) == ["<module>", "C", "f"]
     assert grid_level_readers(package_trees()["deformations.py"]) == ["_sides"]
+
+
+def empty_list_builders(tree):
+    """Names of the top-level statements (as in ``grid_level_readers``) that
+    build a list of empty lists, a ``[[] for ...]`` comprehension."""
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.ListComp) and isinstance(node.elt, ast.List) and not node.elt.elts
+    })
+
+
+def test_only_incidence_builds_per_vertex_lists_in_the_balance():
+    example = "def f(n):\n    return [[] for _ in range(n)]\ng = [[0] for _ in x]\nh = [[] for _ in x]\n"
+    assert empty_list_builders(ast.parse(example)) == ["<module>", "f"]
+    assert empty_list_builders(package_trees()["balance.py"]) == ["_incidence"]
