@@ -92,13 +92,7 @@ def _first_corner_of_color(builder, walk, color):
     raise BadOrderVector(f"no {color} corner on the face walk")
 
 
-@dataclass
-class SubdivisionStats:
-    diagonals: list
-    leaves: list  # (vertex id, arc id)
-
-
-def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> SubdivisionStats:
+def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> None:
     """Subdivide the face containing ``inside_dart`` into faces of degrees
     w[i] + 2 by adding diagonals, interior black leaves and self-folded arcs.
 
@@ -116,36 +110,33 @@ def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> Subdiv
     walk = _rooted(builder.face_walk_of_dart(inside_dart))
     if sum(w) < len(walk) - 2:
         raise Incompatible(f"orders {w} do not fit a face of degree {len(walk)}")
-    stats = SubdivisionStats([], [])
     for w0 in w[:-1]:
         deg = len(walk)
         cut = w0 if w0 + 2 < deg else 0
         arc = builder.add_arc_in_face(walk, deg - 1, cut)
-        stats.diagonals.append(arc)
         # the diagonal's dart at corner deg - 1: the tail of walk[0], white iff walk[0] is odd
         d = 2 * arc + (walk[0] & 1)
         big = _rooted(walk[cut + 1 :] + (d,))
         if cut:
             walk = big
         else:
-            stats.leaves += _pad_with_leaves(builder, big, (w0 + 2 - deg) // 2, BLACK)
+            _pad_with_leaves(builder, big, (w0 + 2 - deg) // 2, BLACK)
             walk = (walk[0], d ^ 1)  # the bigon
-    stats.leaves += _pad_with_leaves(builder, walk, (w[-1] + 2 - len(walk)) // 2, BLACK)
-    return stats
+    _pad_with_leaves(builder, walk, (w[-1] + 2 - len(walk)) // 2, BLACK)
 
 
 def _pad_with_leaves(builder, walk, count, color):
     """Add ``count`` leaves of ``color`` at the first corner of the other
-    colour on the rooted face walk ``walk``; return their (vertex, arc) pairs.
+    colour on the rooted face walk ``walk``.
 
     A leaf at corner t inserts its two darts after walk[t]; they are the
     largest darts, so the root, the corners up to t and walk[t] stay, and
     every leaf goes in at the same corner of the one walk.
     """
-    if count <= 0:
-        return []
-    t = _first_corner_of_color(builder, walk, WHITE if color == BLACK else BLACK)
-    return [builder.add_leaf_in_face(walk, t, color) for _ in range(count)]
+    if count > 0:
+        t = _first_corner_of_color(builder, walk, WHITE if color == BLACK else BLACK)
+        for _ in range(count):
+            builder.add_leaf_in_face(walk, t, color)
 
 
 # -- existence witnesses -------------------------------------------------------

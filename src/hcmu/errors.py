@@ -128,14 +128,16 @@ class CuspVertex(HcmuError):
 
 # -- serialization ----------------------------------------------------------
 
+def _pointer_error(self, message, pointer=""):
+    """The constructor of both pointer errors: ``message`` at the JSON pointer ``pointer``."""
+    HcmuError.__init__(self, f"{pointer}: {message}" if pointer else message)
+    self.message = message
+    self.pointer = pointer
+
+
 class ParseError(HcmuError):
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{pointer}: {message}" if pointer else message)
-        self.message = message
-        self.pointer = pointer
+    __init__ = _pointer_error
 
 
 class ValidationError(HcmuError):
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{pointer}: {message}" if pointer else message)
-        self.pointer = pointer
+    __init__ = _pointer_error

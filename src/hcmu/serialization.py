@@ -2,7 +2,8 @@
 
 The document stores rationals as strings in lowest terms and the maximum
 curvature as the repr of a float; loading accepts exactly those forms and
-no key outside the schema.  Emission is canonical (sorted keys, two-space
+no key outside the schema, and reads vertex ids, arc-end tokens and face
+keys through tables of the texts :func:`save` writes.  Emission is canonical (sorted keys, two-space
 indent, trailing newline), so saving a loaded canonical document is
 byte-identical.  :func:`dumps` writes that layout directly, one f-string per
 entry with strings escaped by ``json``'s own C escaper.  Its text is what
@@ -55,23 +56,13 @@ def dart_token(d: int) -> str:
     return f"{d >> 1}:{END[d & 1]}"
 
 
-def _short_id(digits: str, limit: int):
-    """The natural number ``digits``, or None if it has more digits than the
-    id count (``limit`` of them): such an id is out of range, and it is
-    refused unread, since int() refuses long digit strings with a ValueError."""
-    return int(digits) if len(digits) <= limit else None
-
-
-def parse_dart(token, arc_count: int, limit: int, pointer=""):
-    """The int dart of ``token``; an arc id with more than ``limit`` digits,
-    the length of ``arc_count``, is refused."""
-    arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
-    if end not in END or not NATURAL.fullmatch(arc):
-        raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
-    arc_id = _short_id(arc, limit)
-    if arc_id is None:
-        raise ParseError(f"arc id of {token!r:.80} is not below the arc count {arc_count}", pointer)
-    return 2 * arc_id + (end == "w")
+def _miss(text, count):
+    """``text``, missing from the table ``{str(i): i for i in range(count)}``, as
+    a number, ``count`` or more; None unless str(int) writes it, and -1 if it
+    has more digits than ``count``, refused unread: int() raises on those."""
+    if type(text) is not str or not NATURAL.fullmatch(text):
+        return None
+    return int(text) if len(text) <= len(str(count)) else -1
 
 
 def face_key_token(ma: MixedAngulation, face_index: int) -> str:
@@ -198,7 +189,7 @@ def _index(value, size, what, pointer):
 
 def _token(key):
     """``key`` as a JSON pointer reference token (RFC 6901)."""
-    return key.replace("~", "~0").replace("/", "~1")
+    return str(key).replace("~", "~0").replace("/", "~1")
 
 
 def _known_keys(obj, keys):
@@ -221,10 +212,11 @@ ARC_KEYS = frozenset({"id", "black", "white", "weight"})
 def load_document(doc: dict) -> DataSet:
     """Validated data set from a parsed JSON document.
 
-    Every object may hold only its schema's keys.  Inside an entry, checks
-    raise with pointers relative to the entry, and the entry's own pointer
-    is formatted only when one of them refuses it.  Each distinct rational
-    is parsed once.
+    Every object may hold only its schema's keys.  Rotation keys, arc-end
+    tokens and face-level keys are read through tables of what :func:`save`
+    writes, one lookup each; only a miss is classified.  A pointer is
+    formatted only when a check refuses.  Each distinct rational is parsed
+    once.
     """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
@@ -277,22 +269,29 @@ def load_document(doc: dict) -> DataSet:
 
     rotations = [None] * len(vertices)
     rot_doc = _require(doc, "rotations", "/rotations", dict)
-    vertex_digits, arc_digits = len(str(len(vertices))), len(str(len(arc_entries)))
+    vertex_of = {str(v): v for v in range(len(vertices))}
+    dart_of = {dart_token(d): d for d in range(2 * len(arcs))}
     for key, row in rot_doc.items():
-        if not NATURAL.fullmatch(key):
-            raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
-        v = _short_id(key, vertex_digits)
-        if v is None or v >= len(vertices) or rotations[v] is not None:
+        v = vertex_of.get(key)
+        if v is None:
+            if _miss(key, len(vertices)) is None:
+                raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
             raise ParseError(f"bad or duplicate rotation key {key:.80}", f"/rotations/{key}")
         if not isinstance(row, list):
             raise ParseError("rotation row must be a JSON array", f"/rotations/{key}")
-        darts = []
-        try:
-            for token in row:
-                darts.append(parse_dart(token, len(arc_entries), arc_digits))
-        except ParseError as exc:
-            raise _within(exc, f"/rotations/{key}/{len(darts)}") from None
-        rotations[v] = darts
+        darts = rotations[v] = []
+        for token in row:
+            d = dart_of.get(token) if type(token) is str else None
+            if d is None:
+                arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
+                arc_id = _miss(arc, len(arcs)) if end in END else None
+                pointer = f"/rotations/{key}/{len(darts)}"
+                if arc_id is None:
+                    raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
+                if arc_id < 0:
+                    raise ParseError(f"arc id of {token!r:.80} is not below the arc count {len(arcs)}", pointer)
+                d = 2 * arc_id + (end == "w")  # an arc id past the count: MixedAngulation refuses it
+            darts.append(d)
     if any(r is None for r in rotations):
         raise ParseError("missing rotation rows", "/rotations")
 

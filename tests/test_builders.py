@@ -129,14 +129,17 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
     inner = 0
     inner_walk = set(b.face_walk_of_dart(inner))
     outer = min(d for d in range(2 * len(b.arcs)) if d not in inner_walk)
-    stats = subdivide_face(b, inner, wl)
+    cycle_arcs = len(b.arcs)
+    subdivide_face(b, inner, wl)
     ma = MixedAngulation(b.colors, b.arcs, b.rot, _allow_degenerate=True)
+    # the added vertices are the leaves, each with one arc; the other added arcs are diagonals
+    leaves = tuple((v, ma.darts[v][0] >> 1) for v in range(2 * K, ma.num_vertices))
     return PolygonFragment(
         angulation=ma,
         outer_dart=outer,
         boundary=tuple(range(2 * K)),
-        diagonals=tuple(stats.diagonals),
-        leaves=tuple(stats.leaves),
+        diagonals=tuple(sorted(set(range(cycle_arcs, ma.num_arcs)) - {a for _, a in leaves})),
+        leaves=leaves,
     )
 
 
@@ -192,12 +195,10 @@ def test_subdivide_polygon_incompatible():
 def pad_leaf_by_leaf(builder, walk, count, color):
     """Oracle for the leaf padding: the face walked again for every leaf."""
     anchor = WHITE if color == BLACK else BLACK
-    leaves = []
     for _ in range(count):
         walk = builders._rooted(builder.face_walk_of_dart(walk[0]))
         t = builders._first_corner_of_color(builder, walk, anchor)
-        leaves.append(builder.add_leaf_in_face(walk, t, color))
-    return leaves
+        builder.add_leaf_in_face(walk, t, color)
 
 
 def test_leaves_padded_at_one_corner_match_leaf_by_leaf_padding(monkeypatch):

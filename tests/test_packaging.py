@@ -322,3 +322,23 @@ def test_only_incidence_builds_per_vertex_lists_in_the_balance():
     example = "def f(n):\n    return [[] for _ in range(n)]\ng = [[0] for _ in x]\nh = [[] for _ in x]\n"
     assert empty_list_builders(ast.parse(example)) == ["<module>", "f"]
     assert empty_list_builders(package_trees()["balance.py"]) == ["_incidence"]
+
+
+# -- the loader reads ids through the writer's tables, never converting text ----
+
+
+def int_callers(tree):
+    """Names of the top-level statements (as in ``grid_level_readers``) that
+    call ``int``."""
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    })
+
+
+def test_only_the_rational_parser_and_the_miss_classifier_call_int_in_serialization():
+    example = "def f(t):\n    return int(t)\nclass C:\n    x = int\ny = s.int(2)\nz = [int(t) for t in w]\n"
+    assert int_callers(ast.parse(example)) == ["<module>", "f"]
+    assert int_callers(package_trees()["serialization.py"]) == ["_miss", "parse_fraction"]

@@ -393,6 +393,45 @@ def test_face_level_key_pointers_are_escaped():
         assert err.value.pointer == f"/face_levels/{token}"
 
 
+def test_non_str_keys_are_refused_at_their_pointers():
+    # json never writes such a key, but a library caller's dict may hold one
+    cases = [
+        ([], ParseError, "unknown key 7", "/7"),
+        (["rotations"], ParseError, "rotation key 7 is not a vertex id", "/rotations/7"),
+        (["face_levels"], ValidationError, "7 is not a face of this angulation", "/face_levels/7"),
+        (["arcs", 1], ParseError, "unknown key 7", "/arcs/1/7"),
+    ]
+    for path, error, message, pointer in cases:
+        doc = json.loads((FIXTURES / "calabi.json").read_text())
+        target = doc
+        for step in path:
+            target = target[step]
+        target[7] = "1/2"
+        with pytest.raises(error) as caught:
+            ser.load_document(doc)
+        assert type(caught.value) is error and (caught.value.message, caught.value.pointer) == (message, pointer)
+
+
+def test_ids_and_tokens_are_read_without_the_pattern(monkeypatch):
+    # each rotation key and arc-end token is one lookup in a table of what save
+    # writes; only one that misses it is matched against NATURAL
+    calls = []
+    natural = ser.NATURAL
+
+    class Counting:
+        def fullmatch(self, text):
+            calls.append(text)
+            return natural.fullmatch(text)
+
+    docs = emitter_corpus()
+    monkeypatch.setattr(ser, "NATURAL", Counting())
+    for doc in docs:
+        ser.load_document(doc)
+    assert calls == []
+    refused(renamed(docs[0], "rotations", "0", "00"), "/rotations/00")
+    assert calls == ["00"]
+
+
 @pytest.mark.parametrize("digits", [2, 5000])
 def test_rotation_key_longer_than_the_vertex_count_is_refused_unread(digits):
     # int() would refuse 5000 digits with a ValueError of its own
@@ -500,6 +539,10 @@ LOADER_MUTATIONS = {
     "rotation key of 2 digits": (
         lambda d: renamed(d, "rotations", "0", "10"),
         (ParseError, "bad or duplicate rotation key 10", "/rotations/10"),
+    ),
+    "rotation key of 1 digit past the count": (
+        lambda d: renamed(d, "rotations", "0", "9"),
+        (ParseError, "bad or duplicate rotation key 9", "/rotations/9"),
     ),
     "rotation key of 40 digits": (
         lambda d: renamed(d, "rotations", "0", "1" * 40),
