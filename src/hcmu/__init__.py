@@ -9,7 +9,7 @@ balance-equation solving, metric profiles, twist/split deformations, and
 moduli dimension counts.
 """
 
-from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
+from .angulation import BLACK, WHITE, MixedAngulation
 from .balance import (
     SolutionSpace,
     balance_rank,

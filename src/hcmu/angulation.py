@@ -328,43 +328,40 @@ def _trace_faces(sigma_inv):
 
 
 class MapBuilder:
-    """The face surgery of ``build_surface``: a mutable rotation system of int
-    darts that grows by diagonals and leaves inside a face.
-
-    Each insertion keeps the rows consistent, a face is walked from one dart
-    on demand, and ``freeze`` validates and returns the immutable result.
+    """The face surgery of ``build_surface``: diagonals and leaves spliced in
+    O(1) into sigma^-1, a flat list over the int darts as in the map, with each
+    vertex's ``first`` dart; a face walk follows d -> ``sigma_inv[d ^ 1]``.
     """
 
     def __init__(self, colors=(), arcs=(), rotations=()):
         self.colors = list(colors)
-        self.arcs = [list(a) for a in arcs]
-        self.rot = [list(r) for r in rotations]
-
-    def add_vertex(self, color: str) -> int:
-        self.colors.append(color)
-        self.rot.append([])
-        return len(self.colors) - 1
+        self.arcs = list(arcs)
+        sigma_inv = self.sigma_inv = [0] * (2 * len(self.arcs))
+        listed = sorted(d for row in rotations for d in row)
+        if listed != list(range(len(sigma_inv))) or not all(rotations):
+            raise NotBipartite("the rotation rows do not list each dart once, in non-empty rows")
+        for row in rotations:
+            for k, d in enumerate(row):
+                sigma_inv[d] = row[k - 1]
+        self.first = [row[0] for row in rotations]
 
     def vertex_of_dart(self, d: int) -> int:
         return self.arcs[d >> 1][d & 1]
 
     def face_walk_of_dart(self, dart: int):
-        """Boundary walk of the face on the left of ``dart``, from ``dart``.
-
-        sigma^-1 of a dart is the entry before it in its vertex's rotation
-        list, so the walk reads only the rotations of the vertices it visits.
-        """
-        walk = []
-        d = dart
-        while True:
+        """Boundary walk of the face on the left of ``dart``, from ``dart``."""
+        sigma_inv = self.sigma_inv
+        if type(dart) is not int or not 0 <= dart < len(sigma_inv):
+            raise NotBipartite(f"malformed dart {dart!r}")
+        walk, d = [dart], dart
+        while (d := sigma_inv[d ^ 1]) != dart:
             walk.append(d)
-            rot = self.rot[self.vertex_of_dart(d ^ 1)]
-            d = rot[rot.index(d ^ 1) - 1]
-            if d == dart:
-                return tuple(walk)
+        return tuple(walk)
 
     def _insert_before(self, v: int, anchor: int, new: int):
-        self.rot[v].insert(self.rot[v].index(anchor), new)
+        self.sigma_inv[new], self.sigma_inv[anchor] = self.sigma_inv[anchor], new
+        if self.first[v] == anchor:  # new goes first, as a list insert puts it
+            self.first[v] = new
 
     def add_arc_in_face(self, walk, i: int, j: int) -> int:
         """Add an arc between corner ``i`` and corner ``j`` of a face walk.
@@ -379,7 +376,8 @@ class MapBuilder:
         if self.colors[u] == WHITE:
             u, w, i, j = w, u, j, i
         arc = len(self.arcs)
-        self.arcs.append([u, w])
+        self.arcs.append((u, w))
+        self.sigma_inv += (0, 0)  # both entries are set by the splices
         self._insert_before(u, walk[i] ^ 1, 2 * arc)
         self._insert_before(w, walk[j] ^ 1, 2 * arc + 1)
         return arc
@@ -392,13 +390,20 @@ class MapBuilder:
         u = self.vertex_of_dart(walk[i] ^ 1)
         if self.colors[u] == leaf_color:
             raise NotBipartite("leaf color equals its anchor color")
-        z = self.add_vertex(leaf_color)
-        arc = len(self.arcs)
-        leaf = 2 * arc + (leaf_color == WHITE)  # the new arc's dart at z
-        self.arcs.append([u, z] if leaf & 1 else [z, u])
+        z, arc = len(self.colors), len(self.arcs)
+        self.colors.append(leaf_color)
+        leaf = 2 * arc + (leaf_color == WHITE)  # the new arc's dart at z, its whole row
+        self.arcs.append((u, z) if leaf & 1 else (z, u))
+        self.sigma_inv += (leaf, leaf)  # the entry of leaf ^ 1 is set by the splice
+        self.first.append(leaf)
         self._insert_before(u, walk[i] ^ 1, leaf ^ 1)
-        self.rot[z] = [leaf]
         return z, arc
 
     def freeze(self) -> MixedAngulation:
-        return MixedAngulation(self.colors, self.arcs, self.rot)
+        rows, sigma_inv = [], self.sigma_inv
+        for f in self.first:  # a row, read along sigma^-1 from the dart before f, then reversed
+            row = [d := sigma_inv[f]]
+            while d != f:
+                row.append(d := sigma_inv[d])
+            rows.append(row[::-1])
+        return MixedAngulation(self.colors, self.arcs, rows)

@@ -13,8 +13,8 @@ handles in closed form, and the tree's own weights, checked once against the
 balance equations in ``build_tree``.
 
 Each construction builds one :class:`MixedAngulation` from the rows it
-wrote.  ``build_surface`` grows the canonical rows through the face surgery
-of :class:`MapBuilder`; the single-cone constructions write plain lists.
+wrote.  ``build_surface`` splices diagonals and leaves into sigma^-1 of the
+canonical rows (:class:`MapBuilder`); the single-cone ones write plain lists.
 
 Every builder returns a validated :class:`~hcmu.dataset.DataSet` (or a
 weighted tree for the tree constructions) realizing the prescribed genus and
@@ -108,7 +108,7 @@ def subdivide_face(builder: MapBuilder, inside_dart, w: Sequence[int]) -> None:
         if x < 2 or x % 2 != 0:
             raise BadOrderVector(f"order {x} must be even and >= 2")
     walk = _rooted(builder.face_walk_of_dart(inside_dart))
-    if sum(w) < len(walk) - 2:
+    if not w or sum(w) < len(walk) - 2:
         raise Incompatible(f"orders {w} do not fit a face of degree {len(walk)}")
     for w0 in w[:-1]:
         deg = len(walk)

@@ -32,6 +32,7 @@ from hcmu.errors import (
     Inadmissible,
     Incompatible,
     Infeasible,
+    NotBipartite,
     NotCoprime,
     TooLarge,
 )
@@ -113,25 +114,31 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
             raise BadOrderVector(f"order {x} must be even and >= 2")
     if sum(wl) < 2 * K - 2:
         raise Incompatible(f"2L = {sum(wl) - (2 * K - 2)} < 0")
-    b = MapBuilder()
-    for i in range(2 * K):
-        b.add_vertex(BLACK if i % 2 == 0 else WHITE)
+    colors = [BLACK if i % 2 == 0 else WHITE for i in range(2 * K)]
     if K == 1:
-        b.arcs = [[0, 1], [0, 1]]
-        b.rot = [[0, 2], [1, 3]]
+        arcs = [[0, 1], [0, 1]]
+        rows = [[0, 2], [1, 3]]
     else:
+        arcs = []
         for i in range(2 * K):
             u, v = i, (i + 1) % (2 * K)
-            b.arcs.append([u, v] if u % 2 == 0 else [v, u])
-        for v in range(2 * K):
-            # the arcs v and v - 1 meet at v, black at even v, white at odd
-            b.rot[v] = [2 * v + v % 2, 2 * ((v - 1) % (2 * K)) + v % 2]
+            arcs.append([u, v] if u % 2 == 0 else [v, u])
+        # the arcs v and v - 1 meet at v, black at even v, white at odd
+        rows = [[2 * v + v % 2, 2 * ((v - 1) % (2 * K)) + v % 2] for v in range(2 * K)]
+    b = MapBuilder(colors, arcs, rows)
     inner = 0
     inner_walk = set(b.face_walk_of_dart(inner))
     outer = min(d for d in range(2 * len(b.arcs)) if d not in inner_walk)
     cycle_arcs = len(b.arcs)
     subdivide_face(b, inner, wl)
-    ma = MixedAngulation(b.colors, b.arcs, b.rot, _allow_degenerate=True)
+    rows = []
+    for f in b.first:  # each row read back along sigma^-1 from its first dart
+        back = [f]
+        while b.sigma_inv[back[-1]] != f:
+            back.append(b.sigma_inv[back[-1]])
+        rows.append(back[:1] + back[:0:-1])
+    # not b.freeze(): the outer face of K = 1 is a bigon
+    ma = MixedAngulation(b.colors, b.arcs, rows, _allow_degenerate=True)
     # the added vertices are the leaves, each with one arc; the other added arcs are diagonals
     leaves = tuple((v, ma.darts[v][0] >> 1) for v in range(2 * K, ma.num_vertices))
     return PolygonFragment(
@@ -150,6 +157,8 @@ def subdivide_polygon(K: int, w: Sequence[int]) -> PolygonFragment:
         (1, [4, 0], BadOrderVector, "order 0 must be even and >= 2"),
         (1, [2], Incompatible, "orders [2] do not fit a face of degree 6"),
         (2, [2, 2, 2], Incompatible, "orders [2, 2, 2] do not fit a face of degree 10"),
+        (1, [], Incompatible, "orders [] do not fit a face of degree 6"),
+        (0, [], Incompatible, "orders [] do not fit a face of degree 2"),
     ],
 )
 def test_subdivide_face_refusals(g, w, error, message):
@@ -157,6 +166,34 @@ def test_subdivide_face_refusals(g, w, error, message):
     with pytest.raises(error) as caught:
         subdivide_face(MapBuilder(ma.colors, ma.arcs, ma.darts), 0, w)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("dart", [-1, -2, 6, 99, True, 1.0, (0, "b"), None])
+def test_subdivide_face_refuses_a_dart_outside_the_map(dart):
+    # the canonical g = 1 map has the darts 0 .. 5; sigma_inv[-2] would walk forever
+    ma = canonical_angulation(1)
+    with pytest.raises(NotBipartite) as caught:
+        subdivide_face(MapBuilder(ma.colors, ma.arcs, ma.darts), dart, [4])
+    assert type(caught.value) is NotBipartite and str(caught.value) == f"malformed dart {dart!r}"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 2], [1, 3, 5]],
+        [[0, 2, 4, 2], [1, 3, 5]],
+        [[0, 2, -2], [1, 3, 5]],
+        [[0, 2, 4, 6], [1, 3, 5]],
+        [[0, 2, 4], [1, 3]],
+        [[0, 2, 4], [1, 3, 5], []],
+    ],
+)
+def test_the_builder_refuses_rows_that_do_not_list_each_dart_once(rows):
+    # a missing, repeated or negative dart leaves sigma^-1 no permutation, and a face walk would never end
+    with pytest.raises(NotBipartite) as caught:
+        MapBuilder([BLACK, WHITE, BLACK][: len(rows)], [(0, 1)] * 3, rows)
+    message = "the rotation rows do not list each dart once, in non-empty rows"
+    assert type(caught.value) is NotBipartite and str(caught.value) == message
 
 
 @pytest.mark.parametrize("p, q", [(3, 3), (2, 5), (3, 0)])
@@ -201,23 +238,109 @@ def pad_leaf_by_leaf(builder, walk, count, color):
         builder.add_leaf_in_face(walk, t, color)
 
 
+# 1 to 6 black leaves per face, and the last two cases add 2 white cusp leaves each
+PADDING_CASES = [(0, [F(3)] * n, range(1, n + 1)) for n in (4, 9, 16)] + [
+    (0, [F(5), F(2), F(2)], {1}),
+    (1, [F(6)], {1}),
+    (0, [F(7), F(1, 2), F(1, 2)], {1}),
+    (2, [F(9)], {1}),
+    (1, [F(4), F(3)], {1, 2}),
+    (0, [F(4), F(2), F(2), F(1, 3)], {1}),
+    (0, [F(4), F(3), F(0), F(0), F(0)], {1, 2}),
+    (1, [F(6), F(2), F(0), F(0), F(0)], {1}),
+]
+
+
 def test_leaves_padded_at_one_corner_match_leaf_by_leaf_padding(monkeypatch):
     # a leaf's darts are the largest and go in after walk[t], so the root
-    # and the first corner of the other colour stay; 1 to 6 black leaves per
-    # face below, and the last two cases add 2 white cusp leaves each
-    cases = [(0, [F(3)] * n, range(1, n + 1)) for n in (4, 9, 16)] + [
-        (0, [F(5), F(2), F(2)], {1}),
-        (1, [F(6)], {1}),
-        (0, [F(7), F(1, 2), F(1, 2)], {1}),
-        (2, [F(9)], {1}),
-        (1, [F(4), F(3)], {1, 2}),
-        (0, [F(4), F(2), F(2), F(1, 3)], {1}),
-        (0, [F(4), F(3), F(0), F(0), F(0)], {1, 2}),
-        (1, [F(6), F(2), F(0), F(0), F(0)], {1}),
-    ]
+    # and the first corner of the other colour stay
+    cases = PADDING_CASES
     once = [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
     monkeypatch.setattr(builders, "_pad_with_leaves", pad_leaf_by_leaf)
     assert once == [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
+
+
+class RowBuilder:
+    """Oracle for MapBuilder: the face surgery on mutable rotation lists,
+    which finds each anchor with ``list.index`` and inserts with ``list.insert``."""
+
+    def __init__(self, colors=(), arcs=(), rotations=()):
+        self.colors = list(colors)
+        self.arcs = [list(a) for a in arcs]
+        self.rot = [list(r) for r in rotations]
+
+    def add_vertex(self, color: str) -> int:
+        self.colors.append(color)
+        self.rot.append([])
+        return len(self.colors) - 1
+
+    def vertex_of_dart(self, d: int) -> int:
+        return self.arcs[d >> 1][d & 1]
+
+    def face_walk_of_dart(self, dart: int):
+        """Boundary walk of the face on the left of ``dart``, from ``dart``.
+
+        sigma^-1 of a dart is the entry before it in its vertex's rotation
+        list, so the walk reads only the rotations of the vertices it visits.
+        """
+        walk = []
+        d = dart
+        while True:
+            walk.append(d)
+            rot = self.rot[self.vertex_of_dart(d ^ 1)]
+            d = rot[rot.index(d ^ 1) - 1]
+            if d == dart:
+                return tuple(walk)
+
+    def _insert_before(self, v: int, anchor: int, new: int):
+        self.rot[v].insert(self.rot[v].index(anchor), new)
+
+    def add_arc_in_face(self, walk, i: int, j: int) -> int:
+        """Add an arc between corner ``i`` and corner ``j`` of a face walk.
+
+        Corner ``t`` sits at the head of side ``walk[t]``.  The two corner
+        vertices must carry opposite colors; the face splits in two.
+        """
+        u = self.vertex_of_dart(walk[i] ^ 1)
+        w = self.vertex_of_dart(walk[j] ^ 1)
+        if self.colors[u] == self.colors[w]:
+            raise NotBipartite("diagonal endpoints have equal colors")
+        if self.colors[u] == WHITE:
+            u, w, i, j = w, u, j, i
+        arc = len(self.arcs)
+        self.arcs.append([u, w])
+        self._insert_before(u, walk[i] ^ 1, 2 * arc)
+        self._insert_before(w, walk[j] ^ 1, 2 * arc + 1)
+        return arc
+
+    def add_leaf_in_face(self, walk, i: int, leaf_color: str) -> tuple[int, int]:
+        """Attach a new degree-1 vertex by a self-folded arc at corner ``i``.
+
+        Returns (new vertex id, new arc id); the face degree grows by 2.
+        """
+        u = self.vertex_of_dart(walk[i] ^ 1)
+        if self.colors[u] == leaf_color:
+            raise NotBipartite("leaf color equals its anchor color")
+        z = self.add_vertex(leaf_color)
+        arc = len(self.arcs)
+        leaf = 2 * arc + (leaf_color == WHITE)  # the new arc's dart at z
+        self.arcs.append([u, z] if leaf & 1 else [z, u])
+        self._insert_before(u, walk[i] ^ 1, leaf ^ 1)
+        self.rot[z] = [leaf]
+        return z, arc
+
+    def freeze(self) -> MixedAngulation:
+        return MixedAngulation(self.colors, self.arcs, self.rot)
+
+
+def test_the_sigma_inverse_builder_writes_the_bytes_of_the_row_list_builder(monkeypatch):
+    # each splice before a row's first dart must make the new dart first, as
+    # list.insert does; the hub vertex of the 4000-cusp build takes 8190 arcs
+    cases = [(0, [F(3)] * n, range(1, n + 1)) for n in range(4, 65)] + PADDING_CASES
+    cases += [(50, [F(3)] * 100, range(1, 101)), (0, [F(8190)] + [F(0)] * 4000, {1})]
+    spliced = [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
+    monkeypatch.setattr(builders, "MapBuilder", RowBuilder)
+    assert spliced == [dumps(save(build_surface(g, alpha, Z))) for g, alpha, Z in cases]
 
 
 @pytest.fixture

@@ -214,6 +214,28 @@ def test_only_the_angulation_module_touches_rotation_rows():
     found = {name: attribute_uses(tree, "rot") for name, tree in package_trees().items() if name != "angulation.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
+
+def searches_in_class(tree, name):
+    """Line numbers of every ``.index(`` or ``.insert(`` call inside the class
+    ``name``, or None if the tree defines no such class."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == name]
+    if not classes:
+        return None
+    return sorted(
+        node.lineno
+        for cls in classes
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("index", "insert")
+    )
+
+
+def test_the_map_builder_splices_darts_without_searching_a_row():
+    # an insertion is an O(1) splice of sigma^-1, not a search of a row list
+    example = "class B:\n    def f(self, r):\n        r.insert(r.index(1), 2)\n        r.append(3)\nr.index(0)\n"
+    assert searches_in_class(ast.parse(example), "B") == [3, 3]
+    assert searches_in_class(ast.parse(example), "MapBuilder") is None
+    assert searches_in_class(package_trees()["angulation.py"], "MapBuilder") == []
+
 # -- one dart representation: int darts, with (arc, end) pairs at the edge -------
 
 ENDS = {"b", "w"}
