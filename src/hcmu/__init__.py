@@ -22,7 +22,6 @@ from .builders import (
     build_one_cone,
     build_surface,
     build_tree,
-    canonical_angulation,
 )
 from .constraints import (
     AngleVector,

@@ -31,6 +31,7 @@ from typing import Sequence
 
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from .constraints import (
+    _check_genus,
     as_angle_vector,
     check_refined,
     invariants_m_a,
@@ -325,6 +326,7 @@ def _balanced(tree: WeightedTree) -> WeightedTree:
 def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     """A genus-g surface whose only singularity is one saddle of angle
     2*pi*(p + q + 2g - 1), with p smooth maxima and q smooth minima."""
+    _check_genus(g)  # before g enters the angle
     alpha = p + q + 2 * g - 1
     if not one_cone_admissible(g, alpha, p, q):
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")

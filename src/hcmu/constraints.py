@@ -14,11 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, TooLarge
+from .errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, ParseError, TooLarge
+
+
+def _rational(value, name):
+    """``value`` as a Fraction; what Fraction() refuses is a ParseError at
+    the argument ``name``, as the CLI refuses a malformed option."""
+    try:
+        return Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"not a rational number: {value!r:.80}", name) from None
 
 
 def _to_fraction(x) -> Fraction:
-    f = x if type(x) is Fraction else Fraction(x)
+    f = x if type(x) is Fraction else _rational(x, "alpha")
     n, d = f.numerator, f.denominator
     if n < 0:
         raise BadAngleVector(f"negative angle {f}")
@@ -28,9 +37,12 @@ def _to_fraction(x) -> Fraction:
 
 
 def _check_genus(g) -> None:
-    """Refuse a negative genus before any formula uses it.  Every
-    prescription reaches this check: through ``invariants_m_a`` (existence,
-    ratios, dimensions, builders) or ``one_cone_admissible``."""
+    """Refuse a genus that is not an int, or is negative, before any formula
+    uses it.  Every prescription reaches this check: through
+    ``invariants_m_a`` (existence, ratios, dimensions, builders) or
+    ``one_cone_admissible``."""
+    if type(g) is not int:
+        raise BadGenus(f"genus {g!r:.80} is not an integer")
     if g < 0:
         raise BadGenus(f"genus {g} is negative")
 
@@ -125,7 +137,7 @@ def invariants_m_a(g: int, alpha, Z) -> tuple:
     alpha = as_angle_vector(alpha)
     Z = frozenset(Z)
     for i in Z:
-        if not (1 <= i <= alpha.k):
+        if type(i) is not int or not 1 <= i <= alpha.k:
             raise BadTypePartition(f"saddle index {i} outside 1..k")
     # Z indexes integer entries only, so the saddle angles sum as ints
     s = sum(alpha[i - 1].numerator for i in Z)

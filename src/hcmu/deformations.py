@@ -25,6 +25,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .angulation import BLACK, WHITE, MixedAngulation
+from .constraints import _rational
 from .dataset import DataSet
 from .errors import (
     AssertionFailure,
@@ -34,7 +35,6 @@ from .errors import (
     CuspVertex,
     CutOnBoundary,
     NotInteger,
-    ParseError,
 )
 
 
@@ -44,15 +44,6 @@ class LevelCircle(NamedTuple):
     level: Fraction
     members: tuple  # arc ids in traversal order, starting at the smallest
     circumference: Fraction
-
-
-def _rational(value, name):
-    """``value`` as a Fraction; what Fraction() refuses is a ParseError at
-    the argument ``name``, as the CLI refuses a malformed option."""
-    try:
-        return Fraction(value)
-    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {value!r:.80}", name) from None
 
 
 def _sides(ds: DataSet, c):

@@ -1,15 +1,13 @@
 """JSON persistence of data sets, plus DOT and CSV exports.
 
-The document stores rationals as strings in lowest terms and the maximum
-curvature as the repr of a float; loading accepts exactly those forms and
-no key outside the schema, and reads vertex ids, arc-end tokens and face
-keys through tables of the texts :func:`save` writes.  Emission is canonical (sorted keys, two-space
-indent, trailing newline), so saving a loaded canonical document is
-byte-identical.  :func:`dumps` writes that layout directly, one f-string per
-entry with strings escaped by ``json``'s own C escaper.  Its text is what
-``json.dumps`` writes with sorted keys and a two-space indent, plus a
-newline; the tests keep that call as the oracle, since any indent sends
-``json`` through its pure-Python encoder.
+A document stores rationals as strings in lowest terms and the maximum
+curvature as the repr of a float.  The loader accepts only what :func:`save`
+writes (each object's schema keys and no other, entry i of a list with id i,
+rotation keys, arc-end tokens and face keys from tables of save's texts), so
+a loaded document saves back to its canonical text.  :func:`dumps` writes
+that text directly (sorted keys, two-space indent, trailing newline) with
+``json``'s C string escaper; the tests keep ``json.dumps`` as the oracle,
+since any indent sends ``json`` through its pure-Python encoder.
 """
 from __future__ import annotations
 
@@ -69,12 +67,16 @@ def face_key_token(ma: MixedAngulation, face_index: int) -> str:
     return dart_token(ma.face_keys[face_index])
 
 
-def _rational(text, parsed, pointer):
-    """The Fraction of ``text`` as :func:`parse_fraction` reads it; ``parsed``
-    holds each distinct text of a document read so far."""
+def _rational(text, parsed, pointer, where):
+    """The Fraction of ``text`` as :func:`parse_fraction` reads it, refused at
+    ``pointer`` with the token of ``where`` in its ``{}``; ``parsed`` holds
+    each distinct text of a document read so far."""
     hit = parsed.get(text) if type(text) is str else None
     if hit is None:
-        hit = parsed[text] = parse_fraction(text, pointer)  # refuses a text that is not a str
+        try:
+            hit = parsed[text] = parse_fraction(text)  # refuses a text that is not a str
+        except ParseError as exc:
+            raise ParseError(exc.message, pointer.format(_token(where))) from None
     return hit
 
 
@@ -165,116 +167,90 @@ def dumps(doc: dict) -> str:
     )
 
 
-_JSON_NAMES = {list: "array", dict: "object", str: "string"}
-
-
-def _require(doc, key, pointer, kind=None):
-    """``doc[key]``, which must be an instance of ``kind`` when it is given."""
-    if not isinstance(doc, dict):
-        raise ParseError("entry must be a JSON object", pointer)
-    if key not in doc:
-        raise ParseError(f"missing key {key!r}", pointer)
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ParseError(f"{key!r} must be a JSON {_JSON_NAMES[kind]}", pointer)
-    return value
-
-
-def _index(value, size, what, pointer):
-    """A JSON integer (not a boolean) in 0..size-1."""
-    if type(value) is not int or not 0 <= value < size:
-        raise ParseError(f"{what} must be an integer in 0..{size - 1}, not {value!r:.80}", pointer)
-    return value
-
-
 def _token(key):
     """``key`` as a JSON pointer reference token (RFC 6901)."""
     return str(key).replace("~", "~0").replace("/", "~1")
 
 
-def _known_keys(obj, keys):
-    """Refuses a key of the JSON object ``obj`` outside ``keys``."""
-    if not keys.issuperset(obj):
+def _fields(obj, keys, pointer, i=None):
+    """The values of ``keys`` in ``obj``, a JSON object with exactly these keys.
+    ``pointer`` is the object's JSON pointer with ``i`` for its ``{}``, formatted only to refuse."""
+    if not isinstance(obj, dict):
+        raise ParseError("entry must be a JSON object", pointer.format(i))
+    try:
+        values = [obj[key] for key in keys]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", f"{pointer.format(i)}/{exc.args[0]}") from None
+    if len(obj) != len(keys):
         key = next(k for k in obj if k not in keys)
-        raise ParseError(f"unknown key {key!r:.80}", f"/{_token(key)}")
+        raise ParseError(f"unknown key {key!r:.80}", f"{pointer.format(i)}/{_token(key)}")
+    return values
 
 
-def _within(exc, prefix):
-    """``exc``, raised with a pointer relative to an entry, at ``prefix``."""
-    return ParseError(exc.message, prefix + exc.pointer)
-
-
-DOCUMENT_KEYS = frozenset({"version", "k0", "ratio", "vertices", "arcs", "rotations", "face_levels"})
-VERTEX_KEYS = frozenset({"id", "color"})
-ARC_KEYS = frozenset({"id", "black", "white", "weight"})
+DOCUMENT_KEYS = ("version", "k0", "ratio", "vertices", "arcs", "rotations", "face_levels")
+VERTEX_KEYS = ("id", "color")
+ARC_KEYS = ("id", "black", "white", "weight")
 
 
 def load_document(doc: dict) -> DataSet:
     """Validated data set from a parsed JSON document.
 
-    Every object may hold only its schema's keys.  Rotation keys, arc-end
-    tokens and face-level keys are read through tables of what :func:`save`
-    writes, one lookup each; only a miss is classified.  A pointer is
-    formatted only when a check refuses.  Each distinct rational is parsed
-    once.
+    :func:`_fields` reads the document and each vertex and arc entry, whose
+    id is its position.  Rotation keys, arc-end tokens and face-level keys
+    are one lookup each in tables of what :func:`save` writes.  A pointer is
+    formatted only when a check refuses; each distinct rational is parsed once.
     """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "/")
-    version = _require(doc, "version", "/version")
+    version = doc.get("version", SCHEMA_VERSION)  # a missing version is a missing key, below
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported version {version!r}", "/version")
-    _known_keys(doc, DOCUMENT_KEYS)
-    text = _require(doc, "k0", "/k0", str)
+    _, text, ratio, vertices, arc_entries, rot_doc, level_doc = _fields(doc, DOCUMENT_KEYS, "")
+    if not isinstance(text, str):
+        raise ParseError("'k0' must be a JSON string", "/k0")
     try:
-        # the repr of a float has at most 24 characters
-        k0 = float(text) if len(text) <= 32 else math.nan
+        k0 = float(text) if len(text) <= 32 else math.nan  # a float's repr has at most 24 characters
     except ValueError:
         k0 = math.nan
     if not math.isfinite(k0) or repr(k0) != text:
         raise ParseError(f"k0 must be a finite float as repr writes it, not {text!r:.80}", "/k0")
-    ratio = parse_fraction(_require(doc, "ratio", "/ratio"), "/ratio")
+    ratio = parse_fraction(ratio, "/ratio")
 
-    vertices = _require(doc, "vertices", "/vertices", list)
-    colors = [None] * len(vertices)
+    if not isinstance(vertices, list):
+        raise ParseError("'vertices' must be a JSON array", "/vertices")
+    colors = []
     for i, item in enumerate(vertices):
-        try:
-            vid = _index(_require(item, "id", ""), len(vertices), "vertex id", "")
-            color = _require(item, "color", "")
-            if colors[vid] is not None:
-                raise ParseError(f"duplicate vertex id {vid}")
-            if color not in (BLACK, WHITE):
-                raise ParseError(f"unknown color {color!r}")
-            _known_keys(item, VERTEX_KEYS)
-        except ParseError as exc:
-            raise _within(exc, f"/vertices/{i}") from None
-        colors[vid] = color
+        vid, color = _fields(item, VERTEX_KEYS, "/vertices/{}", i)
+        if vid != i or type(vid) is not int:
+            raise ParseError(f"vertex id must be {i}, the entry's position, not {vid!r:.80}", f"/vertices/{i}")
+        if color not in (BLACK, WHITE):
+            raise ParseError(f"unknown color {color!r}", f"/vertices/{i}")
+        colors.append(color)
 
-    arc_entries = _require(doc, "arcs", "/arcs", list)
-    arcs = [None] * len(arc_entries)
-    weights = [None] * len(arc_entries)
-    parsed = {}
+    if not isinstance(arc_entries, list):
+        raise ParseError("'arcs' must be a JSON array", "/arcs")
+    n = len(vertices)
+    arcs, weights, parsed = [], [], {}
     for i, item in enumerate(arc_entries):
-        try:
-            aid = _index(_require(item, "id", ""), len(arc_entries), "arc id", "")
-            if arcs[aid] is not None:
-                raise ParseError(f"duplicate arc id {aid}")
-            arcs[aid] = (
-                _index(_require(item, "black", ""), len(vertices), "black end", "/black"),
-                _index(_require(item, "white", ""), len(vertices), "white end", "/white"),
-            )
-            weights[aid] = _rational(_require(item, "weight", ""), parsed, "/weight")
-            _known_keys(item, ARC_KEYS)
-        except ParseError as exc:
-            raise _within(exc, f"/arcs/{i}") from None
+        aid, black, white, weight = _fields(item, ARC_KEYS, "/arcs/{}", i)
+        if aid != i or type(aid) is not int:
+            raise ParseError(f"arc id must be {i}, the entry's position, not {aid!r:.80}", f"/arcs/{i}")
+        if type(black) is not int or not 0 <= black < n:
+            raise ParseError(f"black end must be an integer in 0..{n - 1}, not {black!r:.80}", f"/arcs/{i}/black")
+        if type(white) is not int or not 0 <= white < n:
+            raise ParseError(f"white end must be an integer in 0..{n - 1}, not {white!r:.80}", f"/arcs/{i}/white")
+        arcs.append((black, white))
+        weights.append(_rational(weight, parsed, "/arcs/{}/weight", i))
 
-    rotations = [None] * len(vertices)
-    rot_doc = _require(doc, "rotations", "/rotations", dict)
-    vertex_of = {str(v): v for v in range(len(vertices))}
+    if not isinstance(rot_doc, dict):
+        raise ParseError("'rotations' must be a JSON object", "/rotations")
+    rotations = [None] * n
+    vertex_of = {str(v): v for v in range(n)}
     dart_of = {dart_token(d): d for d in range(2 * len(arcs))}
     for key, row in rot_doc.items():
         v = vertex_of.get(key)
         if v is None:
-            if _miss(key, len(vertices)) is None:
+            if _miss(key, n) is None:
                 raise ParseError(f"rotation key {key!r:.80} is not a vertex id", f"/rotations/{_token(key)}")
             raise ParseError(f"bad or duplicate rotation key {key:.80}", f"/rotations/{key}")
         if not isinstance(row, list):
@@ -285,11 +261,11 @@ def load_document(doc: dict) -> DataSet:
             if d is None:
                 arc, _, end = token.partition(":") if type(token) is str else ("", "", "")
                 arc_id = _miss(arc, len(arcs)) if end in END else None
-                pointer = f"/rotations/{key}/{len(darts)}"
                 if arc_id is None:
-                    raise ParseError(f"malformed arc-end token {token!r:.80}", pointer)
+                    raise ParseError(f"malformed arc-end token {token!r:.80}", f"/rotations/{key}/{len(darts)}")
                 if arc_id < 0:
-                    raise ParseError(f"arc id of {token!r:.80} is not below the arc count {len(arcs)}", pointer)
+                    raise ParseError(f"arc id of {token!r:.80} is not below the arc count {len(arcs)}",
+                                     f"/rotations/{key}/{len(darts)}")
                 d = 2 * arc_id + (end == "w")  # an arc id past the count: MixedAngulation refuses it
             darts.append(d)
     if any(r is None for r in rotations):
@@ -300,16 +276,14 @@ def load_document(doc: dict) -> DataSet:
     except HcmuError as exc:
         raise ValidationError(str(exc), "/rotations")
 
-    level_doc = _require(doc, "face_levels", "/face_levels", dict)
+    if not isinstance(level_doc, dict):
+        raise ParseError("'face_levels' must be a JSON object", "/face_levels")
     keys = {face_key_token(ma, f): f for f in range(ma.num_faces)}
     levels = [None] * ma.num_faces
     for key, text in level_doc.items():
         if key not in keys:
             raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{_token(key)}")
-        try:
-            levels[keys[key]] = _rational(text, parsed, "")
-        except ParseError as exc:
-            raise _within(exc, f"/face_levels/{_token(key)}") from None
+        levels[keys[key]] = _rational(text, parsed, "/face_levels/{}", key)
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
@@ -5,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
+from hcmu.builders import build_one_cone, build_surface
 from hcmu.constraints import (
     AngleVector,
     TypePartition,
@@ -14,7 +16,8 @@ from hcmu.constraints import (
     invariants_m_a,
     one_cone_admissible,
 )
-from hcmu.errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, TooLarge
+from hcmu.dimension import dimension
+from hcmu.errors import MAX_ARCS, BadAngleVector, BadGenus, BadTypePartition, EmptySpace, ParseError, TooLarge
 
 
 def test_angle_vector_convention_order():
@@ -58,6 +61,27 @@ def test_angle_one_rejected():
     ],
 )
 def test_prescription_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: check_refined(0, [3, 3], {1.5}), BadTypePartition, "saddle index 1.5 outside 1..k"),
+        (lambda: build_surface(0, [3, 3, 3], {True, 2, 3}), BadTypePartition, "saddle index True outside 1..k"),
+        (lambda: build_surface(0, [math.nan, 3], {2}), ParseError, "alpha: not a rational number: nan"),
+        (lambda: build_surface(0, ["x", 3], {2}), ParseError, "alpha: not a rational number: 'x'"),
+        (lambda: build_surface(0, [None, 3], {2}), ParseError, "alpha: not a rational number: None"),
+        (lambda: dimension(0, [math.inf]), ParseError, "alpha: not a rational number: inf"),
+        (lambda: build_surface(1.5, [3, 3, 3], {1, 2, 3}), BadGenus, "genus 1.5 is not an integer"),
+        (lambda: build_one_cone("x", 4, 3), BadGenus, "genus 'x' is not an integer"),
+        (lambda: check_existence(True, [3, 3]), BadGenus, "genus True is not an integer"),
+    ],
+)
+def test_malformed_library_prescriptions_raise_package_errors(call, error, message):
+    # these escaped as TypeError, ValueError or OverflowError, or built a surface
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error and str(caught.value) == message

@@ -364,3 +364,32 @@ def test_only_the_rational_parser_and_the_miss_classifier_call_int_in_serializat
     example = "def f(t):\n    return int(t)\nclass C:\n    x = int\ny = s.int(2)\nz = [int(t) for t in w]\n"
     assert int_callers(ast.parse(example)) == ["<module>", "f"]
     assert int_callers(package_trees()["serialization.py"]) == ["_miss", "parse_fraction"]
+
+
+# -- the loader formats a JSON pointer only when it refuses ----------------------
+
+
+def formats_outside_raise(tree, names):
+    """Line numbers of the f-strings and ``.format(`` calls of the top-level
+    functions ``names`` that lie outside a ``raise`` statement."""
+    found = []
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name in names:
+            raised = {id(node) for stmt in ast.walk(func) if isinstance(stmt, ast.Raise) for node in ast.walk(stmt)}
+            found += [
+                node.lineno
+                for node in ast.walk(func)
+                if id(node) not in raised
+                and (isinstance(node, ast.JoinedStr)
+                     or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "format")
+            ]
+    return sorted(found)
+
+
+def test_the_loader_formats_pointers_only_inside_raise_statements():
+    example = (
+        "def f(p, i):\n    q = f'{p}/{i}'\n    if i:\n        raise E(f'{i!r:.8}', p.format(i))\n"
+        "    return p.format(i)\ndef g(p):\n    return f'{p}'\n"
+    )
+    assert formats_outside_raise(ast.parse(example), {"f"}) == [2, 5]
+    assert formats_outside_raise(package_trees()["serialization.py"], {"load_document", "_fields", "_rational"}) == []

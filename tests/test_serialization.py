@@ -203,12 +203,20 @@ def dropped(path):
     "make, error, message, pointer",
     [
         (lambda: dropped(["k0"]), ParseError, "missing key 'k0'", "/k0"),
-        (lambda: dropped(["arcs", 2, "weight"]), ParseError, "missing key 'weight'", "/arcs/2"),
+        (lambda: dropped(["arcs", 2, "weight"]), ParseError, "missing key 'weight'", "/arcs/2/weight"),
         (lambda: hostile(["version"], 2), ParseError, "unsupported version 2", "/version"),
         (lambda: hostile(["version"], True), ParseError, "unsupported version True", "/version"),
-        (lambda: hostile(["vertices", 1, "id"], 0), ParseError, "duplicate vertex id 0", "/vertices/1"),
+        (
+            lambda: hostile(["vertices", 1, "id"], 0),
+            ParseError, "vertex id must be 1, the entry's position, not 0", "/vertices/1",
+        ),
         (lambda: hostile(["vertices", 0, "color"], "red"), ParseError, "unknown color 'red'", "/vertices/0"),
-        (lambda: hostile(["arcs", 1, "id"], 0), ParseError, "duplicate arc id 0", "/arcs/1"),
+        (lambda: hostile(["arcs", 1, "id"], 0), ParseError, "arc id must be 1, the entry's position, not 0", "/arcs/1"),
+        # a key fault is named before a value fault of the same entry
+        (
+            lambda: set_at(hostile(["arcs", 1, "id"], 0), ["arcs", 1, "extra"], 1),
+            ParseError, "unknown key 'extra'", "/arcs/1/extra",
+        ),
         (lambda: dropped(["rotations", "4"]), ParseError, "missing rotation rows", "/rotations"),
         # dart 0 is the least dart of its face, so "0:b" is always a face key
         (lambda: dropped(["face_levels", "0:b"]), ValidationError, "missing face level", "/face_levels"),
@@ -219,6 +227,23 @@ def test_document_refusals(make, error, message, pointer):
         ser.load_document(make())
     assert type(caught.value) is error and caught.value.pointer == pointer
     assert str(caught.value) == f"{pointer}: {message}"
+
+
+def test_entries_out_of_position_are_refused():
+    # save writes entry i with id i, so a reordered list would save back in id order
+    docs = emitter_corpus() + [json.loads((FIXTURES / f"{name}.json").read_text()) for name in ("calabi", "two_level")]
+    for doc in docs:
+        assert ser.dumps(ser.save(ser.load_document(doc))) == oracle(doc)
+        vertices, arcs = doc["vertices"], doc["arcs"]
+        cases = [
+            (dict(doc, vertices=vertices[::-1]), f"vertex id must be 0, the entry's position, not {len(vertices) - 1}",
+             "/vertices/0"),
+            (dict(doc, arcs=arcs[::-1]), f"arc id must be 0, the entry's position, not {len(arcs) - 1}", "/arcs/0"),
+            (dict(doc, arcs=[*arcs[:-2], arcs[-1], arcs[-2]]),
+             f"arc id must be {len(arcs) - 2}, the entry's position, not {len(arcs) - 1}", f"/arcs/{len(arcs) - 2}"),
+        ]
+        for bad, message, pointer in cases:
+            assert refused(bad, pointer).message == message
 
 
 def test_non_object_vertex_entry_is_refused():
@@ -352,6 +377,10 @@ def test_unknown_key_is_refused(path, pointer):
     doc = json.loads((FIXTURES / "calabi.json").read_text())
     doc["arcs"][1]["a/b~"] = "1"
     refused(doc, "/arcs/1/a~1b~0")
+    # a future version may have keys of its own, so it is refused before they are compared
+    doc = json.loads((FIXTURES / "calabi.json").read_text())
+    doc["version"], doc["extra"] = 2, 1
+    assert refused(doc, "/version").message == "unsupported version 2"
 
 
 def renamed(doc, section, old, new):
