@@ -279,6 +279,8 @@ def test_one_cone_admissible_table():
     assert not one_cone_admissible(0, 9, 3, 7)  # needs p > q
     assert not one_cone_admissible(1, 3, 2, 1)  # alpha < 2g + 2
     assert one_cone_admissible(0, 2, 2, 1)
+    assert not one_cone_admissible(0, F(19, 2), 7, 3)  # a saddle angle is an integer
+    assert not one_cone_admissible(0, 9.5, 7, 3)
 
 
 def signature(part, alpha):

@@ -91,6 +91,50 @@ def test_level_outside_interval_rejected(calabi):
         DataSet(ma, 2.0, F(2, 3), calabi.weights, [F(1, 2), F(1, 2), F(1)])
 
 
+def one_arc_sphere():
+    """The two-vertex map with one arc: its one face has degree 2."""
+    return MixedAngulation([BLACK, WHITE], [(0, 1)], [[0], [1]], _allow_degenerate=True)
+
+
+@pytest.mark.parametrize(
+    "make, message, pointer",
+    [
+        (
+            lambda ds: DataSet(ds.angulation, 2.0, F(2, 3), ds.weights[:-1], ds.face_levels),
+            "BadWeight(*): weight table does not match arcs", "/BadWeight",
+        ),
+        (
+            lambda ds: DataSet(ds.angulation, 2.0, F(2, 3), ds.weights, ds.face_levels[:-1]),
+            "BadLevel(*): level table does not match faces", "/BadLevel",
+        ),
+        (
+            lambda ds: DataSet(one_arc_sphere(), 2.0, F(2, 3), [1], [F(1, 2)]),
+            "BadAngulation(angulation): degenerate face of degree < 4", "/BadAngulation",
+        ),
+        # every violation is listed, in the order K0, R, angulation, weights,
+        # levels, and the pointer names the first
+        (
+            lambda ds: DataSet(one_arc_sphere(), 0.0, 1, [0], [1]),
+            "BadK0(k0): K0 = 0.0 must be finite and > 0; BadRatio(ratio): R = 1 outside [0, 1); "
+            "BadAngulation(angulation): degenerate face of degree < 4; BadWeight(0): weight 0 must be > 0; "
+            "BadLevel(0): level 1 outside (0, 1)",
+            "/BadK0",
+        ),
+        (
+            lambda ds: DataSet(ds.angulation, 2.0, F(3, 2), [*ds.weights[:-1], F(-1, 2)], [F(1, 2)]),
+            "BadRatio(ratio): R = 3/2 outside [0, 1); BadWeight(5): weight -1/2 must be > 0; "
+            "BadLevel(*): level table does not match faces",
+            "/BadRatio",
+        ),
+    ],
+)
+def test_dataset_refusals(calabi, make, message, pointer):
+    with pytest.raises(ValidationError) as caught:
+        make(calabi)
+    assert type(caught.value) is ValidationError and caught.value.pointer == pointer
+    assert str(caught.value) == f"{pointer}: {message}"
+
+
 def test_calabi_cone_points(calabi):
     pts = cone_points(calabi)
     maxima = [c for c in pts if c.kind == "maximum"]

@@ -217,7 +217,10 @@ def dropped(path):
             lambda: set_at(hostile(["arcs", 1, "id"], 0), ["arcs", 1, "extra"], 1),
             ParseError, "unknown key 'extra'", "/arcs/1/extra",
         ),
+        (lambda: hostile(["vertices"], {"0": "black"}), ParseError, "'vertices' must be a JSON array", "/vertices"),
+        (lambda: hostile(["rotations"], []), ParseError, "'rotations' must be a JSON object", "/rotations"),
         (lambda: dropped(["rotations", "4"]), ParseError, "missing rotation rows", "/rotations"),
+        (lambda: hostile(["face_levels"], []), ParseError, "'face_levels' must be a JSON object", "/face_levels"),
         # dart 0 is the least dart of its face, so "0:b" is always a face key
         (lambda: dropped(["face_levels", "0:b"]), ValidationError, "missing face level", "/face_levels"),
     ],
