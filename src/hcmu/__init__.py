@@ -38,7 +38,6 @@ from .dataset import (
     census,
     realized_angle_vector,
     realized_prescription,
-    validate_dataset,
 )
 from .deformations import (
     LevelCircle,

@@ -209,9 +209,6 @@ class MixedAngulation:
     def vertex_of_dart(self, d: int) -> int:
         return self.arcs[d >> 1][d & 1]
 
-    def arcs_at(self, v: int):
-        return [d >> 1 for d in self.darts[v]]
-
     def face_left(self, arc: int) -> int:
         """Face on the left of the arc directed black -> white."""
         return self.face_of_dart[2 * arc]

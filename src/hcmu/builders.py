@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .angulation import BLACK, WHITE, MapBuilder, MixedAngulation
 from .constraints import (
-    _check_genus,
+    _check_one_cone_counts,
     as_angle_vector,
     check_refined,
     invariants_m_a,
@@ -326,7 +326,7 @@ def _balanced(tree: WeightedTree) -> WeightedTree:
 def build_one_cone(g: int, p: int, q: int, *, k0=1.0, level=DEFAULT_LEVEL) -> DataSet:
     """A genus-g surface whose only singularity is one saddle of angle
     2*pi*(p + q + 2g - 1), with p smooth maxima and q smooth minima."""
-    _check_genus(g)  # before g enters the angle
+    _check_one_cone_counts(g, p, q)  # before they enter the angle
     alpha = p + q + 2 * g - 1
     if not one_cone_admissible(g, alpha, p, q):
         raise Inadmissible(f"(g, p, q) = ({g}, {p}, {q}) is not realizable")

@@ -47,6 +47,15 @@ def _check_genus(g) -> None:
         raise BadGenus(f"genus {g} is negative")
 
 
+def _check_one_cone_counts(g, p, q) -> None:
+    """Refuse a genus, or a count p or q of smooth extrema, that is not an
+    int (a bool included) before any arithmetic uses it."""
+    _check_genus(g)
+    for x, name in ((p, "p"), (q, "q")):
+        if type(x) is not int:
+            raise ParseError(f"not an integer: {x!r:.80}", name)
+
+
 def _is_saddle_angle(f: Fraction) -> bool:
     return f.denominator == 1 and f.numerator > 1
 
@@ -233,10 +242,11 @@ def enumerate_ratios(g: int, alpha, partition: TypePartition):
 def one_cone_admissible(g: int, alpha: int, p: int, q: int) -> bool:
     """Can a genus-g surface carry a single saddle cone of angle 2*pi*alpha
     with p smooth maxima and q smooth minima?"""
-    _check_genus(g)
-    if alpha != int(alpha):
+    _check_one_cone_counts(g, p, q)
+    alpha = _rational(alpha, "alpha")
+    if alpha.denominator != 1:
         return False
-    alpha = int(alpha)
+    alpha = alpha.numerator
     if alpha < 2 * g + 2:
         return False
     if not (p > q > 0 and p + q == alpha - 2 * g + 1):

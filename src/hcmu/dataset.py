@@ -25,16 +25,6 @@ from .constraints import AngleVector
 from .errors import CensusInconsistent, ValidationError
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    where: object
-    message: str
-
-    def __str__(self):
-        return f"{self.code}({self.where}): {self.message}"
-
-
 class Grid(NamedTuple):
     """A data set's rationals as integer numerators over common denominators."""
 
@@ -60,7 +50,9 @@ class DataSet:
     grids.  The canonical form and its hash are computed on first use and
     cached, so equality and hashing cost at most one code, and so are the
     circles of the last level circled.  A weight or level given as a
-    ``Fraction`` is kept as it is.
+    ``Fraction`` is kept as it is.  The constructor refuses a set that
+    breaks a constraint with one :class:`ValidationError` listing every
+    violation.
     """
 
     __slots__ = ("angulation", "k0", "ratio", "weights", "face_levels", "grid", "_form", "_hash", "_circles")
@@ -79,18 +71,36 @@ class DataSet:
         self._form = None
         self._hash = None
         self._circles = None  # (level, each face's side of it, circles), see deformations.circles_at_level
-        issues = validate_dataset(self)
+        # every violation as "Code(where): message", in the order K0, R,
+        # angulation, weights, levels; the pointer names the first code
+        issues = []
+        if not 0 < self.k0 < math.inf:
+            issues.append(f"BadK0(k0): K0 = {self.k0} must be finite and > 0")
+        if not (0 <= self.ratio < 1):
+            issues.append(f"BadRatio(ratio): R = {self.ratio} outside [0, 1)")
+        if angulation.degenerate:
+            issues.append("BadAngulation(angulation): degenerate face of degree < 4")
+        _, wnum, dl, lnum = self.grid  # numerators on the grid
+        if len(wnum) != angulation.num_arcs:
+            issues.append("BadWeight(*): weight table does not match arcs")
+        else:
+            for a, n in enumerate(wnum):
+                if not n > 0:
+                    issues.append(f"BadWeight({a}): weight {self.weights[a]} must be > 0")
+        if len(lnum) != angulation.num_faces:
+            issues.append("BadLevel(*): level table does not match faces")
+        else:
+            for f, n in enumerate(lnum):
+                if not 0 < n < dl:
+                    issues.append(f"BadLevel({f}): level {self.face_levels[f]} outside (0, 1)")
         if issues:
-            raise ValidationError("; ".join(str(i) for i in issues), f"/{issues[0].code}")
+            raise ValidationError("; ".join(issues), "/" + issues[0].partition("(")[0])
 
     # -- angles ---------------------------------------------------------------
 
-    def vertex_weight_sum(self, v: int) -> Fraction:
-        grid = self.grid
-        return Fraction(sum(grid.weights[a] for a in self.angulation.arcs_at(v)), grid.dw)
-
     def vertex_angle(self, v: int) -> Fraction:
-        s = self.vertex_weight_sum(v)
+        dw, weights, _, _ = self.grid
+        s = Fraction(sum([weights[d >> 1] for d in self.angulation.darts[v]]), dw)
         return s if self.angulation.colors[v] == BLACK else self.ratio * s
 
     def vertex_angles(self) -> list:
@@ -138,32 +148,6 @@ class DataSet:
             f"DataSet(genus={ma.genus}, vertices={ma.num_vertices}, "
             f"arcs={ma.num_arcs}, faces={ma.num_faces}, R={self.ratio})"
         )
-
-
-def validate_dataset(ds) -> list:
-    """All invariant violations, as a report (never raises)."""
-    issues = []
-    if not 0 < ds.k0 < math.inf:
-        issues.append(ValidationIssue("BadK0", "k0", f"K0 = {ds.k0} must be finite and > 0"))
-    if not (0 <= ds.ratio < 1):
-        issues.append(ValidationIssue("BadRatio", "ratio", f"R = {ds.ratio} outside [0, 1)"))
-    ma = ds.angulation
-    if ma.degenerate:
-        issues.append(ValidationIssue("BadAngulation", "angulation", "degenerate face of degree < 4"))
-    _, weights, dl, levels = ds.grid
-    if len(weights) != ma.num_arcs:
-        issues.append(ValidationIssue("BadWeight", "*", "weight table does not match arcs"))
-    else:
-        for a, n in enumerate(weights):
-            if not n > 0:
-                issues.append(ValidationIssue("BadWeight", a, f"weight {ds.weights[a]} must be > 0"))
-    if len(levels) != ma.num_faces:
-        issues.append(ValidationIssue("BadLevel", "*", "level table does not match faces"))
-    else:
-        for f, n in enumerate(levels):
-            if not 0 < n < dl:
-                issues.append(ValidationIssue("BadLevel", f, f"level {ds.face_levels[f]} outside (0, 1)"))
-    return issues
 
 
 # -- census --------------------------------------------------------------------

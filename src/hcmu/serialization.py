@@ -180,7 +180,7 @@ def _fields(obj, keys, pointer, i=None):
     try:
         values = [obj[key] for key in keys]
     except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}", f"{pointer.format(i)}/{exc.args[0]}") from None
+        raise ParseError(f"missing key {exc.args[0]!r:.80}", f"{pointer.format(i)}/{exc.args[0]}") from None
     if len(obj) != len(keys):
         key = next(k for k in obj if k not in keys)
         raise ParseError(f"unknown key {key!r:.80}", f"{pointer.format(i)}/{_token(key)}")
@@ -204,7 +204,7 @@ def load_document(doc: dict) -> DataSet:
         raise ParseError("document must be a JSON object", "/")
     version = doc.get("version", SCHEMA_VERSION)  # a missing version is a missing key, below
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported version {version!r}", "/version")
+        raise ParseError(f"unsupported version {version!r:.80}", "/version")
     _, text, ratio, vertices, arc_entries, rot_doc, level_doc = _fields(doc, DOCUMENT_KEYS, "")
     if not isinstance(text, str):
         raise ParseError("'k0' must be a JSON string", "/k0")
@@ -224,7 +224,7 @@ def load_document(doc: dict) -> DataSet:
         if vid != i or type(vid) is not int:
             raise ParseError(f"vertex id must be {i}, the entry's position, not {vid!r:.80}", f"/vertices/{i}")
         if color not in (BLACK, WHITE):
-            raise ParseError(f"unknown color {color!r}", f"/vertices/{i}")
+            raise ParseError(f"unknown color {color!r:.80}", f"/vertices/{i}")
         colors.append(color)
 
     if not isinstance(arc_entries, list):
@@ -282,7 +282,7 @@ def load_document(doc: dict) -> DataSet:
     levels = [None] * ma.num_faces
     for key, text in level_doc.items():
         if key not in keys:
-            raise ValidationError(f"{key!r} is not a face of this angulation", f"/face_levels/{_token(key)}")
+            raise ValidationError(f"{key!r:.80} is not a face of this angulation", f"/face_levels/{_token(key)}")
         levels[keys[key]] = _rational(text, parsed, "/face_levels/{}", key)
     if any(s is None for s in levels):
         raise ValidationError("missing face level", "/face_levels")

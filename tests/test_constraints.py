@@ -78,6 +78,14 @@ def test_prescription_refusals(call, error, message):
         (lambda: build_surface(1.5, [3, 3, 3], {1, 2, 3}), BadGenus, "genus 1.5 is not an integer"),
         (lambda: build_one_cone("x", 4, 3), BadGenus, "genus 'x' is not an integer"),
         (lambda: check_existence(True, [3, 3]), BadGenus, "genus True is not an integer"),
+        (lambda: build_one_cone(0, "x", 3), ParseError, "p: not an integer: 'x'"),
+        (lambda: build_one_cone(0, 4.0, 3), ParseError, "p: not an integer: 4.0"),
+        (lambda: build_one_cone(0, True, 1), ParseError, "p: not an integer: True"),
+        (lambda: build_one_cone(0, 4, None), ParseError, "q: not an integer: None"),
+        (lambda: one_cone_admissible(0, 6, "x", 3), ParseError, "p: not an integer: 'x'"),
+        (lambda: one_cone_admissible(0, 6, 4, 3.0), ParseError, "q: not an integer: 3.0"),
+        (lambda: one_cone_admissible(0, "x", 4, 3), ParseError, "alpha: not a rational number: 'x'"),
+        (lambda: one_cone_admissible(0, math.nan, 4, 3), ParseError, "alpha: not a rational number: nan"),
     ],
 )
 def test_malformed_library_prescriptions_raise_package_errors(call, error, message):

@@ -21,7 +21,6 @@ from hcmu.dataset import (
     census,
     realized_angle_vector,
     realized_prescription,
-    validate_dataset,
 )
 from hcmu.errors import CensusInconsistent, HcmuError, ValidationError
 from test_angulation import relabeled
@@ -53,7 +52,8 @@ def cone_points(ds):
 
 
 def test_calabi_is_valid(calabi):
-    assert validate_dataset(calabi) == []
+    again = DataSet(calabi.angulation, calabi.k0, calabi.ratio, calabi.weights, calabi.face_levels)
+    assert again == calabi
 
 
 def test_ratio_one_rejected(calabi):

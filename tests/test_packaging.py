@@ -393,3 +393,32 @@ def test_the_loader_formats_pointers_only_inside_raise_statements():
     )
     assert formats_outside_raise(ast.parse(example), {"f"}) == [2, 5]
     assert formats_outside_raise(package_trees()["serialization.py"], {"load_document", "_fields", "_rational"}) == []
+
+
+# -- the loader echoes outside text bounded ---------------------------------------
+
+
+def unbounded_reprs(tree):
+    """Line numbers of the ``raise`` statements whose f-strings hold a ``!r``
+    field without a precision, as ``{x!r}`` or ``{x!r:>8}`` rather than ``{x!r:.80}``."""
+    found = set()
+    for stmt in ast.walk(tree):
+        if not isinstance(stmt, ast.Raise):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                spec = node.format_spec
+                text = "".join(v.value for v in spec.values if isinstance(v, ast.Constant)) if spec else ""
+                if not re.search(r"\.\d+$", text):
+                    found.add(stmt.lineno)
+    return sorted(found)
+
+
+def test_serialization_bounds_every_repr_it_raises():
+    # serialization refuses outside text, so what it echoes of a value is cut
+    example = (
+        "def f(x, n):\n    raise E(f'bad {x!r}')\ndef g(x):\n    raise E(f'{x!r:.80} and {x!s}')\n"
+        "def h(x):\n    raise E(f'{x!r:>8}',\n            f'{x!r:.8}')\n    y = f'{x!r}'\n"
+    )
+    assert unbounded_reprs(ast.parse(example)) == [2, 6]
+    assert unbounded_reprs(package_trees()["serialization.py"]) == []

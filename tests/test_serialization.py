@@ -206,11 +206,20 @@ def dropped(path):
         (lambda: dropped(["arcs", 2, "weight"]), ParseError, "missing key 'weight'", "/arcs/2/weight"),
         (lambda: hostile(["version"], 2), ParseError, "unsupported version 2", "/version"),
         (lambda: hostile(["version"], True), ParseError, "unsupported version True", "/version"),
+        # an echoed value is cut to 80 characters of its repr
+        (
+            lambda: hostile(["version"], "9" * 100000),
+            ParseError, f"unsupported version {'9' * 100000!r:.80}", "/version",
+        ),
         (
             lambda: hostile(["vertices", 1, "id"], 0),
             ParseError, "vertex id must be 1, the entry's position, not 0", "/vertices/1",
         ),
         (lambda: hostile(["vertices", 0, "color"], "red"), ParseError, "unknown color 'red'", "/vertices/0"),
+        (
+            lambda: hostile(["vertices", 0, "color"], "c" * 100000),
+            ParseError, f"unknown color {'c' * 100000!r:.80}", "/vertices/0",
+        ),
         (lambda: hostile(["arcs", 1, "id"], 0), ParseError, "arc id must be 1, the entry's position, not 0", "/arcs/1"),
         # a key fault is named before a value fault of the same entry
         (
